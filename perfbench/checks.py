@@ -13,13 +13,16 @@ import math
 from pathlib import Path
 
 MSD_TAIL = 500               # iterations averaged for the agreed MSD
-# Highest agreed MSD per combination rule.  Uniform weights: acceptance
-# criterion 1.  Fast weights trade steady-state MSD for speed (criterion 7
-# lets their steady state sit above the uniform one and uses -30 dB as the
-# level the agreed MSD must reach); over seeds 1-20 at one replica and 6000
-# iterations it lies between -36.7 and -49.0 dB, so -45 dB would fail a
-# correct run.
-MSD_DESIRED_MAX_DB = {"uniform": -45.0, "fast": -30.0}
+# Highest agreed MSD per combination rule, for the one replica a workload
+# runs.  Acceptance criterion 1 puts the uniform level at -45 dB, but for
+# the mean of 50 replicas on its documented seed; one replica's tail mean
+# over seeds 1-100 had median -49.8 dB and its highest 1% above -45.1 dB
+# (worst -42.9 dB, seed 68, which reads -48.0 dB at 4 replicas), so the
+# limit sits 5 dB above criterion 1.  Fast weights trade steady-state MSD
+# for speed (criterion 7 lets their steady state sit above the uniform one
+# and uses -30 dB as the level the agreed MSD must reach); over seeds 1-20
+# at one replica and 6000 iterations it lies between -36.7 and -49.0 dB.
+MSD_DESIRED_MAX_DB = {"uniform": -40.0, "fast": -30.0}
 SCHOOL_SETTLED_STEP = 2000   # acceptance criterion 10: after this step ...
 SCHOOL_MAX_DISTANCE = 5.0    # ... every agent is this close to the target
 
