@@ -50,7 +50,7 @@ def oracle_relative_f(f) -> np.ndarray:
 
 
 def global_desires(g_local: np.ndarray, f) -> np.ndarray:
-    """Project own-frame desired models to the global index (test-only).
+    """Project own-frame desired models to the global model index.
 
     g_local(k) = 1 means agent k desires its own observed model, so the
     global index is f(k); otherwise it is the other model.
@@ -77,8 +77,9 @@ def decision_sweep(adjacency: np.ndarray, g_local: np.ndarray, f_rel: np.ndarray
     """One synchronous quorum-response sweep over all agents."""
     adjacency = np.asarray(adjacency, dtype=bool)
     g_local = np.asarray(g_local, dtype=int)
-    g_trans = np.where(np.asarray(f_rel) == 1, g_local[None, :], 1 - g_local[None, :])
-    agree = (g_trans == g_local[:, None]) & adjacency
+    # k's translation of g(l) equals g(k) iff "g(l) differs from g(k)" is the
+    # opposite of f_rel[k, l] (0/1 entries; same counts as translate_neighbor_g)
+    agree = ((g_local[None, :] ^ g_local[:, None]) != np.asarray(f_rel)) & adjacency
     n_g = agree.sum(axis=1)
     n_k = adjacency.sum(axis=1)
     q = quorum_prob(n_g, n_k, K, beta)

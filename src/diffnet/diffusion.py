@@ -9,10 +9,6 @@ import numpy as np
 
 from .network import AgentEnvironment, ModelPair, check_assignment
 
-# Dense eigensolver below this system size, power iteration above.
-DENSE_EIG_LIMIT = 400
-SPECTRAL_TOL = 1e-10
-
 # Abort a simulation when any agent estimate norm exceeds this.
 DIVERGENCE_LIMIT = 1e6
 
@@ -127,27 +123,8 @@ def check_stepsize_stability(mu: float, Ru: np.ndarray) -> bool:
 
 
 def spectral_radius(B: np.ndarray) -> float:
-    B = np.asarray(B, dtype=float)
-    if B.shape[0] <= DENSE_EIG_LIMIT:
-        return float(np.max(np.abs(np.linalg.eigvals(B))))
-    return _power_radius(B)
-
-
-def _power_radius(B: np.ndarray, max_iters: int = 100_000) -> float:
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(B.shape[0])
-    x /= np.linalg.norm(x)
-    rho = 0.0
-    for _ in range(max_iters):
-        y = B @ x
-        nrm = np.linalg.norm(y)
-        if nrm == 0.0:
-            return 0.0
-        x = y / nrm
-        if abs(nrm - rho) < SPECTRAL_TOL:
-            return nrm
-        rho = nrm
-    return rho
+    """Largest eigenvalue modulus of B, from the dense eigensolver."""
+    return float(np.max(np.abs(np.linalg.eigvals(np.asarray(B, dtype=float)))))
 
 
 def convergence_rate(B: np.ndarray) -> float:

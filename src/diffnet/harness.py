@@ -13,9 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .classification import check_stepsize_separation
-from .decision import global_desires, oracle_relative_f, quorum_prob
-from .diffusion import DIVERGENCE_LIMIT, DivergenceError, check_stepsize_stability
+from .classification import check_stepsize_separation, f_hat
+from .decision import decision_sweep, global_desires, oracle_relative_f, \
+    quorum_prob  # noqa: F401  (perfbench's tracer checks the name is wrapped here too)
+from .diffusion import DIVERGENCE_LIMIT, DivergenceError, check_stepsize_stability, \
+    split_matrices
 from .markov import absorption_time_distribution, build_meanfield_chain, \
     transient_spectral_radius
 from .mobility import MotionParams, cohesion_all, radius_adjacency
@@ -100,9 +102,29 @@ class ScenarioConfig:
                 raise ConfigError("iterations and replicas must be positive")
             if self.forced_desired not in (None, 0, 1):
                 raise ConfigError("forced_desired must be 0, 1, or None")
-        if self.kind == "fish" and self.M != 2:
-            raise ConfigError("fish scenario is planar (M = 2)")
+        if self.kind == "fish":
+            self._validate_fish()
         return self
+
+    def _validate_fish(self) -> None:
+        """The fish engine runs the shared modified step on a moving radius
+        graph, so the static-only fields must keep their defaults."""
+        if self.M != 2:
+            raise ConfigError("fish scenario is planar (M = 2)")
+        if self.strategy == "conventional":
+            raise ConfigError("fish scenario runs the modified strategy only")
+        if self.record_beliefs:
+            raise ConfigError("fish scenario cannot record beliefs: its "
+                              "neighborhoods change every step")
+        for name in ("mean_degree", "ru_range", "noise_db_range"):
+            if not np.array_equal(getattr(self, name), getattr(ScenarioConfig, name)):
+                raise ConfigError(f"{name} applies to static scenarios only; the "
+                                  f"fish graph and sensing come from comm_radius "
+                                  f"and motion")
+        try:
+            MotionParams(**self.motion)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad motion parameters: {exc}") from exc
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -212,22 +234,14 @@ def _fast_weight_matrix(adj: np.ndarray, informed_kl: np.ndarray) -> np.ndarray:
     """Column construction shared by the oracle and in-simulation variants.
 
     informed_kl[k, l] says whether agent k treats neighbor l as informed.
+    Column k is uniform over k's informed neighbors, else over its other
+    neighbors, else (an isolated uninformed agent) on k itself.
     """
-    N = adj.shape[0]
-    informed = informed_kl & adj           # [k, l]
-    n_f = informed.sum(axis=1)
-    n_k = adj.sum(axis=0)
-    A = np.zeros((N, N))
-    off = adj.copy()
-    np.fill_diagonal(off, False)
-    for k in range(N):
-        if n_f[k] >= 1:
-            A[informed[k], k] = 1.0 / n_f[k]
-        elif n_k[k] > 1:
-            A[off[:, k], k] = 1.0 / (n_k[k] - 1)
-        else:
-            A[k, k] = 1.0   # isolated uninformed agent: keep own estimate
-    return A
+    informed = (informed_kl & adj).T           # [l, k]
+    fallback = adj & ~np.eye(adj.shape[0], dtype=bool)
+    fallback |= np.diag(~fallback.any(axis=0))
+    support = np.where(informed.any(axis=0), informed, fallback)
+    return support / support.sum(axis=0)
 
 
 def _check_informed_reachability(A: np.ndarray, informed: np.ndarray) -> None:
@@ -251,11 +265,79 @@ def _check_informed_reachability(A: np.ndarray, informed: np.ndarray) -> None:
 def run_scenario(cfg: ScenarioConfig) -> TraceSet:
     """Execute a scenario end to end (deterministic for a fixed seed)."""
     cfg.validate()
-    if cfg.kind == "static_two_model":
-        return _run_static(cfg)
+    if cfg.kind not in ("static_two_model", "fish"):
+        raise ConfigError(f"run_scenario handles simulations, not {cfg.kind!r}")
+    env_ss, *rep_ss = np.random.SeedSequence(cfg.seed).spawn(cfg.replicas + 1)
+    env_rng = np.random.default_rng(env_ss)
+    models = ModelPair(np.array(cfg.w0), np.array(cfg.w1))
+    f = np.array([0] * cfg.split + [1] * (cfg.N - cfg.split))
     if cfg.kind == "fish":
-        return _run_fish(cfg)
-    raise ConfigError(f"run_scenario handles simulations, not {cfg.kind!r}")
+        topology = None
+        params = MotionParams(**cfg.motion)
+        noise_db = env_rng.uniform(cfg.noise_db_range[0], cfg.noise_db_range[1], cfg.N)
+        env = AgentEnvironment(Ru=np.eye(2), sigma_v2=10.0 ** (noise_db / 10.0),
+                               mu=np.full(cfg.N, cfg.mu))
+
+        def replica(rng):
+            return _replica_fish(cfg, params, models, f, rng)
+    else:
+        topology = generate_topology(cfg.N, cfg.mean_degree, env_rng)
+        env = _build_environment(cfg, env_rng)
+        A = uniform_weights(topology)
+
+        def replica(rng):
+            return _replica_static(cfg, topology.adjacency, A, env, models, f, rng)
+    modified = cfg.strategy != "conventional"
+    if modified:
+        check_stepsize_separation(cfg.mu, cfg.nu)
+
+    iters, R = cfg.iterations, cfg.replicas
+    keys = ("sq0", "sq1", "sqd", "sqr", "frac") if modified else ("sq0", "sq1")
+    sums = {key: np.zeros(iters) for key in keys}
+    times, finals_g, finals_b = [], [], []
+    w_sum = np.zeros((cfg.N, cfg.M))
+    err_sum = np.zeros((iters, cfg.N, cfg.M)) if cfg.mean_error_vs is not None else None
+    belief_stream = trajectory = None
+
+    for r, ss in enumerate(rep_ss):
+        rep = replica(np.random.default_rng(ss))
+        for key in keys:
+            sums[key] += rep[key]
+        w_sum += rep["w"]
+        if modified:
+            times.append(agreement_time(rep["all_agree"]))
+            finals_g.append(rep["g_global"])
+            finals_b.append(rep["beliefs"])
+        if err_sum is not None:
+            err_sum += rep["err"]
+        if r == 0:
+            belief_stream = rep.get("belief_stream")
+            trajectory = rep.get("trajectory")
+
+    def db(key):
+        if key not in sums:
+            return np.full(iters, np.nan)
+        return np.array([msd_db(v / R) for v in sums[key]])
+
+    return TraceSet(
+        config=cfg,
+        msd0_db=db("sq0"),
+        msd1_db=db("sq1"),
+        msd_desired_db=db("sqd"),
+        msd_rejected_db=db("sqr"),
+        agreement_fraction=(sums["frac"] / R) if modified else np.full(iters, np.nan),
+        agreement_times=np.array(times) if modified else None,
+        final_global_desires=np.array(finals_g) if modified else None,
+        final_w_mean=w_sum / R,
+        final_beliefs=np.array(finals_b) if modified else None,
+        f=f,
+        topology=topology,
+        env=env,
+        belief_stream=belief_stream,
+        mean_error_norm=(np.linalg.norm(err_sum / R, axis=(1, 2))
+                         if err_sum is not None else None),
+        trajectory=trajectory,
+    )
 
 
 def _build_environment(cfg: ScenarioConfig, rng: np.random.Generator):
@@ -272,270 +354,123 @@ def _build_environment(cfg: ScenarioConfig, rng: np.random.Generator):
     return env
 
 
-def _beta_per_agent(cfg: ScenarioConfig, g: np.ndarray, f: np.ndarray):
-    """Quality weight seen by each agent for its current desired model."""
-    beta = np.asarray(cfg.beta, dtype=float)
-    if beta.ndim == 0:
-        return float(beta)
-    return beta[global_desires(g, f)]
+class _Replica:
+    """State and per-iteration metric records of one replica under the
+    adapt -> classify -> decide -> split-combine step shared by the static
+    and fish scenarios."""
+
+    def __init__(self, cfg: ScenarioConfig, models: ModelPair, f: np.ndarray):
+        N, M, iters = cfg.N, cfg.M, cfg.iterations
+        self.cfg, self.models, self.f = cfg, models, f
+        self.stacked = models.stacked()
+        self.beta = np.asarray(cfg.beta, dtype=float)
+        self.not_self = ~np.eye(N, dtype=bool)
+        self.oracle_rel = oracle_relative_f(f) if cfg.oracle_classification else None
+        self.conventional = cfg.strategy == "conventional"
+        self.w = np.zeros((N, M))
+        self.h_hat = np.zeros((N, M))
+        self.b = np.full((N, N), 0.5)
+        if cfg.forced_desired is not None:
+            self.g = (f == cfg.forced_desired).astype(int)
+        else:
+            self.g = np.ones(N, dtype=int)
+        self.glob = global_desires(self.g, f)
+        self.sq0 = np.empty(iters)
+        self.sq1 = np.empty(iters)
+        self.sqd = np.empty(iters)
+        self.sqr = np.empty(iters)
+        self.frac = np.empty(iters)
+        self.all_agree = np.empty(iters, dtype=bool)
+        self.err = np.empty((iters, N, M)) if cfg.mean_error_vs is not None else None
+        self.stream = np.empty((iters, N, N)) if cfg.record_beliefs else None
+
+    def step(self, i: int, adj: np.ndarray, A: np.ndarray, u: np.ndarray,
+             d: np.ndarray, rng: np.random.Generator) -> None:
+        """One network-wide iteration on the graph `adj` with combination
+        matrix A, regressors u and measurements d; the quorum uniforms are
+        the only draws taken from rng."""
+        cfg = self.cfg
+        update = u * (d - (u * self.w).sum(axis=1))[:, None]
+        psi = self.w + cfg.mu * update
+        if self.conventional:
+            self.w = A.T @ psi
+        else:
+            self.h_hat = (1.0 - cfg.nu) * self.h_hat + cfg.nu * update
+            far = (self.h_hat ** 2).sum(axis=1) > cfg.eta ** 2
+            active = far[:, None] & far[None, :] & adj & self.not_self
+            e1 = active & (self.h_hat @ self.h_hat.T > 0.0)
+            self.b = np.where(active, cfg.alpha * self.b + (1.0 - cfg.alpha) * e1, self.b)
+            if self.oracle_rel is not None:
+                fhat = self.oracle_rel
+            else:
+                fhat = f_hat(self.b)
+                np.fill_diagonal(fhat, 1)
+            if cfg.forced_desired is None:
+                beta = self.beta if self.beta.ndim == 0 else self.beta[self.glob]
+                self.g = decision_sweep(adj, self.g, fhat, cfg.K, rng, beta)
+            if cfg.rule == "fast":
+                A = _fast_weight_matrix(adj, fhat == self.g[:, None])
+            A1, A2 = split_matrices(A, fhat, self.g)
+            self.w = A1.T @ psi + A2.T @ self.w
+
+        w = self.w
+        if not ((w * w).sum(axis=1).max() <= DIVERGENCE_LIMIT ** 2):
+            raise DivergenceError(f"estimate norm exceeded {DIVERGENCE_LIMIT:g} "
+                                  f"at iteration {i}")
+        self.sq0[i] = ((w - self.models.w0) ** 2).sum(axis=1).mean()
+        self.sq1[i] = ((w - self.models.w1) ** 2).sum(axis=1).mean()
+        if not self.conventional:
+            self.glob = global_desires(self.g, self.f)
+            self.sqd[i] = ((w - self.stacked[self.glob]) ** 2).sum(axis=1).mean()
+            self.sqr[i] = ((w - self.stacked[1 - self.glob]) ** 2).sum(axis=1).mean()
+            share1 = self.glob.mean()
+            self.frac[i] = max(share1, 1.0 - share1)
+            self.all_agree[i] = share1 in (0.0, 1.0)
+        if self.err is not None:
+            self.err[i] = self.stacked[cfg.mean_error_vs][None, :] - w
+        if self.stream is not None:
+            self.stream[i] = self.b
+
+    def records(self) -> dict:
+        out = {"sq0": self.sq0, "sq1": self.sq1, "w": self.w}
+        if not self.conventional:
+            out.update(sqd=self.sqd, sqr=self.sqr, frac=self.frac,
+                       all_agree=self.all_agree, beliefs=self.b, g_global=self.glob)
+        if self.err is not None:
+            out["err"] = self.err
+        if self.stream is not None:
+            out["belief_stream"] = self.stream
+        return out
 
 
-def _run_static(cfg: ScenarioConfig) -> TraceSet:
-    master = np.random.SeedSequence(cfg.seed)
-    env_ss, *rep_ss = master.spawn(cfg.replicas + 1)
-    env_rng = np.random.default_rng(env_ss)
-
-    topology = generate_topology(cfg.N, cfg.mean_degree, env_rng)
-    env = _build_environment(cfg, env_rng)
-    models = ModelPair(np.array(cfg.w0), np.array(cfg.w1))
-    f = np.array([0] * cfg.split + [1] * (cfg.N - cfg.split))
-    A = uniform_weights(topology)
-    if cfg.strategy == "modified":
-        check_stepsize_separation(cfg.mu, cfg.nu)
-
-    iters = cfg.iterations
-    acc0 = np.zeros(iters)
-    acc1 = np.zeros(iters)
-    accd = np.zeros(iters)
-    accr = np.zeros(iters)
-    acc_frac = np.zeros(iters)
-    times = []
-    finals_g = []
-    finals_b = []
-    w_mean = np.zeros((cfg.N, cfg.M))
-    err_sum = np.zeros((iters, cfg.N, cfg.M)) if cfg.mean_error_vs is not None else None
-    belief_stream = None
-
-    for r, ss in enumerate(rep_ss):
-        rng = np.random.default_rng(ss)
-        rep = _replica_static(cfg, topology, A, env, models, f, rng)
-        acc0 += rep["sq0"]
-        acc1 += rep["sq1"]
-        w_mean += rep["w"]
-        if cfg.strategy != "conventional":
-            accd += rep["sqd"]
-            accr += rep["sqr"]
-            acc_frac += rep["frac"]
-            times.append(agreement_time(rep["all_agree"]))
-            finals_g.append(rep["g_global"])
-            finals_b.append(rep["beliefs"])
-        if err_sum is not None:
-            err_sum += rep["err"]
-        if cfg.record_beliefs and r == 0:
-            belief_stream = rep["belief_stream"]
-
-    R = cfg.replicas
-    modified = cfg.strategy != "conventional"
-    return TraceSet(
-        config=cfg,
-        msd0_db=np.array([msd_db(v / R) for v in acc0]),
-        msd1_db=np.array([msd_db(v / R) for v in acc1]),
-        msd_desired_db=(np.array([msd_db(v / R) for v in accd])
-                        if modified else np.full(iters, np.nan)),
-        msd_rejected_db=(np.array([msd_db(v / R) for v in accr])
-                         if modified else np.full(iters, np.nan)),
-        agreement_fraction=(acc_frac / R) if modified else np.full(iters, np.nan),
-        agreement_times=np.array(times) if modified else None,
-        final_global_desires=np.array(finals_g) if modified else None,
-        final_w_mean=w_mean / R,
-        final_beliefs=np.array(finals_b) if modified else None,
-        f=f,
-        topology=topology,
-        env=env,
-        belief_stream=belief_stream,
-        mean_error_norm=(np.linalg.norm(err_sum / R, axis=(1, 2))
-                         if err_sum is not None else None),
-    )
-
-
-def _replica_static(cfg, topology, A, env, models, f, rng):
-    N, M = cfg.N, cfg.M
-    adj = topology.adjacency
-    n_k = adj.sum(axis=0)
-    off = adj.copy()
-    np.fill_diagonal(off, False)
+def _replica_static(cfg, adj, A, env, models, f, rng):
+    """Fixed graph; Gaussian regressors u and measurement noise v per agent."""
+    rep = _Replica(cfg, models, f)
     z = models.observed(f)
     chol_t = env.ru_chol.T
     sigma_v = np.sqrt(env.sigma_v2)
-    mu = env.mu[:, None]
-    wq = models.stacked()[cfg.mean_error_vs] if cfg.mean_error_vs is not None else None
-
-    oracle_rel = oracle_relative_f(f) if cfg.oracle_classification else None
-    conventional = cfg.strategy == "conventional"
-
-    w = np.zeros((N, M))
-    h_hat = np.zeros((N, M))
-    b = np.full((N, N), 0.5)
-    if cfg.forced_desired is not None:
-        g = (f == cfg.forced_desired).astype(int)
-    else:
-        g = np.ones(N, dtype=int)
-
-    iters = cfg.iterations
-    sq0 = np.empty(iters)
-    sq1 = np.empty(iters)
-    sqd = np.empty(iters)
-    sqr = np.empty(iters)
-    frac = np.empty(iters)
-    all_agree = np.empty(iters, dtype=bool)
-    err = np.empty((iters, N, M)) if wq is not None else None
-    stream = np.empty((iters, N, N)) if cfg.record_beliefs else None
-    stacked = models.stacked()
-
-    for i in range(iters):
-        u = rng.standard_normal((N, M)) @ chol_t
-        v = sigma_v * rng.standard_normal(N)
-        resid = (u * z).sum(axis=1) + v - (u * w).sum(axis=1)
-        update = u * resid[:, None]
-        psi = w + mu * update
-
-        if conventional:
-            w = A.T @ psi
-        else:
-            h_hat = (1.0 - cfg.nu) * h_hat + cfg.nu * update
-            far = (h_hat ** 2).sum(axis=1) > cfg.eta ** 2
-            inner = h_hat @ h_hat.T
-            active = far[:, None] & far[None, :] & off
-            e1 = active & (inner > 0.0)
-            b = np.where(active, cfg.alpha * b + (1.0 - cfg.alpha) * e1, b)
-
-            if oracle_rel is not None:
-                fhat = oracle_rel
-            else:
-                fhat = (b >= 0.5).astype(int)
-                np.fill_diagonal(fhat, 1)
-
-            if cfg.forced_desired is None:
-                g_trans = np.where(fhat == 1, g[None, :], 1 - g[None, :])
-                n_g = ((g_trans == g[:, None]) & adj).sum(axis=1)
-                q = quorum_prob(n_g, n_k, cfg.K, _beta_per_agent(cfg, g, f))
-                keep = rng.random(N) < q
-                g = np.where(keep, g, 1 - g)
-
-            A_eff = _fast_weight_matrix(adj, fhat == g[:, None]) \
-                if cfg.rule == "fast" else A
-            match = (fhat == g[:, None]).T      # [l, k]
-            A1 = np.where(match, A_eff, 0.0)
-            A2 = A_eff - A1
-            w = A1.T @ psi + A2.T @ w
-
-        if (w * w).sum(axis=1).max() > DIVERGENCE_LIMIT ** 2:
-            raise DivergenceError(f"estimate norm exceeded {DIVERGENCE_LIMIT:g} "
-                                  f"at iteration {i}")
-
-        sq0[i] = ((w - models.w0) ** 2).sum(axis=1).mean()
-        sq1[i] = ((w - models.w1) ** 2).sum(axis=1).mean()
-        if not conventional:
-            glob = global_desires(g, f)
-            sqd[i] = ((w - stacked[glob]) ** 2).sum(axis=1).mean()
-            sqr[i] = ((w - stacked[1 - glob]) ** 2).sum(axis=1).mean()
-            share1 = glob.mean()
-            frac[i] = max(share1, 1.0 - share1)
-            all_agree[i] = share1 in (0.0, 1.0)
-        if err is not None:
-            err[i] = wq[None, :] - w
-        if stream is not None:
-            stream[i] = b
-
-    out = {"sq0": sq0, "sq1": sq1, "w": w}
-    if not conventional:
-        out.update(sqd=sqd, sqr=sqr, frac=frac, all_agree=all_agree, beliefs=b,
-                   g_global=global_desires(g, f))
-    if err is not None:
-        out["err"] = err
-    if stream is not None:
-        out["belief_stream"] = stream
-    return out
-
-
-def _run_fish(cfg: ScenarioConfig) -> TraceSet:
-    master = np.random.SeedSequence(cfg.seed)
-    env_ss, *rep_ss = master.spawn(cfg.replicas + 1)
-    env_rng = np.random.default_rng(env_ss)
-
-    params = MotionParams(**cfg.motion) if cfg.motion else MotionParams()
-    models = ModelPair(np.array(cfg.w0), np.array(cfg.w1))
-    f = np.array([0] * cfg.split + [1] * (cfg.N - cfg.split))
-    noise_db = env_rng.uniform(cfg.noise_db_range[0], cfg.noise_db_range[1], cfg.N)
-
-    iters = cfg.iterations
-    acc0 = np.zeros(iters)
-    acc1 = np.zeros(iters)
-    accd = np.zeros(iters)
-    accr = np.zeros(iters)
-    acc_frac = np.zeros(iters)
-    times = []
-    finals_g = []
-    finals_b = []
-    w_mean = np.zeros((cfg.N, cfg.M))
-    trajectory = None
-
-    for r, ss in enumerate(rep_ss):
-        rng = np.random.default_rng(ss)
-        rep = _replica_fish(cfg, params, models, f, rng)
-        acc0 += rep["sq0"]
-        acc1 += rep["sq1"]
-        accd += rep["sqd"]
-        accr += rep["sqr"]
-        acc_frac += rep["frac"]
-        times.append(agreement_time(rep["all_agree"]))
-        finals_g.append(rep["g_global"])
-        finals_b.append(rep["beliefs"])
-        w_mean += rep["w"]
-        if r == 0:
-            trajectory = rep["trajectory"]
-
-    R = cfg.replicas
-    env = AgentEnvironment(Ru=np.eye(2), sigma_v2=10.0 ** (noise_db / 10.0),
-                           mu=np.full(cfg.N, cfg.mu))
-    return TraceSet(
-        config=cfg,
-        msd0_db=np.array([msd_db(v / R) for v in acc0]),
-        msd1_db=np.array([msd_db(v / R) for v in acc1]),
-        msd_desired_db=np.array([msd_db(v / R) for v in accd]),
-        msd_rejected_db=np.array([msd_db(v / R) for v in accr]),
-        agreement_fraction=acc_frac / R,
-        agreement_times=np.array(times),
-        final_global_desires=np.array(finals_g),
-        final_w_mean=w_mean / R,
-        final_beliefs=np.array(finals_b),
-        f=f,
-        topology=None,
-        env=env,
-        trajectory=trajectory,
-    )
+    for i in range(cfg.iterations):
+        u = rng.standard_normal((cfg.N, cfg.M)) @ chol_t
+        v = sigma_v * rng.standard_normal(cfg.N)
+        rep.step(i, adj, A, u, (u * z).sum(axis=1) + v, rng)
+    return rep.records()
 
 
 def _replica_fish(cfg, params, models, f, rng):
+    """Moving agents: radius graph, range/bearing sensing of each agent's own
+    target, then motion toward the new estimate."""
     N = cfg.N
+    rep = _Replica(cfg, models, f)
     z = models.observed(f)
-    mu = cfg.mu
-
     x = rng.uniform(-cfg.arena / 2.0, cfg.arena / 2.0, (N, 2))
     vel = np.zeros((N, 2))
-    w = np.zeros((N, 2))
-    h_hat = np.zeros((N, 2))
-    b = np.full((N, N), 0.5)
-    g = np.ones(N, dtype=int)
     prev_u = np.tile(np.array([1.0, 0.0]), (N, 1))
+    trajectory = np.empty((cfg.iterations, N, 6))
 
-    iters = cfg.iterations
-    sq0 = np.empty(iters)
-    sq1 = np.empty(iters)
-    sqd = np.empty(iters)
-    sqr = np.empty(iters)
-    frac = np.empty(iters)
-    all_agree = np.empty(iters, dtype=bool)
-    trajectory = np.empty((iters, N, 6))
-
-    for i in range(iters):
+    for i in range(cfg.iterations):
         adj = radius_adjacency(x, cfg.comm_radius)
-        n_k = adj.sum(axis=0)
-        off = adj.copy()
-        np.fill_diagonal(off, False)
-        A = adj / n_k[None, :]
+        A = adj / adj.sum(axis=0)[None, :]
 
-        # noisy range/bearing observations of each agent's own target
         offset = z - x
         dist = np.linalg.norm(offset, axis=1)
         ok = dist > 0
@@ -545,62 +480,21 @@ def _replica_fish(cfg, params, models, f, rng):
         u = np.where(ok[:, None], u, prev_u)
         prev_u = u
         noise = np.sqrt(params.kappa) * dist * rng.standard_normal(N)
-        d_hat = (u * z).sum(axis=1) + noise
+        rep.step(i, adj, A, u, (u * z).sum(axis=1) + noise, rng)
 
-        resid = d_hat - (u * w).sum(axis=1)
-        update = u * resid[:, None]
-        psi = w + mu * update
-
-        h_hat = (1.0 - cfg.nu) * h_hat + cfg.nu * update
-        far = (h_hat ** 2).sum(axis=1) > cfg.eta ** 2
-        inner = h_hat @ h_hat.T
-        active = far[:, None] & far[None, :] & off
-        e1 = active & (inner > 0.0)
-        b = np.where(active, cfg.alpha * b + (1.0 - cfg.alpha) * e1, b)
-        fhat = (b >= 0.5).astype(int)
-        np.fill_diagonal(fhat, 1)
-
-        g_trans = np.where(fhat == 1, g[None, :], 1 - g[None, :])
-        n_g = ((g_trans == g[:, None]) & adj).sum(axis=1)
-        q = quorum_prob(n_g, n_k, cfg.K, _beta_per_agent(cfg, g, f))
-        keep = rng.random(N) < q
-        g = np.where(keep, g, 1 - g)
-
-        match = (fhat == g[:, None]).T
-        A1 = np.where(match, A, 0.0)
-        A2 = A - A1
-        w = A1.T @ psi + A2.T @ w
-
-        # motion after estimation/decision
         delta = cohesion_all(x, adj, params.d_s)
-        goal = w - x
+        goal = rep.w - x
         nrm = np.linalg.norm(goal, axis=1, keepdims=True)
         goal = np.where(nrm > 0, goal / np.where(nrm > 0, nrm, 1.0), 0.0)
         vel = params.lam * goal + params.beta * (A.T @ vel) + params.gamma * delta
         x = x + params.dt * vel
 
-        if (w * w).sum(axis=1).max() > DIVERGENCE_LIMIT ** 2:
-            raise DivergenceError(f"estimate norm exceeded {DIVERGENCE_LIMIT:g} "
-                                  f"at step {i}")
-
-        sq0[i] = ((w - models.w0) ** 2).sum(axis=1).mean()
-        sq1[i] = ((w - models.w1) ** 2).sum(axis=1).mean()
-        glob = global_desires(g, f)
-        target = models.stacked()[glob]
-        sqd[i] = ((w - target) ** 2).sum(axis=1).mean()
-        sqr[i] = ((w - models.stacked()[1 - glob]) ** 2).sum(axis=1).mean()
-        share1 = glob.mean()
-        frac[i] = max(share1, 1.0 - share1)
-        all_agree[i] = share1 in (0.0, 1.0)
-        msd_to_target = ((x - target) ** 2).sum(axis=1)
         trajectory[i, :, 0:2] = x
         trajectory[i, :, 2:4] = vel
-        trajectory[i, :, 4] = glob
-        trajectory[i, :, 5] = msd_to_target
+        trajectory[i, :, 4] = rep.glob
+        trajectory[i, :, 5] = ((x - rep.stacked[rep.glob]) ** 2).sum(axis=1)
 
-    return {"sq0": sq0, "sq1": sq1, "sqd": sqd, "sqr": sqr, "frac": frac, "all_agree": all_agree,
-            "beliefs": b, "g_global": global_desires(g, f), "w": w,
-            "trajectory": trajectory}
+    return dict(rep.records(), trajectory=trajectory)
 
 
 # ---------------------------------------------------------------------------
@@ -696,9 +590,8 @@ def write_trajectory_csv(path: str, trace: TraceSet) -> None:
         steps, N, _ = trace.trajectory.shape
         for i in range(steps):
             for k in range(N):
-                row = trace.trajectory[i, k]
-                out.writerow([i, k, repr(row[0]), repr(row[1]), repr(row[2]),
-                              repr(row[3]), int(row[4]), repr(row[5])])
+                row = [repr(float(value)) for value in trace.trajectory[i, k]]
+                out.writerow([i, k, *row[:4], int(trace.trajectory[i, k, 4]), row[5]])
 
 
 def write_chain_sweep_csv(path: str, rows: list[dict]) -> None:
@@ -723,5 +616,5 @@ def _git_stamp() -> str | None:
                              capture_output=True, text=True, timeout=5,
                              cwd=os.path.dirname(os.path.abspath(__file__)))
         return out.stdout.strip() or None
-    except OSError:
+    except (OSError, subprocess.TimeoutExpired):
         return None

@@ -4,7 +4,7 @@ import pytest
 from diffnet.diffusion import (
     atc_adapt, atc_combine, build_mean_error_system, check_stepsize_stability,
     convergence_rate, modified_combine, rate_lower_bound, spectral_radius,
-    split_matrices, split_weights, _power_radius,
+    split_matrices, split_weights,
 )
 from diffnet.network import (
     AgentEnvironment, ModelPair, complete_topology, generate_topology,
@@ -139,11 +139,19 @@ def test_spectral_radius_matches_numpy():
         assert abs(spectral_radius(B) - np.max(np.abs(np.linalg.eigvals(B)))) < 1e-8
 
 
-def test_power_radius_agrees_with_dense():
+def test_spectral_radius_non_normal_complex_pair():
+    # 402 x 402 (above the size where a power iteration used to take over),
+    # non-normal, dominant eigenvalue pair 0.9 e^{+-0.5i}
     rng = np.random.default_rng(8)
-    B = rng.random((30, 30)) / 30.0 + np.eye(30) * 0.3  # positive dominant mode
+    n = 402
+    D = np.diag(np.r_[0.0, 0.0, rng.uniform(-0.5, 0.5, n - 2)])
+    D[:2, :2] = 0.9 * np.array([[np.cos(0.5), -np.sin(0.5)],
+                                [np.sin(0.5), np.cos(0.5)]])
+    S = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    B = S @ D @ np.linalg.inv(S)
     dense = np.max(np.abs(np.linalg.eigvals(B)))
-    assert abs(_power_radius(B) - dense) < 1e-6
+    assert abs(dense - 0.9) < 1e-8
+    assert abs(spectral_radius(B) - dense) < 1e-8
 
 
 def test_rate_bound_tight_for_single_agent():

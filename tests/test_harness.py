@@ -1,18 +1,24 @@
 import csv
 import json
 import math
-import os
+import subprocess
 
 import numpy as np
 import pytest
 
+from diffnet.classification import classify_event, f_hat, update_belief, \
+    update_direction
 from diffnet.cli import main as cli_main
+from diffnet.decision import decide, global_desires, quorum_prob, \
+    quorum_set_size, translate_neighbor_g
+from diffnet.diffusion import atc_adapt, modified_combine, split_weights
 from diffnet.harness import (
-    ConfigError, ScenarioConfig, agreement_time, fast_weights, msd, msd_db,
-    preset, run_chain_sweep, run_scenario, write_beliefs_csv,
+    ConfigError, ScenarioConfig, _git_stamp, agreement_time, fast_weights,
+    msd, msd_db, preset, run_chain_sweep, run_scenario, write_beliefs_csv,
     write_chain_sweep_csv, write_meta, write_msd_csv, write_trajectory_csv,
 )
-from diffnet.network import Topology, complete_topology, generate_topology
+from diffnet.network import ModelPair, Topology, complete_topology, \
+    uniform_weights
 
 
 def small_config(**overrides):
@@ -119,6 +125,55 @@ def test_golden_trace_regression():
     assert tr.final_w_mean[0, 0] == pytest.approx(0.43936800667316295, abs=1e-14)
 
 
+def test_step_matches_per_agent_reference():
+    # one replica rebuilt agent by agent from the library's scalar functions,
+    # drawing from the replica generator in the engine's order: u, v, then
+    # one quorum uniform per agent
+    cfg = small_config(replicas=1, iterations=20)
+    tr = run_scenario(cfg)
+    N, M = cfg.N, cfg.M
+    adj = tr.topology.adjacency
+    A = uniform_weights(tr.topology)
+    z = ModelPair(cfg.w0, cfg.w1).observed(tr.f)
+    chol_t = tr.env.ru_chol.T
+    sigma_v = np.sqrt(tr.env.sigma_v2)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[1])
+
+    w, h = np.zeros((N, M)), np.zeros((N, M))
+    b = np.full((N, N), 0.5)
+    g = np.ones(N, dtype=int)
+    for _ in range(cfg.iterations):
+        u = rng.standard_normal((N, M)) @ chol_t
+        v = sigma_v * rng.standard_normal(N)
+        psi = np.array([atc_adapt(w[k], u[k] @ z[k] + v[k], u[k], cfg.mu)
+                        for k in range(N)])
+        h = np.array([update_direction(h[k], psi[k], w[k], cfg.mu, cfg.nu)
+                      for k in range(N)])
+        for k in range(N):
+            for l in np.flatnonzero(adj[:, k]):
+                if l != k:
+                    event = classify_event(h[k], h[l], cfg.eta)
+                    b[k, l] = update_belief(b[k, l], event, cfg.alpha)
+        fh = np.array([[1 if l == k else f_hat(b[k, l]) for l in range(N)]
+                       for k in range(N)])
+        g_prev = g.copy()
+        for k in range(N):
+            hood = np.flatnonzero(adj[:, k])
+            n_g = quorum_set_size([translate_neighbor_g(g_prev[l], fh[k, l])
+                                   for l in hood], g_prev[k])
+            q = quorum_prob(n_g, hood.size, cfg.K, cfg.beta)
+            g[k] = decide(g_prev[k], q, rng)
+        w_prev, w = w, np.empty((N, M))
+        for k in range(N):
+            a1, a2 = split_weights(A[:, k], fh[k], g[k])
+            w[k] = modified_combine(psi, w_prev, a1, a2)
+
+    assert (b != 0.5).any()
+    assert np.array_equal(tr.final_global_desires[0], global_desires(g, tr.f))
+    assert np.abs(tr.final_w_mean - w).max() < 1e-10
+    assert np.abs(tr.final_beliefs[0] - b).max() < 1e-10
+
+
 def test_determinism_and_seed_sensitivity():
     a = run_scenario(small_config())
     b = run_scenario(small_config())
@@ -150,6 +205,61 @@ def test_fish_scenario_runs():
     assert np.isfinite(tr.msd_desired_db).all()
     g = tr.trajectory[-1, :, 4]
     assert (g == g[0]).all()  # school agreed
+
+
+def small_school(**overrides):
+    cfg = preset("school")
+    cfg.N, cfg.split, cfg.iterations, cfg.seed = 8, 4, 80, 1
+    for name, value in overrides.items():
+        setattr(cfg, name, value)
+    return cfg.validate()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rule", "fast"),
+    ("strategy", "modified_fast_weights"),
+    ("oracle_classification", True),
+    ("forced_desired", 0),
+    ("beta", [1.0, 4.0]),
+])
+def test_fish_honours_shared_step_options(field, value):
+    base = run_scenario(small_school())
+    tr = run_scenario(small_school(**{field: value}))
+    assert not np.array_equal(base.final_w_mean, tr.final_w_mean)
+
+
+def test_fish_tracks_mean_error():
+    tr = run_scenario(small_school(mean_error_vs=0))
+    assert tr.mean_error_norm.shape == (80,)
+    assert run_scenario(small_school()).mean_error_norm is None
+
+
+@pytest.mark.parametrize("field, value", [
+    ("strategy", "conventional"),
+    ("record_beliefs", True),
+    ("mean_degree", 3.0),
+    ("ru_range", [0.5, 1.0]),
+    ("noise_db_range", [-20.0, -10.0]),
+    ("M", 3),
+    ("motion", {"dt": -0.1}),
+    ("motion", {"speed": 1.0}),
+])
+def test_fish_rejects_options_it_cannot_honour(tmp_path, field, value):
+    doc = dict(preset("school").to_dict(), **{field: value})
+    if field == "M":
+        doc.update(w0=[1.0, 0.0, 0.0], w1=[0.0, 1.0, 0.0])
+    with pytest.raises(ConfigError):
+        ScenarioConfig.from_dict(doc)
+    path = tmp_path / "fish.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["fish", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+
+
+def test_cli_fish_rejects_conventional_flag(tmp_path):
+    assert cli_main(["fish", "--preset", "school", "--strategy",
+                     "conventional", "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "msd.csv").exists()
 
 
 def test_chain_sweep_report():
@@ -203,6 +313,8 @@ def test_trajectory_writer(tmp_path):
     assert rows[0] == ["step", "agent", "x1", "x2", "v1", "v2",
                        "g_global", "msd_to_target"]
     assert len(rows) == 1 + 20 * 6
+    for row in rows[1:]:
+        assert [float(field) for field in row]  # every field is a plain number
 
 
 def test_cli_simulate_and_exit_codes(tmp_path):
@@ -240,6 +352,25 @@ def test_cli_stability_refusal(tmp_path):
         mean_degree=4.0)))
     assert cli_main(["simulate", "--config", str(cfg_path),
                      "--out", str(tmp_path / "o")]) == 2
+
+
+def test_cli_nan_estimate_diverges(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(
+        N=8, M=2, w0=[float("nan"), 0.0], w1=[0.0, 1.0], split=4, mu=0.02,
+        nu=0.2, alpha=0.9, eta=0.3, K=2, iterations=10, replicas=1, seed=5,
+        mean_degree=4.0)))
+    out = tmp_path / "o"
+    assert cli_main(["simulate", "--config", str(cfg_path),
+                     "--out", str(out)]) == 3
+    assert not (out / "msd.csv").exists()
+
+
+def test_git_stamp_survives_timeout(monkeypatch):
+    def hang(cmd, **kwargs):
+        raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+    monkeypatch.setattr(subprocess, "run", hang)
+    assert _git_stamp() is None
 
 
 def test_cli_analyze_chain(tmp_path):
