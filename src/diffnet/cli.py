@@ -15,6 +15,7 @@ from .diffusion import DivergenceError
 from .harness import ConfigError, ScenarioConfig, preset, run_chain_sweep, \
     run_classify_bench, run_scenario, write_beliefs_csv, write_chain_sweep_csv, \
     write_meta, write_msd_csv, write_trajectory_csv
+from .network import TopologyError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -137,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "analyze-chain":
             return _run_chain(args)
         return _run_bench(args)
-    except ConfigError as exc:
+    except (ConfigError, TopologyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as exc:

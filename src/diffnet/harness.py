@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .classification import check_stepsize_separation, f_hat
+from .classification import check_stepsize_separation, direction_pair_benchmark, \
+    estimate_tau, f_hat, pd_pf_bounds
 from .decision import decision_sweep, global_desires, oracle_relative_f, \
     quorum_prob  # noqa: F401  (perfbench's tracer checks the name is wrapped here too)
 from .diffusion import DIVERGENCE_LIMIT, DivergenceError, check_stepsize_stability, \
@@ -30,6 +31,11 @@ NEVER = math.inf
 STRATEGIES = ("conventional", "modified", "modified_fast_weights")
 RULES = ("uniform", "fast")
 KINDS = ("static_two_model", "fish", "chain_sweep", "classify_bench")
+# Fields only one kind reads; a simulation refuses the others' non-default values.
+KIND_FIELDS = {"static_two_model": ("mean_degree", "ru_range", "noise_db_range"),
+               "fish": ("motion", "comm_radius", "arena"),
+               "chain_sweep": ("sweep_N", "sweep_K"),
+               "classify_bench": ("bench_trials", "bench_distance")}
 
 
 class ConfigError(ValueError):
@@ -51,7 +57,7 @@ class ScenarioConfig:
     alpha: float = 0.95
     eta: float = 1.0
     K: int = 4
-    beta: float = 1.0                # quorum quality weight (scalar) or [q0, q1]
+    beta: float | list = 1.0         # quorum quality weight (scalar) or [q0, q1]
     iterations: int = 2000
     replicas: int = 50
     seed: int = 0
@@ -63,20 +69,22 @@ class ScenarioConfig:
     oracle_classification: bool = False
     forced_desired: int | None = None   # global model index; freezes decisions
     mean_error_vs: int | None = None    # track ensemble-mean error vs this model
-    # fish-only
     motion: dict = field(default_factory=dict)
     comm_radius: float = 5.0
     arena: float = 20.0
-    # chain-sweep only
     sweep_N: list = field(default_factory=lambda: [4, 6, 8])
     sweep_K: list = field(default_factory=lambda: [1, 2, 3, 4, 5])
-    # classify-bench only
     bench_trials: int = 100_000
     bench_distance: float = 10.0
 
     def validate(self) -> "ScenarioConfig":
         if self.kind not in KINDS:
             raise ConfigError(f"unknown scenario kind {self.kind!r}")
+        for f in dataclasses.fields(self):     # f.type is the annotation's text
+            value = getattr(self, f.name)
+            check = {"int": _is_int, "float": _is_real}.get(f.type)
+            if check and not check(value):
+                raise ConfigError(f"{f.name} must be of type {f.type}, not {value!r}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.strategy == "modified_fast_weights":
@@ -92,23 +100,41 @@ class ScenarioConfig:
                 raise ConfigError("the two models must differ")
             if not 0 <= self.split <= self.N:
                 raise ConfigError("split must lie in [0, N]")
-            if self.mu <= 0 or not (0 < self.nu < 1) or not (0 < self.alpha < 1):
+            if not (self.mu > 0 and 0 < self.nu < 1 and 0 < self.alpha < 1):
                 raise ConfigError("require mu > 0, nu in (0,1), alpha in (0,1)")
-            if self.eta <= 0 or self.K < 1:
-                raise ConfigError("require eta > 0 and K >= 1")
-            if np.any(np.asarray(self.beta, dtype=float) <= 0):
-                raise ConfigError("beta must be positive")
+            if not (self.eta > 0 and self.K >= 1 and self.mean_degree >= 2):
+                raise ConfigError("require eta > 0, K >= 1 and mean_degree >= 2 "
+                                  "(it counts the agent itself)")
+            pair = isinstance(self.beta, (list, tuple)) and len(self.beta) == 2
+            if not ((_is_real(self.beta) or pair and all(map(_is_real, self.beta)))
+                    and (np.asarray(self.beta, dtype=float) > 0).all()):
+                raise ConfigError("beta must be a positive number or a list "
+                                  "[beta0, beta1] of positive numbers")
             if self.iterations < 1 or self.replicas < 1:
                 raise ConfigError("iterations and replicas must be positive")
-            if self.forced_desired not in (None, 0, 1):
-                raise ConfigError("forced_desired must be 0, 1, or None")
+            for value in (self.forced_desired, self.mean_error_vs):
+                if value is not None and not (_is_int(value) and value in (0, 1)):
+                    raise ConfigError("forced_desired and mean_error_vs must be "
+                                      "0, 1, or None")
+            default = ScenarioConfig()
+            for name in (n for kind, names in KIND_FIELDS.items() if kind != self.kind
+                         for n in names):    # object arrays compare ragged lists too
+                if not np.array_equal(*(np.asarray(getattr(c, name), dtype=object)
+                                        for c in (self, default))):
+                    raise ConfigError(f"{name} does not apply to {self.kind} scenarios")
         if self.kind == "fish":
             self._validate_fish()
+        if self.kind == "chain_sweep":
+            for name, low in (("sweep_N", 2), ("sweep_K", 1)):
+                values = getattr(self, name)
+                if not (isinstance(values, list) and values
+                        and all(_is_int(v) and v >= low for v in values)):
+                    raise ConfigError(f"{name} must be a non-empty list of ints >= {low}")
         return self
 
     def _validate_fish(self) -> None:
         """The fish engine runs the shared modified step on a moving radius
-        graph, so the static-only fields must keep their defaults."""
+        graph; its graph and sensing come from comm_radius and motion."""
         if self.M != 2:
             raise ConfigError("fish scenario is planar (M = 2)")
         if self.strategy == "conventional":
@@ -116,11 +142,6 @@ class ScenarioConfig:
         if self.record_beliefs:
             raise ConfigError("fish scenario cannot record beliefs: its "
                               "neighborhoods change every step")
-        for name in ("mean_degree", "ru_range", "noise_db_range"):
-            if not np.array_equal(getattr(self, name), getattr(ScenarioConfig, name)):
-                raise ConfigError(f"{name} applies to static scenarios only; the "
-                                  f"fish graph and sensing come from comm_radius "
-                                  f"and motion")
         try:
             MotionParams(**self.motion)
         except (TypeError, ValueError) as exc:
@@ -146,6 +167,14 @@ class ScenarioConfig:
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_dict(doc)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return _is_int(value) or isinstance(value, (float, np.floating))
 
 
 # Canned scenario layouts, named for the behavior each one demonstrates.
@@ -187,8 +216,8 @@ class TraceSet:
     final_w_mean: np.ndarray                # ensemble-mean final estimates (N, M)
     final_beliefs: np.ndarray | None        # (replicas, N, N)
     f: np.ndarray
-    topology: Topology
-    env: AgentEnvironment
+    topology: Topology | None               # None for the moving school
+    env: AgentEnvironment | None            # None for the moving school
     belief_stream: np.ndarray | None = None   # (iterations, N, N) when recorded
     mean_error_norm: np.ndarray | None = None
     trajectory: np.ndarray | None = None      # fish: (steps, N, 6)
@@ -272,11 +301,8 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
     models = ModelPair(np.array(cfg.w0), np.array(cfg.w1))
     f = np.array([0] * cfg.split + [1] * (cfg.N - cfg.split))
     if cfg.kind == "fish":
-        topology = None
+        topology = env = None     # the school's graph and sensing change every step
         params = MotionParams(**cfg.motion)
-        noise_db = env_rng.uniform(cfg.noise_db_range[0], cfg.noise_db_range[1], cfg.N)
-        env = AgentEnvironment(Ru=np.eye(2), sigma_v2=10.0 ** (noise_db / 10.0),
-                               mu=np.full(cfg.N, cfg.mu))
 
         def replica(rng):
             return _replica_fish(cfg, params, models, f, rng)
@@ -302,17 +328,16 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
     for r, ss in enumerate(rep_ss):
         rep = replica(np.random.default_rng(ss))
         for key in keys:
-            sums[key] += rep[key]
-        w_sum += rep["w"]
+            sums[key] += getattr(rep, key)
+        w_sum += rep.w
         if modified:
-            times.append(agreement_time(rep["all_agree"]))
-            finals_g.append(rep["g_global"])
-            finals_b.append(rep["beliefs"])
+            times.append(agreement_time(rep.all_agree))
+            finals_g.append(rep.glob)
+            finals_b.append(rep.b)
         if err_sum is not None:
-            err_sum += rep["err"]
+            err_sum += rep.err
         if r == 0:
-            belief_stream = rep.get("belief_stream")
-            trajectory = rep.get("trajectory")
+            belief_stream, trajectory = rep.stream, rep.trajectory
 
     def db(key):
         if key not in sums:
@@ -361,10 +386,9 @@ class _Replica:
 
     def __init__(self, cfg: ScenarioConfig, models: ModelPair, f: np.ndarray):
         N, M, iters = cfg.N, cfg.M, cfg.iterations
-        self.cfg, self.models, self.f = cfg, models, f
+        self.cfg, self.f = cfg, f
         self.stacked = models.stacked()
         self.beta = np.asarray(cfg.beta, dtype=float)
-        self.not_self = ~np.eye(N, dtype=bool)
         self.oracle_rel = oracle_relative_f(f) if cfg.oracle_classification else None
         self.conventional = cfg.strategy == "conventional"
         self.w = np.zeros((N, M))
@@ -374,37 +398,37 @@ class _Replica:
             self.g = (f == cfg.forced_desired).astype(int)
         else:
             self.g = np.ones(N, dtype=int)
-        self.glob = global_desires(self.g, f)
-        self.sq0 = np.empty(iters)
-        self.sq1 = np.empty(iters)
-        self.sqd = np.empty(iters)
-        self.sqr = np.empty(iters)
-        self.frac = np.empty(iters)
+        self.glob = global_desires(self.g, f)     # validates f once
+        self.f_flip = 1 - f
+        self.rows = np.arange(N)
+        self.sq0, self.sq1, self.sqd, self.sqr, self.frac = np.empty((5, iters))
         self.all_agree = np.empty(iters, dtype=bool)
         self.err = np.empty((iters, N, M)) if cfg.mean_error_vs is not None else None
         self.stream = np.empty((iters, N, N)) if cfg.record_beliefs else None
+        self.graph = self.trajectory = None       # graph: the adjacency self.links is for
 
     def step(self, i: int, adj: np.ndarray, A: np.ndarray, u: np.ndarray,
              d: np.ndarray, rng: np.random.Generator) -> None:
         """One network-wide iteration on the graph `adj` with combination
         matrix A, regressors u and measurements d; the quorum uniforms are
         the only draws taken from rng."""
-        cfg = self.cfg
+        cfg, N = self.cfg, self.cfg.N
         update = u * (d - (u * self.w).sum(axis=1))[:, None]
         psi = self.w + cfg.mu * update
         if self.conventional:
             self.w = A.T @ psi
         else:
+            if adj is not self.graph:   # a moving school brings a new graph each step
+                self.graph, self.links = adj, adj & ~np.eye(N, dtype=bool)
             self.h_hat = (1.0 - cfg.nu) * self.h_hat + cfg.nu * update
             far = (self.h_hat ** 2).sum(axis=1) > cfg.eta ** 2
-            active = far[:, None] & far[None, :] & adj & self.not_self
-            e1 = active & (self.h_hat @ self.h_hat.T > 0.0)
-            self.b = np.where(active, cfg.alpha * self.b + (1.0 - cfg.alpha) * e1, self.b)
-            if self.oracle_rel is not None:
-                fhat = self.oracle_rel
-            else:
-                fhat = f_hat(self.b)
-                np.fill_diagonal(fhat, 1)
+            active = far[:, None] & far[None, :] & self.links
+            # diagonal beliefs are never active, so they stay 0.5 and f_hat
+            # reads 1 there
+            np.copyto(self.b, cfg.alpha * self.b
+                      + (1.0 - cfg.alpha) * (self.h_hat @ self.h_hat.T > 0.0),
+                      where=active)
+            fhat = self.oracle_rel if self.oracle_rel is not None else f_hat(self.b)
             if cfg.forced_desired is None:
                 beta = self.beta if self.beta.ndim == 0 else self.beta[self.glob]
                 self.g = decision_sweep(adj, self.g, fhat, cfg.K, rng, beta)
@@ -417,30 +441,21 @@ class _Replica:
         if not ((w * w).sum(axis=1).max() <= DIVERGENCE_LIMIT ** 2):
             raise DivergenceError(f"estimate norm exceeded {DIVERGENCE_LIMIT:g} "
                                   f"at iteration {i}")
-        self.sq0[i] = ((w - self.models.w0) ** 2).sum(axis=1).mean()
-        self.sq1[i] = ((w - self.models.w1) ** 2).sum(axis=1).mean()
+        # (N, 2) squared distances; each sum / N is bit for bit ndarray.mean
+        dev = ((w[:, None, :] - self.stacked[None]) ** 2).sum(axis=2)
+        self.sq0[i] = dev[:, 0].sum() / N
+        self.sq1[i] = dev[:, 1].sum() / N
         if not self.conventional:
-            self.glob = global_desires(self.g, self.f)
-            self.sqd[i] = ((w - self.stacked[self.glob]) ** 2).sum(axis=1).mean()
-            self.sqr[i] = ((w - self.stacked[1 - self.glob]) ** 2).sum(axis=1).mean()
-            share1 = self.glob.mean()
+            self.glob = np.where(self.g == 1, self.f, self.f_flip)
+            self.sqd[i] = dev[self.rows, self.glob].sum() / N
+            self.sqr[i] = dev[self.rows, 1 - self.glob].sum() / N
+            share1 = self.glob.sum() / N
             self.frac[i] = max(share1, 1.0 - share1)
             self.all_agree[i] = share1 in (0.0, 1.0)
         if self.err is not None:
             self.err[i] = self.stacked[cfg.mean_error_vs][None, :] - w
         if self.stream is not None:
             self.stream[i] = self.b
-
-    def records(self) -> dict:
-        out = {"sq0": self.sq0, "sq1": self.sq1, "w": self.w}
-        if not self.conventional:
-            out.update(sqd=self.sqd, sqr=self.sqr, frac=self.frac,
-                       all_agree=self.all_agree, beliefs=self.b, g_global=self.glob)
-        if self.err is not None:
-            out["err"] = self.err
-        if self.stream is not None:
-            out["belief_stream"] = self.stream
-        return out
 
 
 def _replica_static(cfg, adj, A, env, models, f, rng):
@@ -453,7 +468,7 @@ def _replica_static(cfg, adj, A, env, models, f, rng):
         u = rng.standard_normal((cfg.N, cfg.M)) @ chol_t
         v = sigma_v * rng.standard_normal(cfg.N)
         rep.step(i, adj, A, u, (u * z).sum(axis=1) + v, rng)
-    return rep.records()
+    return rep
 
 
 def _replica_fish(cfg, params, models, f, rng):
@@ -465,7 +480,7 @@ def _replica_fish(cfg, params, models, f, rng):
     x = rng.uniform(-cfg.arena / 2.0, cfg.arena / 2.0, (N, 2))
     vel = np.zeros((N, 2))
     prev_u = np.tile(np.array([1.0, 0.0]), (N, 1))
-    trajectory = np.empty((cfg.iterations, N, 6))
+    rep.trajectory = trajectory = np.empty((cfg.iterations, N, 6))
 
     for i in range(cfg.iterations):
         adj = radius_adjacency(x, cfg.comm_radius)
@@ -494,7 +509,7 @@ def _replica_fish(cfg, params, models, f, rng):
         trajectory[i, :, 4] = rep.glob
         trajectory[i, :, 5] = ((x - rep.stacked[rep.glob]) ** 2).sum(axis=1)
 
-    return dict(rep.records(), trajectory=trajectory)
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -518,9 +533,6 @@ def run_chain_sweep(cfg: ScenarioConfig) -> list[dict]:
 
 def run_classify_bench(cfg: ScenarioConfig) -> dict:
     """Far/near-field classification benchmark against the analytic bounds."""
-    from .classification import direction_pair_benchmark, estimate_tau, \
-        pd_pf_bounds
-
     rng = np.random.default_rng(cfg.seed)
     models = ModelPair(np.array(cfg.w0), np.array(cfg.w1))
     env = AgentEnvironment(

@@ -103,8 +103,7 @@ def build_meanfield_chain(N: int, K: int) -> DecisionChain:
 def boundary_mass_closed_form(N: int, K: int, n: int) -> float:
     """Closed form for p_{n,0} + p_{n,N} on the mean-field chain:
     (n^{NK} + (N-n)^{NK}) / (n^K + (N-n)^K)^N."""
-    a, b = float(n), float(N - n)
-    return (a ** (N * K) + b ** (N * K)) / (a ** K + b ** K) ** N
+    return count_ratio(float(n), float(N - n), N, K)
 
 
 def count_ratio(a: float, b: float, N: int, x: float) -> float:

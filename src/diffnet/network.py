@@ -197,32 +197,20 @@ def is_primitive(A: np.ndarray) -> bool:
     n = A.shape[0]
     support = A > 0
     # strong connectivity in both edge directions
-    for adj in (support, support.T):
-        seen = np.zeros(n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            k = stack.pop()
-            for l in np.flatnonzero(adj[k]):
-                if not seen[l]:
-                    seen[l] = True
-                    stack.append(l)
-        if not seen.all():
-            return False
+    if not (_connected(support) and _connected(support.T)):
+        return False
     # period via BFS levels: gcd over edges of level[u] + 1 - level[v]
     level = np.full(n, -1)
     level[0] = 0
     queue = [0]
-    order = []
     while queue:
         k = queue.pop(0)
-        order.append(k)
         for l in np.flatnonzero(support[k]):
             if level[l] < 0:
                 level[l] = level[k] + 1
                 queue.append(l)
     g = 0
-    for k in order:
+    for k in range(n):
         for l in np.flatnonzero(support[k]):
             g = np.gcd(g, level[k] + 1 - level[l])
             if g == 1:

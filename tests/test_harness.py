@@ -6,6 +6,7 @@ import subprocess
 import numpy as np
 import pytest
 
+from diffnet import harness
 from diffnet.classification import classify_event, f_hat, update_belief, \
     update_direction
 from diffnet.cli import main as cli_main
@@ -172,6 +173,34 @@ def test_step_matches_per_agent_reference():
     assert np.array_equal(tr.final_global_desires[0], global_desires(g, tr.f))
     assert np.abs(tr.final_w_mean - w).max() < 1e-10
     assert np.abs(tr.final_beliefs[0] - b).max() < 1e-10
+
+
+def test_step_keeps_kernel_invariants(monkeypatch):
+    # after every step of a static and of a fish replica: desires match the
+    # library projection, the metric records equal a fresh ndarray.mean of
+    # the distances, diagonal beliefs never move, and the graph masks belong
+    # to the adjacency of that step (the school's changes as it moves)
+    step, graphs = harness._Replica.step, []
+
+    def checked(rep, i, adj, A, u, d, rng):
+        step(rep, i, adj, A, u, d, rng)
+        assert np.array_equal(rep.glob, global_desires(rep.g, rep.f))
+        for record, model in ((rep.sq0, rep.stacked[0]), (rep.sq1, rep.stacked[1]),
+                              (rep.sqd, rep.stacked[rep.glob]),
+                              (rep.sqr, rep.stacked[1 - rep.glob])):
+            assert record[i] == ((rep.w - model) ** 2).sum(axis=1).mean()
+        assert (np.diag(rep.b) == 0.5).all()
+        assert rep.graph is adj
+        assert np.array_equal(rep.links, adj & ~np.eye(len(adj), dtype=bool))
+        graphs.append(adj.copy())
+
+    monkeypatch.setattr(harness._Replica, "step", checked)
+    run_scenario(small_config(replicas=1, iterations=30))
+    assert all(np.array_equal(adj, graphs[0]) for adj in graphs)
+    graphs.clear()
+    run_scenario(small_school(iterations=30, comm_radius=4.0))
+    assert len(graphs) == 30
+    assert not all(np.array_equal(adj, graphs[0]) for adj in graphs)
 
 
 def test_determinism_and_seed_sensitivity():
@@ -342,6 +371,50 @@ def test_cli_simulate_and_exit_codes(tmp_path):
     # kind mismatch across subcommands -> 2
     assert cli_main(["fish", "--config", str(cfg_path),
                      "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("simulate", {"mean_error_vs": 2}),
+    ("simulate", {"mean_error_vs": 1.0}),
+    ("simulate", {"beta": [2.0]}),
+    ("simulate", {"beta": [1.0, "2"]}),
+    ("simulate", {"N": "8"}),
+    ("simulate", {"replicas": True}),
+    ("simulate", {"split": 4.0}),
+    ("simulate", {"mu": "0.02"}),
+    ("simulate", {"mean_degree": 1.5}),
+    ("simulate", {"N": 40, "split": 20, "mean_degree": 2.0}),  # TopologyError
+    ("simulate", {"comm_radius": 0.5}),
+    ("simulate", {"arena": 1.0}),
+    ("simulate", {"motion": {"dt": 9.0}}),
+    ("simulate", {"sweep_N": [1]}),
+    ("simulate", {"sweep_K": [[1], [2, 3]]}),
+    ("simulate", {"bench_trials": 3}),
+    ("simulate", {"bench_distance": 2.0}),
+    ("analyze-chain", {"sweep_N": [1]}),
+    ("analyze-chain", {"sweep_K": [0]}),
+    ("analyze-chain", {"sweep_K": []}),
+    ("analyze-chain", {"sweep_N": 4}),
+    ("analyze-chain", {"sweep_N": [4.5]}),
+], ids=lambda v: "-".join(v) if isinstance(v, dict) else v)
+def test_cli_refuses_bad_config(tmp_path, command, overrides):
+    if command == "simulate":
+        doc = dict(N=8, M=2, w0=[1.0, 0.0], w1=[0.0, 1.0], split=4, mu=0.02,
+                   nu=0.2, alpha=0.9, eta=0.3, K=2, iterations=10, replicas=1,
+                   seed=5, mean_degree=4.0)
+    else:
+        doc = dict(kind="chain_sweep", sweep_N=[4], sweep_K=[1])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(doc, **overrides)))
+    out = tmp_path / "o"
+    assert cli_main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_static_accepts_other_kinds_fields_at_their_defaults():
+    doc = dict(ScenarioConfig().to_dict(), comm_radius=5, motion={},
+               sweep_N=[4, 6, 8], bench_trials=100_000, ru_range=[1.0, 2.0])
+    assert ScenarioConfig.from_dict(doc).comm_radius == 5
 
 
 def test_cli_stability_refusal(tmp_path):
