@@ -2,7 +2,6 @@
 mean-error linear system used for stability/bias analysis."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,13 +62,6 @@ class MeanErrorSystem:
     B: np.ndarray
     y: np.ndarray
     variant: str
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "variant": self.variant,
-            "B": self.B.tolist(),
-            "y": self.y.tolist(),
-        })
 
 
 def build_mean_error_system(variant: str, env: AgentEnvironment,

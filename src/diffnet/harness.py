@@ -21,21 +21,28 @@ from .diffusion import DIVERGENCE_LIMIT, DivergenceError, check_stepsize_stabili
     split_matrices
 from .markov import absorption_time_distribution, build_meanfield_chain, \
     transient_spectral_radius
-from .mobility import MotionParams, cohesion_all, radius_adjacency
+from .mobility import MotionParams, cohesion_all, measure_target, radius_adjacency, \
+    update_motion
 from .network import AgentEnvironment, ModelPair, Topology, check_assignment, \
-    generate_topology, uniform_weights
+    generate_topology, reachable, sample_data, uniform_weights
 
 MSD_FLOOR_DB = -120.0
 NEVER = math.inf
 
 STRATEGIES = ("conventional", "modified", "modified_fast_weights")
 RULES = ("uniform", "fast")
-KINDS = ("static_two_model", "fish", "chain_sweep", "classify_bench")
-# Fields only one kind reads; a simulation refuses the others' non-default values.
-KIND_FIELDS = {"static_two_model": ("mean_degree", "ru_range", "noise_db_range"),
-               "fish": ("motion", "comm_radius", "arena"),
+_SIMULATION = ("N", "M", "w0", "w1", "split", "strategy", "rule", "mu", "nu", "alpha",
+               "eta", "K", "beta", "iterations", "replicas", "oracle_classification",
+               "forced_desired", "mean_error_vs")
+# The fields each kind reads besides kind, seed and out; a kind refuses
+# non-default values of all the others.
+KIND_FIELDS = {"static_two_model": _SIMULATION + ("mean_degree", "ru_range",
+                                                  "noise_db_range", "record_beliefs"),
+               "fish": _SIMULATION + ("motion", "comm_radius", "arena"),
                "chain_sweep": ("sweep_N", "sweep_K"),
-               "classify_bench": ("bench_trials", "bench_distance")}
+               "classify_bench": ("M", "w0", "w1", "mu", "nu", "eta", "ru_range",
+                                  "bench_trials", "bench_distance")}
+KINDS = tuple(KIND_FIELDS)
 
 
 class ConfigError(ValueError):
@@ -80,30 +87,46 @@ class ScenarioConfig:
     def validate(self) -> "ScenarioConfig":
         if self.kind not in KINDS:
             raise ConfigError(f"unknown scenario kind {self.kind!r}")
-        for f in dataclasses.fields(self):     # f.type is the annotation's text
-            value = getattr(self, f.name)
-            check = {"int": _is_int, "float": _is_real}.get(f.type)
-            if check and not check(value):
-                raise ConfigError(f"{f.name} must be of type {f.type}, not {value!r}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.strategy == "modified_fast_weights":
             self.strategy, self.rule = "modified", "fast"
         if self.rule not in RULES:
             raise ConfigError(f"unknown combination rule {self.rule!r}")
-        if self.kind in ("static_two_model", "fish"):
-            if not (2 <= self.N and 1 <= self.M):
-                raise ConfigError("need N >= 2 and M >= 1")
-            if len(self.w0) != self.M or len(self.w1) != self.M:
-                raise ConfigError("model vectors must have length M")
+        reads = KIND_FIELDS[self.kind]
+        default = ScenarioConfig()
+        for f in dataclasses.fields(self):     # f.type is the annotation's text
+            value = getattr(self, f.name)
+            check = {"int": _is_int, "float": _is_real}.get(f.type)
+            if check and not check(value):
+                raise ConfigError(f"{f.name} must be of type {f.type}, not {value!r}")
+            # object arrays compare ragged lists too
+            if f.name not in reads + ("kind", "seed", "out") and not np.array_equal(
+                    np.asarray(value, dtype=object),
+                    np.asarray(getattr(default, f.name), dtype=object)):
+                raise ConfigError(f"{f.name} does not apply to {self.kind} scenarios")
+        if "w0" in reads:
+            if not (self.M >= 1 and _is_vector(self.w0, self.M)
+                    and _is_vector(self.w1, self.M)):
+                raise ConfigError("w0 and w1 must be lists of M >= 1 numbers")
             if list(self.w0) == list(self.w1):
                 raise ConfigError("the two models must differ")
+            if not (self.mu > 0 and 0 < self.nu < 1 and self.eta > 0):
+                raise ConfigError("require mu > 0, nu in (0,1) and eta > 0")
+        if "ru_range" in reads and not (_is_vector(self.ru_range, 2)
+                                        and all(v > 0 for v in self.ru_range)):
+            raise ConfigError("ru_range must be two positive numbers")
+        if "noise_db_range" in reads and not _is_vector(self.noise_db_range, 2):
+            raise ConfigError("noise_db_range must be two numbers")
+        if self.kind in ("static_two_model", "fish"):
+            if self.N < 2:
+                raise ConfigError("need N >= 2")
             if not 0 <= self.split <= self.N:
                 raise ConfigError("split must lie in [0, N]")
-            if not (self.mu > 0 and 0 < self.nu < 1 and 0 < self.alpha < 1):
-                raise ConfigError("require mu > 0, nu in (0,1), alpha in (0,1)")
-            if not (self.eta > 0 and self.K >= 1 and self.mean_degree >= 2):
-                raise ConfigError("require eta > 0, K >= 1 and mean_degree >= 2 "
+            if not 0 < self.alpha < 1:
+                raise ConfigError("require alpha in (0,1)")
+            if not (self.K >= 1 and self.mean_degree >= 2):
+                raise ConfigError("require K >= 1 and mean_degree >= 2 "
                                   "(it counts the agent itself)")
             pair = isinstance(self.beta, (list, tuple)) and len(self.beta) == 2
             if not ((_is_real(self.beta) or pair and all(map(_is_real, self.beta)))
@@ -116,12 +139,6 @@ class ScenarioConfig:
                 if value is not None and not (_is_int(value) and value in (0, 1)):
                     raise ConfigError("forced_desired and mean_error_vs must be "
                                       "0, 1, or None")
-            default = ScenarioConfig()
-            for name in (n for kind, names in KIND_FIELDS.items() if kind != self.kind
-                         for n in names):    # object arrays compare ragged lists too
-                if not np.array_equal(*(np.asarray(getattr(c, name), dtype=object)
-                                        for c in (self, default))):
-                    raise ConfigError(f"{name} does not apply to {self.kind} scenarios")
         if self.kind == "fish":
             self._validate_fish()
         if self.kind == "chain_sweep":
@@ -130,6 +147,9 @@ class ScenarioConfig:
                 if not (isinstance(values, list) and values
                         and all(_is_int(v) and v >= low for v in values)):
                     raise ConfigError(f"{name} must be a non-empty list of ints >= {low}")
+        if self.kind == "classify_bench" and not (self.bench_trials >= 1
+                                                  and self.bench_distance > 0):
+            raise ConfigError("require bench_trials >= 1 and bench_distance > 0")
         return self
 
     def _validate_fish(self) -> None:
@@ -139,9 +159,6 @@ class ScenarioConfig:
             raise ConfigError("fish scenario is planar (M = 2)")
         if self.strategy == "conventional":
             raise ConfigError("fish scenario runs the modified strategy only")
-        if self.record_beliefs:
-            raise ConfigError("fish scenario cannot record beliefs: its "
-                              "neighborhoods change every step")
         try:
             MotionParams(**self.motion)
         except (TypeError, ValueError) as exc:
@@ -175,6 +192,11 @@ def _is_int(value) -> bool:
 
 def _is_real(value) -> bool:
     return _is_int(value) or isinstance(value, (float, np.floating))
+
+
+def _is_vector(value, size: int) -> bool:
+    return (isinstance(value, (list, tuple, np.ndarray)) and len(value) == size
+            and all(map(_is_real, value)))
 
 
 # Canned scenario layouts, named for the behavior each one demonstrates.
@@ -223,14 +245,6 @@ class TraceSet:
     trajectory: np.ndarray | None = None      # fish: (steps, N, 6)
 
 
-def msd(estimates: np.ndarray, target_model: np.ndarray) -> float:
-    """Network mean-square deviation in dB against one model, floored at
-    -120 dB."""
-    estimates = np.atleast_2d(np.asarray(estimates, dtype=float))
-    dev = ((estimates - np.asarray(target_model)[None, :]) ** 2).sum(axis=1)
-    return msd_db(float(dev.mean()))
-
-
 def msd_db(mean_square: float) -> float:
     if mean_square <= 10 ** (MSD_FLOOR_DB / 10.0):
         return MSD_FLOOR_DB
@@ -255,7 +269,10 @@ def fast_weights(topology: Topology, f, q: int) -> np.ndarray:
     informed = f == q
     A = _fast_weight_matrix(topology.adjacency,
                             np.tile(informed, (topology.N, 1)))
-    _check_informed_reachability(A, informed)
+    # information flows l -> k when A[l, k] > 0
+    if not reachable(A > 0, informed).all():
+        raise ValueError("fast weights leave some agents cut off from "
+                         "every informed node")
     return A
 
 
@@ -271,21 +288,6 @@ def _fast_weight_matrix(adj: np.ndarray, informed_kl: np.ndarray) -> np.ndarray:
     fallback |= np.diag(~fallback.any(axis=0))
     support = np.where(informed.any(axis=0), informed, fallback)
     return support / support.sum(axis=0)
-
-
-def _check_informed_reachability(A: np.ndarray, informed: np.ndarray) -> None:
-    """Every agent must be reachable from an informed node through the
-    support of A (information flows l -> k when A[l, k] > 0)."""
-    support = A > 0
-    reached = informed.copy()
-    for _ in range(A.shape[0]):
-        grown = reached | (reached @ support)
-        if (grown == reached).all():
-            break
-        reached = grown
-    if not reached.all():
-        raise ValueError("fast weights leave some agents cut off from "
-                         "every informed node")
 
 
 # ---------------------------------------------------------------------------
@@ -462,53 +464,33 @@ def _replica_static(cfg, adj, A, env, models, f, rng):
     """Fixed graph; Gaussian regressors u and measurement noise v per agent."""
     rep = _Replica(cfg, models, f)
     z = models.observed(f)
-    chol_t = env.ru_chol.T
-    sigma_v = np.sqrt(env.sigma_v2)
     for i in range(cfg.iterations):
-        u = rng.standard_normal((cfg.N, cfg.M)) @ chol_t
-        v = sigma_v * rng.standard_normal(cfg.N)
-        rep.step(i, adj, A, u, (u * z).sum(axis=1) + v, rng)
+        d, u = sample_data(z, env, rng)
+        rep.step(i, adj, A, u, d, rng)
     return rep
 
 
 def _replica_fish(cfg, params, models, f, rng):
     """Moving agents: radius graph, range/bearing sensing of each agent's own
     target, then motion toward the new estimate."""
-    N = cfg.N
     rep = _Replica(cfg, models, f)
     z = models.observed(f)
-    x = rng.uniform(-cfg.arena / 2.0, cfg.arena / 2.0, (N, 2))
-    vel = np.zeros((N, 2))
-    prev_u = np.tile(np.array([1.0, 0.0]), (N, 1))
-    rep.trajectory = trajectory = np.empty((cfg.iterations, N, 6))
+    x = rng.uniform(-cfg.arena / 2.0, cfg.arena / 2.0, (cfg.N, 2))
+    vel = np.zeros((cfg.N, 2))
+    u = np.tile(np.array([1.0, 0.0]), (cfg.N, 1))
+    rep.trajectory = trajectory = np.empty((cfg.iterations, cfg.N, 6))
 
     for i in range(cfg.iterations):
         adj = radius_adjacency(x, cfg.comm_radius)
         A = adj / adj.sum(axis=0)[None, :]
-
-        offset = z - x
-        dist = np.linalg.norm(offset, axis=1)
-        ok = dist > 0
-        theta = np.where(ok, np.arctan2(offset[:, 1], offset[:, 0]), 0.0)
-        theta = theta + params.sigma_angle * rng.standard_normal(N)
-        u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        u = np.where(ok[:, None], u, prev_u)
-        prev_u = u
-        noise = np.sqrt(params.kappa) * dist * rng.standard_normal(N)
-        rep.step(i, adj, A, u, (u * z).sum(axis=1) + noise, rng)
-
-        delta = cohesion_all(x, adj, params.d_s)
-        goal = rep.w - x
-        nrm = np.linalg.norm(goal, axis=1, keepdims=True)
-        goal = np.where(nrm > 0, goal / np.where(nrm > 0, nrm, 1.0), 0.0)
-        vel = params.lam * goal + params.beta * (A.T @ vel) + params.gamma * delta
-        x = x + params.dt * vel
-
+        d, u = measure_target(x, u, z, params.kappa, params.sigma_angle, rng)
+        rep.step(i, adj, A, u, d, rng)
+        x, vel = update_motion(x, vel, rep.w, A, cohesion_all(x, adj, params.d_s),
+                               params)
         trajectory[i, :, 0:2] = x
         trajectory[i, :, 2:4] = vel
         trajectory[i, :, 4] = rep.glob
         trajectory[i, :, 5] = ((x - rep.stacked[rep.glob]) ** 2).sum(axis=1)
-
     return rep
 
 

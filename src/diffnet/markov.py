@@ -6,16 +6,17 @@ Two chain flavors: the exact chain over all 2^N desired-model configurations
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
-from math import comb
 
 from .decision import quorum_prob
 from .network import Topology
 
-EXACT_STATE_CAP = 14  # 2^N states; dense matrices become unmanageable beyond this
+# 2^N states.  At N = 12 (S = 4096) build_exact_chain peaks near 290 MB: P and
+# the np.where factor are S^2 float64 (134 MB each), the `same` mask S^2 bool
+# (17 MB).  At 14 the same arrays would take 2 x 2.1 GB.
+EXACT_STATE_CAP = 12
 
 
 class ChainSizeError(ValueError):
@@ -41,15 +42,6 @@ class DecisionChain:
         """Transitions from transient states into the absorbing ones,
         one column per absorbing state (the b and c vectors)."""
         return self.P[np.ix_(self.transient, self.absorbing)]
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "kind": self.kind,
-            "P": self.P.tolist(),
-            "states": self.states.tolist(),
-            "transient": self.transient.tolist(),
-            "absorbing": self.absorbing.tolist(),
-        })
 
 
 def build_exact_chain(topology: Topology, K: int) -> DecisionChain:
@@ -86,14 +78,20 @@ def build_meanfield_chain(N: int, K: int) -> DecisionChain:
     with probability q_n = n^K / (n^K + (N-n)^K), so rows are binomial."""
     if N < 2:
         raise ValueError("N must be at least 2")
-    P = np.zeros((N + 1, N + 1))
-    P[0, 0] = 1.0
-    P[N, N] = 1.0
+    # binomial rows in log space: C(N, m) overflows a float beyond N ~ 1029;
+    # log C(N, m) sums log((N - j + 1) / j) over j <= m
     m = np.arange(N + 1)
-    binom = np.array([comb(N, int(j)) for j in m], dtype=float)
-    for n in range(1, N):
-        qn = float(quorum_prob(n, N, K))
-        P[n] = binom * qn ** m * (1.0 - qn) ** (N - m)
+    log_binom = np.concatenate(([0.0], np.cumsum(np.log(N + 1 - m[1:]) - np.log(m[1:]))))
+    q = quorum_prob(m[1:N], N, K)[:, None]
+    P = np.zeros((N + 1, N + 1))
+    P[0, 0] = P[N, N] = 1.0
+    # a zero exponent contributes 0, also where q rounds to 1 and log1p(-q) is -inf
+    shape = (N - 1, N + 1)
+    with np.errstate(divide="ignore"):
+        log_q, log_1mq = np.log(q), np.log1p(-q)
+    log_hits = np.multiply(m, log_q, out=np.zeros(shape), where=m > 0)
+    log_misses = np.multiply(N - m, log_1mq, out=np.zeros(shape), where=m < N)
+    P[1:N] = np.exp(log_binom + log_hits + log_misses)
     states = np.arange(N + 1)
     return DecisionChain("meanfield", P, states,
                          transient=np.arange(1, N),

@@ -65,44 +65,40 @@ def cohesion_all(positions: np.ndarray, adjacency: np.ndarray,
 
 
 def update_motion(x: np.ndarray, v: np.ndarray, w_est: np.ndarray,
-                  neighbor_velocities: np.ndarray, weights: np.ndarray,
-                  delta: np.ndarray, params: MotionParams):
-    """One motion step; returns (x_next, v_next).
+                  A: np.ndarray, delta: np.ndarray, params: MotionParams):
+    """One motion step of every agent; returns (x_next, v_next), each (N, 2).
 
-    The goal term is a unit vector toward the estimated target (zero if the
-    agent sits exactly on its estimate).
+    Each velocity mixes a unit pull toward the agent's estimate (zero if it
+    sits exactly on it), its neighbors' velocities weighted by the columns of
+    the combination matrix A, and the spacing terms delta.
     """
-    x = np.asarray(x, dtype=float)
-    goal = np.asarray(w_est, dtype=float) - x
-    nrm = np.linalg.norm(goal)
-    goal = goal / nrm if nrm > 0 else np.zeros_like(goal)
-    v_next = (params.lam * goal
-              + params.beta * (np.asarray(weights) @ np.asarray(neighbor_velocities))
-              + params.gamma * np.asarray(delta))
+    goal = w_est - x
+    nrm = np.linalg.norm(goal, axis=1, keepdims=True)
+    goal = np.where(nrm > 0, goal / np.where(nrm > 0, nrm, 1.0), 0.0)
+    v_next = params.lam * goal + params.beta * (A.T @ v) + params.gamma * delta
     return x + params.dt * v_next, v_next
 
 
-def measure_target(x: np.ndarray, prev_u: np.ndarray | None, w_true: np.ndarray,
+def measure_target(x: np.ndarray, prev_u: np.ndarray, w_true: np.ndarray,
                    kappa: float, sigma_angle: float, rng: np.random.Generator):
-    """Noisy range/bearing observation of a target, exposed as the linear
-    model d_hat = u w_true + v.
+    """Noisy range/bearing observation of each agent's target, exposed as the
+    linear model d_k = u_k w_k + v_k; x, prev_u and w_true are (N, 2).
 
     The regressor u is the unit direction to the target perturbed by a
     Gaussian bearing error; the range-noise variance scales with the squared
-    distance, so it vanishes on top of the target.
-    Returns (d_hat, u).
+    distance, so it vanishes on top of the target, where the agent keeps its
+    previous regressor.  Always draws N bearing normals, then N range
+    normals.  Returns (d, u).
     """
-    x = np.asarray(x, dtype=float)
-    w_true = np.asarray(w_true, dtype=float)
     offset = w_true - x
-    dist = np.linalg.norm(offset)
-    if dist == 0:
-        u = prev_u if prev_u is not None else np.array([1.0, 0.0])
-        return float(u @ w_true), np.asarray(u, dtype=float)
-    theta = np.arctan2(offset[1], offset[0]) + sigma_angle * rng.standard_normal()
-    u = np.array([np.cos(theta), np.sin(theta)])
-    v = np.sqrt(kappa) * dist * rng.standard_normal()
-    return float(u @ w_true) + v, u
+    dist = np.linalg.norm(offset, axis=1)
+    ok = dist > 0
+    theta = np.where(ok, np.arctan2(offset[:, 1], offset[:, 0]), 0.0)
+    theta = theta + sigma_angle * rng.standard_normal(len(x))
+    u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    u = np.where(ok[:, None], u, prev_u)
+    noise = np.sqrt(kappa) * dist * rng.standard_normal(len(x))
+    return (u * w_true).sum(axis=1) + noise, u
 
 
 def radius_adjacency(positions: np.ndarray, radius: float) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Topologies, combination matrices, and the two-model data environment."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -76,7 +76,7 @@ class Topology:
             raise TopologyError("neighborhoods must be symmetric")
         if not adj.diagonal().all():
             raise TopologyError("every neighborhood must contain the node itself")
-        if not _connected(adj):
+        if not reachable(adj, np.arange(adj.shape[0]) == 0).all():
             raise TopologyError("topology must be connected")
         adj.setflags(write=False)
         object.__setattr__(self, "adjacency", adj)
@@ -90,37 +90,16 @@ class Topology:
         """Neighborhood sizes n_k (self included)."""
         return self.adjacency.sum(axis=0)
 
-    def neighbors(self, k: int) -> np.ndarray:
-        return np.flatnonzero(self.adjacency[:, k])
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"N": int(self.N),
-             "neighbors": [self.neighbors(k).tolist() for k in range(self.N)]}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Topology":
-        doc = json.loads(text)
-        n = int(doc["N"])
-        adj = np.zeros((n, n), dtype=bool)
-        for k, neigh in enumerate(doc["neighbors"]):
-            adj[neigh, k] = True
-        return cls(adj)
-
-
-def _connected(adj: np.ndarray) -> bool:
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        k = stack.pop()
-        for l in np.flatnonzero(adj[:, k]):
-            if not seen[l]:
-                seen[l] = True
-                stack.append(l)
-    return bool(seen.all())
+def reachable(support: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Mask of the nodes reachable from the `start` mask along the edges of
+    `support` (l -> k when support[l, k]), the start nodes included."""
+    reached = np.asarray(start, dtype=bool)
+    while True:
+        grown = reached | (reached @ support)
+        if (grown == reached).all():
+            return reached
+        reached = grown
 
 
 def generate_topology(N: int, mean_degree: float, rng: np.random.Generator,
@@ -139,7 +118,7 @@ def generate_topology(N: int, mean_degree: float, rng: np.random.Generator,
         adj = np.triu(upper, k=1)
         adj = adj | adj.T
         np.fill_diagonal(adj, True)
-        if _connected(adj):
+        if reachable(adj, np.arange(N) == 0).all():
             return Topology(adj)
     raise TopologyError(
         f"could not generate a connected topology with N={N}, "
@@ -190,32 +169,16 @@ def is_left_stochastic(A: np.ndarray, topology: Topology | None = None,
 def is_primitive(A: np.ndarray) -> bool:
     """True iff some power of A is entrywise positive.
 
-    Equivalent graph test: the support of A is strongly connected and
-    aperiodic (gcd of cycle lengths equals one).
+    By Wielandt's bound a primitive n x n matrix already has a positive power
+    (n-1)^2 + 1, and every higher power stays positive; so square the boolean
+    support until the exponent reaches the bound.
     """
-    A = np.asarray(A)
-    n = A.shape[0]
-    support = A > 0
-    # strong connectivity in both edge directions
-    if not (_connected(support) and _connected(support.T)):
-        return False
-    # period via BFS levels: gcd over edges of level[u] + 1 - level[v]
-    level = np.full(n, -1)
-    level[0] = 0
-    queue = [0]
-    while queue:
-        k = queue.pop(0)
-        for l in np.flatnonzero(support[k]):
-            if level[l] < 0:
-                level[l] = level[k] + 1
-                queue.append(l)
-    g = 0
-    for k in range(n):
-        for l in np.flatnonzero(support[k]):
-            g = np.gcd(g, level[k] + 1 - level[l])
-            if g == 1:
-                return True
-    return g == 1
+    support = np.asarray(A) > 0
+    power, bound = 1, (support.shape[0] - 1) ** 2 + 1
+    while power < bound:
+        support = support @ support
+        power *= 2
+    return bool(support.all())
 
 
 def perron_vector(A: np.ndarray, tol: float = PERRON_TOL,
@@ -268,18 +231,19 @@ class AgentEnvironment:
     def M(self) -> int:
         return self.Ru.shape[0]
 
-    @property
+    @cached_property
     def ru_chol(self) -> np.ndarray:
         return np.linalg.cholesky(self.Ru)
 
 
-def sample_data(k: int, z: np.ndarray, env: AgentEnvironment,
+def sample_data(z: np.ndarray, env: AgentEnvironment,
                 rng: np.random.Generator):
-    """One (d, u) draw from the linear regression model d = u z + v."""
-    u = rng.standard_normal(env.M) @ env.ru_chol.T
-    sig2 = env.sigma_v2[k % env.sigma_v2.size]
-    v = np.sqrt(sig2) * rng.standard_normal()
-    return float(u @ z) + v, u
+    """One (d, u) draw per agent from the linear regression model
+    d_k = u_k z_k + v_k, for the (N, M) observed models z: the regressors u
+    (N, M) first, then the noise v (N)."""
+    u = rng.standard_normal(z.shape) @ env.ru_chol.T
+    v = np.sqrt(env.sigma_v2) * rng.standard_normal(len(z))
+    return (u * z).sum(axis=1) + v, u
 
 
 def bias_limit(c: np.ndarray, models: ModelPair, f) -> np.ndarray:
@@ -288,11 +252,3 @@ def bias_limit(c: np.ndarray, models: ModelPair, f) -> np.ndarray:
     f = check_assignment(f)
     z = models.observed(f)
     return c @ z
-
-
-def matrix_to_json(A: np.ndarray) -> str:
-    return json.dumps({"rows": np.asarray(A, dtype=float).tolist()})
-
-
-def matrix_from_json(text: str) -> np.ndarray:
-    return np.array(json.loads(text)["rows"], dtype=float)

@@ -12,10 +12,11 @@ from diffnet.classification import classify_event, f_hat, update_belief, \
 from diffnet.cli import main as cli_main
 from diffnet.decision import decide, global_desires, quorum_prob, \
     quorum_set_size, translate_neighbor_g
-from diffnet.diffusion import atc_adapt, modified_combine, split_weights
+from diffnet.diffusion import atc_adapt, atc_combine, modified_combine, \
+    split_weights
 from diffnet.harness import (
     ConfigError, ScenarioConfig, _git_stamp, agreement_time, fast_weights,
-    msd, msd_db, preset, run_chain_sweep, run_scenario, write_beliefs_csv,
+    msd_db, preset, run_chain_sweep, run_scenario, write_beliefs_csv,
     write_chain_sweep_csv, write_meta, write_msd_csv, write_trajectory_csv,
 )
 from diffnet.network import ModelPair, Topology, complete_topology, \
@@ -74,13 +75,11 @@ def test_stability_refusal():
 
 
 def test_msd_values():
-    assert msd(np.array([[1.0, 0.0]]), np.array([1.0, 0.0])) == -120.0
-    assert msd(np.array([[1.0, 0.0]]), np.array([0.0, 0.0])) == pytest.approx(0.0)
-    # two agents with squared deviations 1 and 3
-    est = np.array([[1.0, 0.0], [1.0, np.sqrt(2.0)]])
-    target = np.array([0.0, 0.0])
-    assert msd(est, target) == pytest.approx(10 * math.log10(2.0))
     assert msd_db(0.0) == -120.0
+    assert msd_db(1e-13) == -120.0
+    assert msd_db(1.0) == pytest.approx(0.0)
+    # two agents with squared deviations 1 and 3
+    assert msd_db(np.mean([1.0, 3.0])) == pytest.approx(10 * math.log10(2.0))
 
 
 def test_agreement_time_cases():
@@ -126,11 +125,12 @@ def test_golden_trace_regression():
     assert tr.final_w_mean[0, 0] == pytest.approx(0.43936800667316295, abs=1e-14)
 
 
-def test_step_matches_per_agent_reference():
+@pytest.mark.parametrize("strategy", ["modified", "conventional"])
+def test_step_matches_per_agent_reference(strategy):
     # one replica rebuilt agent by agent from the library's scalar functions,
     # drawing from the replica generator in the engine's order: u, v, then
-    # one quorum uniform per agent
-    cfg = small_config(replicas=1, iterations=20)
+    # (modified only) one quorum uniform per agent
+    cfg = small_config(replicas=1, iterations=20, strategy=strategy)
     tr = run_scenario(cfg)
     N, M = cfg.N, cfg.M
     adj = tr.topology.adjacency
@@ -148,6 +148,9 @@ def test_step_matches_per_agent_reference():
         v = sigma_v * rng.standard_normal(N)
         psi = np.array([atc_adapt(w[k], u[k] @ z[k] + v[k], u[k], cfg.mu)
                         for k in range(N)])
+        if strategy == "conventional":
+            w = np.array([atc_combine(psi, A[:, k]) for k in range(N)])
+            continue
         h = np.array([update_direction(h[k], psi[k], w[k], cfg.mu, cfg.nu)
                       for k in range(N)])
         for k in range(N):
@@ -169,6 +172,10 @@ def test_step_matches_per_agent_reference():
             a1, a2 = split_weights(A[:, k], fh[k], g[k])
             w[k] = modified_combine(psi, w_prev, a1, a2)
 
+    if strategy == "conventional":
+        assert tr.final_beliefs is None
+        assert np.abs(tr.final_w_mean - w).max() < 1e-10
+        return
     assert (b != 0.5).any()
     assert np.array_equal(tr.final_global_desires[0], global_desires(g, tr.f))
     assert np.abs(tr.final_w_mean - w).max() < 1e-10
@@ -272,6 +279,7 @@ def test_fish_tracks_mean_error():
     ("M", 3),
     ("motion", {"dt": -0.1}),
     ("motion", {"speed": 1.0}),
+    ("w0", ["a", 10.0]),
 ])
 def test_fish_rejects_options_it_cannot_honour(tmp_path, field, value):
     doc = dict(preset("school").to_dict(), **{field: value})
@@ -396,19 +404,46 @@ def test_cli_simulate_and_exit_codes(tmp_path):
     ("analyze-chain", {"sweep_K": []}),
     ("analyze-chain", {"sweep_N": 4}),
     ("analyze-chain", {"sweep_N": [4.5]}),
+    ("simulate", {"w0": ["a", 1.0]}),
+    ("simulate", {"w1": [0.0, None]}),
+    ("simulate", {"ru_range": [-1.0, -0.5]}),
+    ("simulate", {"noise_db_range": ["a", -5.0]}),
+    ("analyze-chain", {"N": 7, "mu": 9.0, "replicas": 3}),
+    ("analyze-chain", {"strategy": "conventional"}),
+    ("classify-bench", {"bench_trials": 0}),
+    ("classify-bench", {"bench_distance": 0.0}),
+    ("classify-bench", {"M": 2}),
+    ("classify-bench", {"w0": [5.0, 5.0, "x", 5.0]}),
+    ("classify-bench", {"w1": [5.0, -5.0, 5.0, 5.0]}),   # equals w0
+    ("classify-bench", {"ru_range": [1.0]}),
+    ("classify-bench", {"replicas": 3}),
+    ("analyze-chain", {"--replicas": 7}),         # "--" keys are CLI flags
+    ("analyze-chain", {"--strategy": "conventional"}),
+    ("classify-bench", {"--iterations": 5}),
 ], ids=lambda v: "-".join(v) if isinstance(v, dict) else v)
 def test_cli_refuses_bad_config(tmp_path, command, overrides):
-    if command == "simulate":
-        doc = dict(N=8, M=2, w0=[1.0, 0.0], w1=[0.0, 1.0], split=4, mu=0.02,
-                   nu=0.2, alpha=0.9, eta=0.3, K=2, iterations=10, replicas=1,
-                   seed=5, mean_degree=4.0)
-    else:
-        doc = dict(kind="chain_sweep", sweep_N=[4], sweep_K=[1])
+    doc = {"simulate": dict(N=8, M=2, w0=[1.0, 0.0], w1=[0.0, 1.0], split=4,
+                            mu=0.02, nu=0.2, alpha=0.9, eta=0.3, K=2, iterations=10,
+                            replicas=1, seed=5, mean_degree=4.0),
+           "analyze-chain": dict(kind="chain_sweep", sweep_N=[4], sweep_K=[1]),
+           "classify-bench": dict(kind="classify_bench", bench_trials=200)}[command]
+    flags = [str(s) for k, v in overrides.items() if k.startswith("--") for s in (k, v)]
+    fields = {k: v for k, v in overrides.items() if not k.startswith("--")}
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(dict(doc, **overrides)))
+    cfg_path.write_text(json.dumps(dict(doc, **fields)))
     out = tmp_path / "o"
-    assert cli_main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert cli_main([command, "--config", str(cfg_path), *flags, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_cli_classify_bench(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(kind="classify_bench", bench_trials=200)))
+    out = tmp_path / "bench"
+    assert cli_main(["classify-bench", "--config", str(cfg_path), "--seed", "3",
+                     "--out", str(out)]) == 0
+    report = json.loads((out / "classify_bench.json").read_text())
+    assert all(math.isfinite(value) for value in report.values())
 
 
 def test_static_accepts_other_kinds_fields_at_their_defaults():
@@ -448,7 +483,7 @@ def test_git_stamp_survives_timeout(monkeypatch):
 
 def test_cli_analyze_chain(tmp_path):
     out = tmp_path / "chain"
-    assert cli_main(["analyze-chain", "--out", str(out)]) == 0
+    assert cli_main(["analyze-chain", "--seed", "3", "--out", str(out)]) == 0
     with open(out / "chain_sweep.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["N", "K", "rho_Q", "mean_absorption"]

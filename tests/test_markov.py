@@ -1,3 +1,6 @@
+import tracemalloc
+from math import exp, lgamma, log
+
 import numpy as np
 import pytest
 
@@ -27,6 +30,39 @@ def test_exact_chain_size_cap():
     topo = complete_topology(15)
     with pytest.raises(ChainSizeError):
         build_exact_chain(topo, K=1)
+
+
+def test_exact_chain_refuses_before_allocating():
+    # at N = 13 the transition matrix alone would take 2^26 * 8 B = 537 MB
+    topo = complete_topology(13)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ChainSizeError):
+            build_exact_chain(topo, K=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_meanfield_rows_beyond_float_binomials():
+    # C(1030, 515) overflows a float, so the rows are built in log space
+    N = 1030
+    chain = build_meanfield_chain(N, 4)
+    assert np.isfinite(chain.P).all() and (chain.P >= 0).all()
+    assert np.abs(chain.P.sum(axis=1) - 1.0).max() < 1e-11
+    # the middle row is Binomial(N, 1/2): its peak is C(N, N/2) / 2^N
+    log_peak = lgamma(N + 1) - 2 * lgamma(N / 2 + 1) - N * log(2.0)
+    assert chain.P[N // 2, N // 2] == pytest.approx(exp(log_peak), rel=1e-10)
+
+
+@pytest.mark.parametrize("N, K", [(100, 9), (400, 7), (1030, 6)])
+def test_meanfield_rows_where_q_rounds_to_1(N, K):
+    # q_{N-1} rounds to 1 once (N-1)^K passes 2^53, and log1p(-1) is -inf
+    P = build_meanfield_chain(N, K).P
+    assert np.isfinite(P).all()
+    assert np.abs(P.sum(axis=1) - 1.0).max() < 1e-11
+    assert P[N - 1, N] == pytest.approx(1.0)
 
 
 def test_meanfield_rows_binomial():

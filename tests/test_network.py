@@ -4,8 +4,8 @@ import pytest
 from diffnet.network import (
     AgentEnvironment, ModelPair, PrimitivityError, Topology, TopologyError,
     bias_limit, check_assignment, complete_topology, three_node_matrix,
-    generate_topology, is_left_stochastic, is_primitive, matrix_from_json,
-    matrix_to_json, perron_vector, sample_data, uniform_weights,
+    generate_topology, is_left_stochastic, is_primitive, perron_vector,
+    reachable, sample_data, uniform_weights,
 )
 
 
@@ -60,19 +60,13 @@ def test_generate_topology_rejects_tiny():
         generate_topology(10, 1.0, rng)
 
 
-def test_topology_json_round_trip():
-    topo = generate_topology(12, 4.0, np.random.default_rng(5))
-    back = Topology.from_json(topo.to_json())
-    assert np.array_equal(back.adjacency, topo.adjacency)
-
-
 def test_uniform_weights_left_stochastic():
     topo = generate_topology(15, 4.0, np.random.default_rng(1))
     A = uniform_weights(topo)
     assert is_left_stochastic(A, topo)
     k = 3
     n_k = topo.degrees[k]
-    assert np.allclose(A[topo.neighbors(k), k], 1.0 / n_k)
+    assert np.allclose(A[topo.adjacency[:, k], k], 1.0 / n_k)
 
 
 def test_three_node_matrix_structure():
@@ -93,6 +87,13 @@ def test_is_primitive():
     assert not is_primitive(perm)
     # reducible
     assert not is_primitive(np.diag([1.0, 1.0]))
+    # Wielandt's matrix (an n-cycle plus a chord closing an (n-1)-cycle) first
+    # turns positive at the bound's exponent (n-1)^2 + 1
+    n = 6
+    wielandt = np.roll(np.eye(n), 1, axis=1)
+    wielandt[n - 1, 1] = 1.0
+    assert is_primitive(wielandt)
+    assert not np.linalg.matrix_power(wielandt, (n - 1) ** 2).all()
 
 
 def test_perron_vector_known_value():
@@ -136,9 +137,9 @@ def test_agent_environment_validation():
 
 def test_sample_data_statistics():
     env = AgentEnvironment(Ru=np.diag([1.0, 2.0]), sigma_v2=[0.04], mu=[0.01])
-    z = np.array([1.0, -1.0])
-    rng = np.random.default_rng(0)
-    draws = np.array([sample_data(0, z, env, rng)[0] for _ in range(20000)])
+    z = np.tile([1.0, -1.0], (20000, 1))
+    draws, u = sample_data(z, env, np.random.default_rng(0))
+    assert draws.shape == (20000,) and u.shape == (20000, 2)
     # E[d] = 0, var(d) = z^T Ru z + sigma^2 = 3.04
     assert abs(draws.mean()) < 0.05
     assert abs(draws.var() - 3.04) < 0.12
@@ -151,6 +152,11 @@ def test_bias_limit_is_convex_combination():
     assert np.allclose(bias_limit(c, m, f), [0.75, 0.75])
 
 
-def test_matrix_json_round_trip():
-    A = np.array([[0.1, 0.9], [0.9, 0.1]])
-    assert np.array_equal(matrix_from_json(matrix_to_json(A)), A)
+def test_reachable_follows_edge_direction():
+    # path 0 -> 1 -> 2 (support[l, k]: l feeds k) plus an isolated node 3
+    support = np.eye(4, dtype=bool)
+    support[0, 1] = support[1, 2] = True
+    start = np.array([True, False, False, False])
+    assert reachable(support, start).tolist() == [True, True, True, False]
+    assert reachable(support.T, start).tolist() == [True, False, False, False]
+    assert not start[1:].any()   # the start mask is left alone
