@@ -94,12 +94,12 @@ def pd_pf_bounds(nu: float, tau_hat: float):
 
 def error_bound_Pu(alpha: float, nu: float, tau_hat: float) -> float:
     """Upper bound on the misclassification probabilities P_{e,1}, P_{e,0}."""
-    x = 16.0 * nu * tau_hat / math.pi ** 2
+    x = pd_pf_bounds(nu, tau_hat)[1]
     if x >= 0.5:
         raise ValueError(
             f"16*nu*tau/pi^2 = {x:.4f} >= 0.5: the bound is undefined here"
         )
-    return (1.0 - alpha) / (1.0 + alpha) * x * (1.0 - x) / (0.5 - x) ** 2
+    return markov_tail_bound(x, alpha)
 
 
 def belief_error_oracle(p: float, alpha: float, C: int, trials: int,

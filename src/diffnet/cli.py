@@ -12,9 +12,9 @@ import sys
 import numpy as np
 
 from .diffusion import DivergenceError
-from .harness import ConfigError, ScenarioConfig, preset, run_chain_sweep, \
-    run_classify_bench, run_scenario, write_beliefs_csv, write_chain_sweep_csv, \
-    write_meta, write_msd_csv, write_trajectory_csv
+from .harness import PRESETS, STRATEGIES, ConfigError, ScenarioConfig, preset, \
+    run_chain_sweep, run_classify_bench, run_scenario, write_beliefs_csv, \
+    write_chain_sweep_csv, write_meta, write_msd_csv, write_trajectory_csv
 from .network import TopologyError
 
 EXIT_OK = 0
@@ -25,14 +25,11 @@ EXIT_IO = 4
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON scenario config file")
-    p.add_argument("--preset",
-                   choices=["bifurcation", "beliefs", "quorum_k1", "fast_weights", "school"],
-                   help="named scenario preset")
+    p.add_argument("--preset", choices=list(PRESETS), help="named scenario preset")
     p.add_argument("--seed", type=int, help="override the RNG seed")
     p.add_argument("--replicas", type=int, help="override the replica count")
     p.add_argument("--iterations", type=int, help="override the iteration count")
-    p.add_argument("--strategy", choices=["conventional", "modified",
-                                          "modified_fast_weights"],
+    p.add_argument("--strategy", choices=STRATEGIES,
                    help="override the diffusion strategy")
     p.add_argument("--out", default=".", help="output directory")
 
@@ -62,9 +59,8 @@ def _load_config(args: argparse.Namespace, default_kind: str) -> ScenarioConfig:
     elif args.preset:
         cfg = preset(args.preset)
     else:
-        cfg = ScenarioConfig(kind=default_kind)
-        if default_kind == "fish":
-            cfg = preset("school")
+        cfg = (preset("school") if default_kind == "fish"
+               else ScenarioConfig(kind=default_kind))
     if cfg.kind != default_kind:
         raise ConfigError(f"config kind {cfg.kind!r} does not match the "
                           f"{default_kind!r} subcommand")

@@ -1,6 +1,8 @@
 """Quorum-response decision updates in each agent's local model frame."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .network import Topology, check_assignment
@@ -24,17 +26,26 @@ def quorum_set_size(g_neighbors, g_self: int) -> int:
     return n_g
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def quorum_prob(n_g, n_k, K: int, beta: float = 1.0):
     """Probability of keeping the current desired model:
-    (beta n_g)^K / ((beta n_g)^K + (n_k - n_g)^K)."""
+    (beta n_g)^K / ((beta n_g)^K + (n_k - n_g)^K), computed as
+    1 / (1 + ((n_k - n_g) / (beta n_g))^K) where the powers overflow or
+    both vanish."""
     n_g = np.asarray(n_g, dtype=float)
     n_k = np.asarray(n_k, dtype=float)
     beta = np.asarray(beta, dtype=float)
     if (beta <= 0).any():
         raise ValueError("beta must be positive")
     stay = (beta * n_g) ** K
-    flip = (n_k - n_g) ** K
-    return stay / (stay + flip)
+    total = stay + (n_k - n_g) ** K
+    q = stay / total
+    # q * total is nan where total is 0 or inf, so the dot product is not
+    # finite whenever some entry needs the ratio form
+    if not math.isfinite(np.vdot(q, total)):
+        q = np.where((total > 0) & (total < np.inf), q,
+                     1.0 / (1.0 + ((n_k - n_g) / (beta * n_g)) ** K))
+    return q
 
 
 def decide(g_self_prev: int, q: float, rng: np.random.Generator) -> int:

@@ -57,55 +57,34 @@ def split_matrices(A: np.ndarray, f_hat: np.ndarray, g: np.ndarray):
 
 @dataclass(frozen=True)
 class MeanErrorSystem:
-    """Mean recursion E w~_i = B E w~_{i-1} + y for one strategy variant."""
+    """Mean recursion E w~_i = B E w~_{i-1} + y."""
 
     B: np.ndarray
     y: np.ndarray
-    variant: str
 
 
-def build_mean_error_system(variant: str, env: AgentEnvironment,
-                            models: ModelPair, f, q: int,
-                            A: np.ndarray | None = None,
-                            A1: np.ndarray | None = None,
+def build_mean_error_system(env: AgentEnvironment, models: ModelPair, f, q: int,
+                            A1: np.ndarray,
                             A2: np.ndarray | None = None) -> MeanErrorSystem:
-    """Assemble the NM x NM mean-error system.
+    """Assemble the NM x NM mean-error system of the modified strategy,
 
-    conventional: B = A^T (I - M R),        y = A^T M R z~
-    modified:     B = A1^T (I - M R) + A2^T, y = A1^T M R z~
-    with z~_k = w_q - z_k stacked into an NM vector.
+        B = A1^T (I - M R) + A2^T,  y = A1^T M R z~,
+
+    with z~_k = w_q - z_k stacked into an NM vector.  Conventional diffusion
+    is the case A1 = A with no A2.
     """
     f = check_assignment(f)
     N = f.size
     M = env.M
     eye = np.eye(M)
-    if variant == "conventional":
-        if A is None:
-            raise ValueError("conventional variant needs A")
-        mats = [(np.kron(A, eye), True)]
-    elif variant == "modified":
-        if A1 is None or A2 is None:
-            raise ValueError("modified variant needs A1 and A2")
-        mats = [(np.kron(A1, eye), True), (np.kron(A2, eye), False)]
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-
     mu = np.broadcast_to(env.mu, (N,))
-    Mcal = np.kron(np.diag(mu), eye)
-    Rcal = np.kron(np.eye(N), env.Ru)
-    MR = Mcal @ Rcal
-    wq = models.stacked()[q]
-    ztilde = (wq[None, :] - models.observed(f)).reshape(-1)
-
-    B = np.zeros((N * M, N * M))
-    y = np.zeros(N * M)
-    for Acal, adaptive in mats:
-        if adaptive:
-            B += Acal.T @ (np.eye(N * M) - MR)
-            y += Acal.T @ (MR @ ztilde)
-        else:
-            B += Acal.T
-    return MeanErrorSystem(B=B, y=y, variant=variant)
+    MR = np.kron(np.diag(mu), env.Ru)      # blockdiag(mu_k Ru)
+    ztilde = (models.stacked()[q][None, :] - models.observed(f)).reshape(-1)
+    A1cal_T = np.kron(A1, eye).T
+    B = A1cal_T @ (np.eye(N * M) - MR)
+    if A2 is not None:
+        B += np.kron(A2, eye).T
+    return MeanErrorSystem(B=B, y=A1cal_T @ (MR @ ztilde))
 
 
 def check_stepsize_stability(mu: float, Ru: np.ndarray) -> bool:

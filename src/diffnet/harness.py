@@ -2,6 +2,7 @@
 engine for static and fish scenarios, metrics, and CSV/JSON persistence."""
 from __future__ import annotations
 
+import copy
 import csv
 import dataclasses
 import json
@@ -23,20 +24,24 @@ from .markov import absorption_time_distribution, build_meanfield_chain, \
     transient_spectral_radius
 from .mobility import MotionParams, cohesion_all, measure_target, radius_adjacency, \
     update_motion
-from .network import AgentEnvironment, ModelPair, Topology, check_assignment, \
-    generate_topology, reachable, sample_data, uniform_weights
+from .network import AgentEnvironment, ModelPair, Topology, generate_topology, \
+    sample_data, uniform_weights
 
 MSD_FLOOR_DB = -120.0
 NEVER = math.inf
 
-STRATEGIES = ("conventional", "modified", "modified_fast_weights")
+STRATEGIES = ("conventional", "modified")
 RULES = ("uniform", "fast")
-_SIMULATION = ("N", "M", "w0", "w1", "split", "strategy", "rule", "mu", "nu", "alpha",
-               "eta", "K", "beta", "iterations", "replicas", "oracle_classification",
+# Fields only the modified strategy reads (classification, quorum decisions,
+# split combination); a conventional run refuses non-default values of them.
+DECISION_FIELDS = {"rule", "nu", "alpha", "eta", "K", "beta", "oracle_classification",
+                   "forced_desired", "record_beliefs"}
+_SIMULATION = ("N", "M", "w0", "w1", "split", "rule", "mu", "nu", "alpha", "eta", "K",
+               "beta", "iterations", "replicas", "oracle_classification",
                "forced_desired", "mean_error_vs")
 # The fields each kind reads besides kind, seed and out; a kind refuses
-# non-default values of all the others.
-KIND_FIELDS = {"static_two_model": _SIMULATION + ("mean_degree", "ru_range",
+# non-default values of all the others (fish runs the modified strategy only).
+KIND_FIELDS = {"static_two_model": _SIMULATION + ("strategy", "mean_degree", "ru_range",
                                                   "noise_db_range", "record_beliefs"),
                "fish": _SIMULATION + ("motion", "comm_radius", "arena"),
                "chain_sweep": ("sweep_N", "sweep_K"),
@@ -89,11 +94,11 @@ class ScenarioConfig:
             raise ConfigError(f"unknown scenario kind {self.kind!r}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
-        if self.strategy == "modified_fast_weights":
-            self.strategy, self.rule = "modified", "fast"
         if self.rule not in RULES:
             raise ConfigError(f"unknown combination rule {self.rule!r}")
-        reads = KIND_FIELDS[self.kind]
+        reads, scope = KIND_FIELDS[self.kind], self.kind
+        if self.strategy == "conventional":
+            reads, scope = tuple(set(reads) - DECISION_FIELDS), f"conventional {self.kind}"
         default = ScenarioConfig()
         for f in dataclasses.fields(self):     # f.type is the annotation's text
             value = getattr(self, f.name)
@@ -104,7 +109,7 @@ class ScenarioConfig:
             if f.name not in reads + ("kind", "seed", "out") and not np.array_equal(
                     np.asarray(value, dtype=object),
                     np.asarray(getattr(default, f.name), dtype=object)):
-                raise ConfigError(f"{f.name} does not apply to {self.kind} scenarios")
+                raise ConfigError(f"{f.name} does not apply to {scope} scenarios")
         if "w0" in reads:
             if not (self.M >= 1 and _is_vector(self.w0, self.M)
                     and _is_vector(self.w1, self.M)):
@@ -113,11 +118,12 @@ class ScenarioConfig:
                 raise ConfigError("the two models must differ")
             if not (self.mu > 0 and 0 < self.nu < 1 and self.eta > 0):
                 raise ConfigError("require mu > 0, nu in (0,1) and eta > 0")
-        if "ru_range" in reads and not (_is_vector(self.ru_range, 2)
-                                        and all(v > 0 for v in self.ru_range)):
-            raise ConfigError("ru_range must be two positive numbers")
-        if "noise_db_range" in reads and not _is_vector(self.noise_db_range, 2):
-            raise ConfigError("noise_db_range must be two numbers")
+        if self.seed < 0:
+            raise ConfigError("seed must be a non-negative int")
+        for name, floor in (("ru_range", 0.0), ("noise_db_range", -math.inf)):
+            pair = getattr(self, name)
+            if name in reads and not (_is_vector(pair, 2) and floor < pair[0] <= pair[1]):
+                raise ConfigError(f"{name} must be two numbers above {floor}, low <= high")
         if self.kind in ("static_two_model", "fish"):
             if self.N < 2:
                 raise ConfigError("need N >= 2")
@@ -157,8 +163,8 @@ class ScenarioConfig:
         graph; its graph and sensing come from comm_radius and motion."""
         if self.M != 2:
             raise ConfigError("fish scenario is planar (M = 2)")
-        if self.strategy == "conventional":
-            raise ConfigError("fish scenario runs the modified strategy only")
+        if not self.arena >= 0:
+            raise ConfigError("arena must be non-negative")
         try:
             MotionParams(**self.motion)
         except (TypeError, ValueError) as exc:
@@ -200,27 +206,26 @@ def _is_vector(value, size: int) -> bool:
 
 
 # Canned scenario layouts, named for the behavior each one demonstrates.
+_PAPER = dict(N=40, M=4, w0=[5.0, -5.0, 5.0, 5.0], w1=[5.0, 5.0, -5.0, 5.0],
+              split=20, mu=0.005, nu=0.05, alpha=0.95, eta=1.0, K=4,
+              iterations=6000, replicas=50, mean_degree=5.0)
+PRESETS = {
+    "bifurcation": _PAPER,
+    "beliefs": dict(_PAPER, iterations=1200, replicas=1, record_beliefs=True),
+    "quorum_k1": dict(_PAPER, K=1, iterations=1500),
+    "fast_weights": dict(_PAPER, rule="fast"),
+    "school": dict(kind="fish", N=40, M=2, w0=[10.0, 10.0], w1=[-10.0, 10.0],
+                   split=20, mu=0.02, nu=0.2, alpha=0.95, eta=1.0, K=4,
+                   iterations=2500, replicas=1, comm_radius=8.0,
+                   motion=dict(dt=0.1, lam=0.3, beta=0.7, gamma=1.0,
+                               d_s=3.0, kappa=0.01)),
+}
+
+
 def preset(name: str) -> ScenarioConfig:
-    base = dict(N=40, M=4, w0=[5.0, -5.0, 5.0, 5.0], w1=[5.0, 5.0, -5.0, 5.0],
-                split=20, mu=0.005, nu=0.05, alpha=0.95, eta=1.0, K=4,
-                iterations=6000, replicas=50, mean_degree=5.0)
-    table = {
-        "bifurcation": dict(base, strategy="modified", rule="uniform"),
-        "beliefs": dict(base, strategy="modified", rule="uniform",
-                        iterations=1200, replicas=1, record_beliefs=True),
-        "quorum_k1": dict(base, strategy="modified", rule="uniform",
-                          K=1, iterations=1500),
-        "fast_weights": dict(base, strategy="modified", rule="fast"),
-        "school": dict(kind="fish", N=40, M=2, w0=[10.0, 10.0],
-                       w1=[-10.0, 10.0], split=20, strategy="modified",
-                       rule="uniform", mu=0.02, nu=0.2, alpha=0.95, eta=1.0,
-                       K=4, iterations=2500, replicas=1, comm_radius=8.0,
-                       motion=dict(dt=0.1, lam=0.3, beta=0.7, gamma=1.0,
-                                   d_s=3.0, kappa=0.01)),
-    }
-    if name not in table:
-        raise ConfigError(f"unknown preset {name!r} (have {sorted(table)})")
-    return ScenarioConfig(**table[name]).validate()
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r} (have {sorted(PRESETS)})")
+    return ScenarioConfig(**copy.deepcopy(PRESETS[name])).validate()
 
 
 @dataclass
@@ -261,23 +266,9 @@ def agreement_time(all_agree: np.ndarray) -> float:
     return 0.0 if disagree.size == 0 else float(disagree[-1] + 1)
 
 
-def fast_weights(topology: Topology, f, q: int) -> np.ndarray:
-    """Analysis-mode fast combination rule from ground truth: uniform weight
-    on informed neighbors where available, otherwise uniform on the other
-    neighbors (zero self-weight)."""
-    f = check_assignment(f)
-    informed = f == q
-    A = _fast_weight_matrix(topology.adjacency,
-                            np.tile(informed, (topology.N, 1)))
-    # information flows l -> k when A[l, k] > 0
-    if not reachable(A > 0, informed).all():
-        raise ValueError("fast weights leave some agents cut off from "
-                         "every informed node")
-    return A
-
-
 def _fast_weight_matrix(adj: np.ndarray, informed_kl: np.ndarray) -> np.ndarray:
-    """Column construction shared by the oracle and in-simulation variants.
+    """The fast combination rule: uniform weight on informed neighbors where
+    available, otherwise uniform on the other neighbors (zero self-weight).
 
     informed_kl[k, l] says whether agent k treats neighbor l as informed.
     Column k is uniform over k's informed neighbors, else over its other
@@ -333,7 +324,7 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
             sums[key] += getattr(rep, key)
         w_sum += rep.w
         if modified:
-            times.append(agreement_time(rep.all_agree))
+            times.append(agreement_time(rep.frac == 1.0))
             finals_g.append(rep.glob)
             finals_b.append(rep.b)
         if err_sum is not None:
@@ -404,7 +395,6 @@ class _Replica:
         self.f_flip = 1 - f
         self.rows = np.arange(N)
         self.sq0, self.sq1, self.sqd, self.sqr, self.frac = np.empty((5, iters))
-        self.all_agree = np.empty(iters, dtype=bool)
         self.err = np.empty((iters, N, M)) if cfg.mean_error_vs is not None else None
         self.stream = np.empty((iters, N, N)) if cfg.record_beliefs else None
         self.graph = self.trajectory = None       # graph: the adjacency self.links is for
@@ -453,7 +443,6 @@ class _Replica:
             self.sqr[i] = dev[self.rows, 1 - self.glob].sum() / N
             share1 = self.glob.sum() / N
             self.frac[i] = max(share1, 1.0 - share1)
-            self.all_agree[i] = share1 in (0.0, 1.0)
         if self.err is not None:
             self.err[i] = self.stacked[cfg.mean_error_vs][None, :] - w
         if self.stream is not None:
@@ -547,16 +536,20 @@ def run_classify_bench(cfg: ScenarioConfig) -> dict:
 # ---------------------------------------------------------------------------
 # persistence
 
-def write_msd_csv(path: str, trace: TraceSet) -> None:
+def _write_csv(path: str, header: list, rows) -> None:
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
-        out.writerow(["iteration", "msd0_db", "msd1_db", "msd_desired_db",
-                      "agreement_fraction"])
-        for i in range(trace.msd0_db.size):
-            out.writerow([i, repr(float(trace.msd0_db[i])),
-                          repr(float(trace.msd1_db[i])),
-                          repr(float(trace.msd_desired_db[i])),
-                          repr(float(trace.agreement_fraction[i]))])
+        out.writerow(header)
+        out.writerows(rows)
+
+
+def write_msd_csv(path: str, trace: TraceSet) -> None:
+    columns = (trace.msd0_db, trace.msd1_db, trace.msd_desired_db,
+               trace.agreement_fraction)
+    _write_csv(path, ["iteration", "msd0_db", "msd1_db", "msd_desired_db",
+                      "agreement_fraction"],
+               ([i, *(repr(float(c[i])) for c in columns)]
+                for i in range(trace.msd0_db.size)))
 
 
 def write_beliefs_csv(path: str, trace: TraceSet) -> None:
@@ -565,36 +558,26 @@ def write_beliefs_csv(path: str, trace: TraceSet) -> None:
     adj = trace.topology.adjacency
     pairs = [(k, l) for k in range(adj.shape[0])
              for l in np.flatnonzero(adj[:, k]) if l != k]
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["iteration", "observer", "neighbor", "belief", "f_hat"])
-        for i, b in enumerate(trace.belief_stream):
-            for k, l in pairs:
-                out.writerow([i, k, l, repr(float(b[k, l])),
-                              int(b[k, l] >= 0.5)])
+    _write_csv(path, ["iteration", "observer", "neighbor", "belief", "f_hat"],
+               ([i, k, l, repr(float(b[k, l])), int(b[k, l] >= 0.5)]
+                for i, b in enumerate(trace.belief_stream) for k, l in pairs))
 
 
 def write_trajectory_csv(path: str, trace: TraceSet) -> None:
     if trace.trajectory is None:
         raise ValueError("trace has no trajectory (not a fish run)")
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["step", "agent", "x1", "x2", "v1", "v2",
-                      "g_global", "msd_to_target"])
-        steps, N, _ = trace.trajectory.shape
-        for i in range(steps):
-            for k in range(N):
-                row = [repr(float(value)) for value in trace.trajectory[i, k]]
-                out.writerow([i, k, *row[:4], int(trace.trajectory[i, k, 4]), row[5]])
+    _write_csv(path, ["step", "agent", "x1", "x2", "v1", "v2", "g_global",
+                      "msd_to_target"],
+               ([i, k, *(repr(float(v)) for v in row[:4]), int(row[4]),
+                 repr(float(row[5]))]
+                for i, step in enumerate(trace.trajectory)
+                for k, row in enumerate(step)))
 
 
 def write_chain_sweep_csv(path: str, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["N", "K", "rho_Q", "mean_absorption"])
-        for row in rows:
-            out.writerow([row["N"], row["K"], repr(row["rho_Q"]),
-                          repr(row["mean_absorption"])])
+    _write_csv(path, ["N", "K", "rho_Q", "mean_absorption"],
+               ([row["N"], row["K"], repr(row["rho_Q"]), repr(row["mean_absorption"])]
+                for row in rows))
 
 
 def write_meta(path: str, cfg: ScenarioConfig) -> None:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decision import quorum_prob
+from .diffusion import spectral_radius
 from .network import Topology
 
 # 2^N states.  At N = 12 (S = 4096) build_exact_chain peaks near 290 MB: P and
@@ -25,23 +26,29 @@ class ChainSizeError(ValueError):
 
 @dataclass(frozen=True)
 class DecisionChain:
-    """Right-stochastic transition structure with its transient partition."""
+    """Right-stochastic transition matrix whose first and last states are
+    the two absorbing ones (unanimity) and all others transient."""
 
-    kind: str                 # "exact" | "meanfield"
     P: np.ndarray
     states: np.ndarray        # exact: (S, N) binary configs; meanfield: counts
-    transient: np.ndarray     # indices of transient states
-    absorbing: np.ndarray     # indices of absorbing states
+
+    @property
+    def transient(self) -> np.ndarray:
+        return np.arange(1, len(self.P) - 1)
+
+    @property
+    def absorbing(self) -> np.ndarray:
+        return np.array([0, len(self.P) - 1])
 
     @property
     def Q(self) -> np.ndarray:
-        return self.P[np.ix_(self.transient, self.transient)]
+        return self.P[1:-1, 1:-1]
 
     @property
     def absorption_columns(self) -> np.ndarray:
         """Transitions from transient states into the absorbing ones,
         one column per absorbing state (the b and c vectors)."""
-        return self.P[np.ix_(self.transient, self.absorbing)]
+        return self.P[1:-1, [0, -1]]
 
 
 def build_exact_chain(topology: Topology, K: int) -> DecisionChain:
@@ -68,9 +75,7 @@ def build_exact_chain(topology: Topology, K: int) -> DecisionChain:
         same = states[:, None, k] == states[None, :, k]
         P *= np.where(same, q[:, None, k], 1.0 - q[:, None, k])
 
-    absorbing = np.array([0, S - 1])
-    transient = np.setdiff1d(np.arange(S), absorbing)
-    return DecisionChain("exact", P, states, transient, absorbing)
+    return DecisionChain(P, states)
 
 
 def build_meanfield_chain(N: int, K: int) -> DecisionChain:
@@ -92,10 +97,7 @@ def build_meanfield_chain(N: int, K: int) -> DecisionChain:
     log_hits = np.multiply(m, log_q, out=np.zeros(shape), where=m > 0)
     log_misses = np.multiply(N - m, log_1mq, out=np.zeros(shape), where=m < N)
     P[1:N] = np.exp(log_binom + log_hits + log_misses)
-    states = np.arange(N + 1)
-    return DecisionChain("meanfield", P, states,
-                         transient=np.arange(1, N),
-                         absorbing=np.array([0, N]))
+    return DecisionChain(P, m)
 
 
 def boundary_mass_closed_form(N: int, K: int, n: int) -> float:
@@ -111,10 +113,9 @@ def count_ratio(a: float, b: float, N: int, x: float) -> float:
 
 
 def transient_spectral_radius(chain: DecisionChain) -> float:
-    Q = chain.Q
-    if Q.size == 0:
+    if chain.Q.size == 0:
         raise ValueError("chain has no transient states")
-    return float(np.max(np.abs(np.linalg.eigvals(Q))))
+    return spectral_radius(chain.Q)
 
 
 def rate_identity_residual(chain: DecisionChain) -> float:
@@ -172,8 +173,8 @@ def absorption_time_distribution(chain: DecisionChain,
 
     out = {"expected_steps": expected, "absorb_prob": absorb_prob}
     if start is not None:
-        pos = np.where(chain.transient == start)[0]
-        out["expected_from_start"] = 0.0 if pos.size == 0 else float(expected[pos[0]])
+        out["expected_from_start"] = (float(expected[start - 1])
+                                      if 0 < start < len(chain.P) - 1 else 0.0)
     if trials > 0:
         if rng is None:
             rng = np.random.default_rng(0)
@@ -183,16 +184,15 @@ def absorption_time_distribution(chain: DecisionChain,
 
 def _mc_absorption(chain: DecisionChain, start: int | None, trials: int,
                    rng: np.random.Generator, cap: int = 1_000_000) -> float:
-    s0 = chain.transient[0] if start is None else start
-    if s0 in chain.absorbing:
+    last = len(chain.P) - 1       # states 0 and last absorb
+    s0 = 1 if start is None else start
+    if not 0 < s0 < last:
         return 0.0
-    absorbing = set(chain.absorbing.tolist())
     totals = 0
     for _ in range(trials):
-        s = s0
-        steps = 0
-        while s not in absorbing and steps < cap:
-            s = rng.choice(chain.P.shape[0], p=chain.P[s])
+        s, steps = s0, 0
+        while 0 < s < last and steps < cap:
+            s = rng.choice(last + 1, p=chain.P[s])
             steps += 1
         totals += steps
     return totals / trials

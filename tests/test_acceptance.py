@@ -12,13 +12,13 @@ from diffnet.classification import (
     direction_pair_benchmark, estimate_tau, pd_pf_bounds,
 )
 from diffnet.decision import (
-    decision_sweep, global_desires, oracle_relative_f, run_decision_dynamics,
+    global_desires, oracle_relative_f, run_decision_dynamics,
 )
 from diffnet.diffusion import build_mean_error_system, spectral_radius
 from diffnet.harness import _build_environment, preset, run_scenario
 from diffnet.markov import (
     absorption_time_distribution, boundary_mass_closed_form, build_exact_chain,
-    build_meanfield_chain, rate_identity_residual, transient_spectral_radius,
+    build_meanfield_chain, rate_identity_residual, verify_K_monotonicity,
 )
 from diffnet.network import (
     AgentEnvironment, ModelPair, bias_limit, complete_topology,
@@ -97,8 +97,7 @@ def test_criterion_3_mean_convergence(bifurcation_env):
     A = uniform_weights(topology)
     A1 = A * (f == 1)[:, None]
     models = ModelPair(np.array(cfg.w0), np.array(cfg.w1))
-    system = build_mean_error_system("modified", env, models, f, 1,
-                                     A1=A1, A2=A - A1)
+    system = build_mean_error_system(env, models, f, 1, A1, A - A1)
     rho = spectral_radius(system.B)
     unbiased = bool((system.y == 0.0).all())
     ok = rho < 1.0 and unbiased and ratio <= 1e-2
@@ -122,7 +121,6 @@ def test_criterion_4_agreement_and_absorption():
     N, K = 6, 2
     topo = complete_topology(N)
     f = np.array([0] * 3 + [1] * 3)
-    rel = oracle_relative_f(f)
     chain = build_exact_chain(topo, K)
     two_absorbing = len(chain.absorbing) == 2
     g0 = np.array([1, 0, 1, 0, 1, 0])
@@ -131,16 +129,9 @@ def test_criterion_4_agreement_and_absorption():
     pos = int(np.where(chain.transient == start)[0][0])
     p_zero = absorption_time_distribution(chain)["absorb_prob"][pos, 0]
 
-    trials, hits = 600, 0
-    for t in range(trials):
-        rng = np.random.default_rng(50_000 + t)
-        g = g0.copy()
-        while True:
-            glob = global_desires(g, f)
-            if (glob == glob[0]).all():
-                hits += glob[0] == 0
-                break
-            g = decision_sweep(topo.adjacency, g, rel, K, rng)
+    trials = 600
+    hits = sum(run_decision_dynamics(topo, f, K, np.random.default_rng(50_000 + t),
+                                     g_init=g0)[0] == 0 for t in range(trials))
     emp = hits / trials
     sigma = np.sqrt(p_zero * (1 - p_zero) / trials)
     within = abs(emp - p_zero) <= 3 * sigma + 1e-9
@@ -151,11 +142,7 @@ def test_criterion_4_agreement_and_absorption():
 
 
 def test_criterion_5_chain_identities():
-    monotone = True
-    for N in (4, 6, 8):
-        rhos = [transient_spectral_radius(build_meanfield_chain(N, K))
-                for K in range(1, 6)]
-        monotone &= all(b < a for a, b in zip(rhos, rhos[1:]))
+    monotone = all(verify_K_monotonicity(N, 5)["strictly_decreasing"] for N in (4, 6, 8))
     closed = max(
         abs(build_meanfield_chain(N, K).P[n, [0, N]].sum()
             - boundary_mass_closed_form(N, K, n))

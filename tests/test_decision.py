@@ -47,6 +47,22 @@ def test_quorum_prob_complementary():
         assert q + q_flip == pytest.approx(1.0)
 
 
+def test_quorum_prob_large_exponent_stays_finite():
+    # (beta n_g)^K and (n_k - n_g)^K overflow here; the ratio form takes over
+    n_g, n_k = np.arange(1, 100), 100
+    q = quorum_prob(n_g, n_k, 200)
+    assert np.isfinite(q).all() and ((q >= 0) & (q <= 1)).all()
+    assert q[0] == 0.0 and q[49] == 0.5 and q[-1] == 1.0
+    assert np.allclose(q + quorum_prob(n_k - n_g, n_k, 200), 1.0)
+    ratio = 1.0 / (1.0 + ((n_k - n_g[45:55]) / n_g[45:55]) ** 200)
+    assert np.allclose(q[45:55], ratio, rtol=1e-12)
+    # both powers vanish: an isolated agent keeps its desire
+    assert quorum_prob(1, 1, 5000, beta=0.5) == 1.0
+    # where the powers are finite the direct quotient is kept bit for bit
+    stay, flip = 3.0 ** 40, 1.0
+    assert quorum_prob(3, 4, 40) == stay / (stay + flip)
+
+
 def test_decide_statistics():
     rng = np.random.default_rng(1)
     keeps = sum(decide(1, 0.8, rng) for _ in range(10000))

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from diffnet.diffusion import (
     atc_adapt, atc_combine, build_mean_error_system, check_stepsize_stability,
@@ -60,8 +59,7 @@ def _env(N, M, mu=0.01, sig2=0.01):
 def test_mean_error_single_agent_reduces_to_lms():
     env = AgentEnvironment(Ru=np.diag([1.0, 2.0]), sigma_v2=[0.01], mu=[0.05])
     models = ModelPair([1.0, 0.0], [0.0, 1.0])
-    sys = build_mean_error_system("conventional", env, models, [0], 0,
-                                  A=np.array([[1.0]]))
+    sys = build_mean_error_system(env, models, [0], 0, np.array([[1.0]]))
     assert np.allclose(sys.B, np.eye(2) - 0.05 * env.Ru)
     assert np.allclose(sys.y, 0.0)  # observes the reference model
 
@@ -80,7 +78,7 @@ def test_modified_system_unbiased_under_oracle_agreement():
     A2 = A - A1
     env = _env(10, 3)
     models = ModelPair([1.0, 2.0, 3.0], [3.0, 2.0, 1.0])
-    sys = build_mean_error_system("modified", env, models, f, q, A1=A1, A2=A2)
+    sys = build_mean_error_system(env, models, f, q, A1, A2)
     assert np.all(sys.y == 0.0)
     assert spectral_radius(sys.B) < 1.0
 
@@ -92,7 +90,7 @@ def test_conventional_system_biased_under_two_models():
     f = np.array([0, 0, 0, 1, 1, 1])
     env = _env(6, 2)
     models = ModelPair([1.0, 0.0], [0.0, 1.0])
-    sys = build_mean_error_system("conventional", env, models, f, 1, A=A)
+    sys = build_mean_error_system(env, models, f, 1, A)
     assert np.abs(sys.y).max() > 0.0
 
 
@@ -107,7 +105,7 @@ def test_mean_recursion_predicts_ensemble_average():
     models = ModelPair([1.0], [-1.0])
     env = AgentEnvironment(Ru=np.eye(1), sigma_v2=np.full(N, 0.01),
                            mu=np.full(N, mu))
-    sys = build_mean_error_system("conventional", env, models, f, 0, A=A)
+    sys = build_mean_error_system(env, models, f, 0, A)
 
     z = models.observed(f)[:, 0]
     w = np.zeros((reps, N))
@@ -158,13 +156,6 @@ def test_rate_bound_tight_for_single_agent():
     Ru = np.diag([0.5, 2.0])
     env = AgentEnvironment(Ru=Ru, sigma_v2=[0.01], mu=[0.1])
     models = ModelPair([1.0, 0.0], [0.0, 1.0])
-    sys = build_mean_error_system("conventional", env, models, [0], 0,
-                                  A=np.array([[1.0]]))
+    sys = build_mean_error_system(env, models, [0], 0, np.array([[1.0]]))
     assert abs(convergence_rate(sys.B) - rate_lower_bound(0.1, Ru)) < 1e-12
 
-
-def test_unknown_variant_rejected():
-    env = _env(2, 1)
-    models = ModelPair([1.0], [-1.0])
-    with pytest.raises(ValueError):
-        build_mean_error_system("hybrid", env, models, [0, 1], 0)

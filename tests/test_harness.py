@@ -15,12 +15,16 @@ from diffnet.decision import decide, global_desires, quorum_prob, \
 from diffnet.diffusion import atc_adapt, atc_combine, modified_combine, \
     split_weights
 from diffnet.harness import (
-    ConfigError, ScenarioConfig, _git_stamp, agreement_time, fast_weights,
+    ConfigError, ScenarioConfig, _fast_weight_matrix, _git_stamp, agreement_time,
     msd_db, preset, run_chain_sweep, run_scenario, write_beliefs_csv,
     write_chain_sweep_csv, write_meta, write_msd_csv, write_trajectory_csv,
 )
 from diffnet.network import ModelPair, Topology, complete_topology, \
     uniform_weights
+
+
+# a conventional run refuses the decision layer's fields unless at their defaults
+CONVENTIONAL = dict(strategy="conventional", nu=0.05, alpha=0.95, eta=1.0, K=4)
 
 
 def small_config(**overrides):
@@ -64,11 +68,6 @@ def test_presets_valid_and_faithful():
         preset("bogus")
 
 
-def test_fast_weights_alias_strategy():
-    cfg = small_config(strategy="modified_fast_weights")
-    assert cfg.strategy == "modified" and cfg.rule == "fast"
-
-
 def test_stability_refusal():
     with pytest.raises(ConfigError, match="stability"):
         run_scenario(small_config(mu=1.5))
@@ -98,7 +97,7 @@ def test_fast_weights_star_graph():
     np.fill_diagonal(adj, True)
     topo = Topology(adj)
     f = np.array([1, 0, 0, 0, 0])  # only the hub informed
-    A = fast_weights(topo, f, q=1)
+    A = _fast_weight_matrix(topo.adjacency, np.tile(f == 1, (n, 1)))
     # leaves put all weight on the hub; hub keeps weight on itself
     for leaf in range(1, n):
         assert A[0, leaf] == 1.0
@@ -109,7 +108,7 @@ def test_fast_weights_star_graph():
 
 def test_fast_weights_all_informed_uniform():
     topo = complete_topology(4)
-    A = fast_weights(topo, np.ones(4, dtype=int), q=1)
+    A = _fast_weight_matrix(topo.adjacency, np.ones((4, 4), dtype=bool))
     assert np.allclose(A, 0.25)
 
 
@@ -130,7 +129,8 @@ def test_step_matches_per_agent_reference(strategy):
     # one replica rebuilt agent by agent from the library's scalar functions,
     # drawing from the replica generator in the engine's order: u, v, then
     # (modified only) one quorum uniform per agent
-    cfg = small_config(replicas=1, iterations=20, strategy=strategy)
+    cfg = small_config(replicas=1, iterations=20,
+                       **(CONVENTIONAL if strategy == "conventional" else {}))
     tr = run_scenario(cfg)
     N, M = cfg.N, cfg.M
     adj = tr.topology.adjacency
@@ -227,7 +227,7 @@ def test_mean_error_track_decreases():
 
 
 def test_conventional_traces_have_no_decision_metrics():
-    tr = run_scenario(small_config(strategy="conventional"))
+    tr = run_scenario(small_config(**CONVENTIONAL))
     assert tr.agreement_times is None
     assert np.isnan(tr.agreement_fraction).all()
 
@@ -253,7 +253,7 @@ def small_school(**overrides):
 
 @pytest.mark.parametrize("field, value", [
     ("rule", "fast"),
-    ("strategy", "modified_fast_weights"),
+    ("K", 1),
     ("oracle_classification", True),
     ("forced_desired", 0),
     ("beta", [1.0, 4.0]),
@@ -280,6 +280,7 @@ def test_fish_tracks_mean_error():
     ("motion", {"dt": -0.1}),
     ("motion", {"speed": 1.0}),
     ("w0", ["a", 10.0]),
+    ("arena", -1.0),
 ])
 def test_fish_rejects_options_it_cannot_honour(tmp_path, field, value):
     doc = dict(preset("school").to_dict(), **{field: value})
@@ -376,6 +377,11 @@ def test_cli_simulate_and_exit_codes(tmp_path):
     missing = tmp_path / "missing.json"
     assert cli_main(["simulate", "--config", str(missing),
                      "--out", str(out)]) == 2
+    # a conventional run with the decision layer's fields at their defaults
+    conv_path = tmp_path / "conv.json"
+    conv_path.write_text(json.dumps(dict(json.loads(cfg_path.read_text()), **CONVENTIONAL)))
+    assert cli_main(["simulate", "--config", str(conv_path),
+                     "--out", str(tmp_path / "conv")]) == 0
     # kind mismatch across subcommands -> 2
     assert cli_main(["fish", "--config", str(cfg_path),
                      "--out", str(out)]) == 2
@@ -408,6 +414,11 @@ def test_cli_simulate_and_exit_codes(tmp_path):
     ("simulate", {"w1": [0.0, None]}),
     ("simulate", {"ru_range": [-1.0, -0.5]}),
     ("simulate", {"noise_db_range": ["a", -5.0]}),
+    pytest.param("simulate", {"noise_db_range": [-5.0, -35.0]},
+                 id="simulate-noise_db_range-reversed"),
+    pytest.param("simulate", {"ru_range": [2.0, 1.0]}, id="simulate-ru_range-reversed"),
+    ("simulate", {"seed": -3}),
+    ("classify-bench", {"--seed": -1}),
     ("analyze-chain", {"N": 7, "mu": 9.0, "replicas": 3}),
     ("analyze-chain", {"strategy": "conventional"}),
     ("classify-bench", {"bench_trials": 0}),
@@ -417,6 +428,11 @@ def test_cli_simulate_and_exit_codes(tmp_path):
     ("classify-bench", {"w1": [5.0, -5.0, 5.0, 5.0]}),   # equals w0
     ("classify-bench", {"ru_range": [1.0]}),
     ("classify-bench", {"replicas": 3}),
+    ("simulate", dict(CONVENTIONAL, rule="fast")),
+    ("simulate", dict(CONVENTIONAL, oracle_classification=True, forced_desired=0)),
+    ("simulate", dict(CONVENTIONAL, beta=3.0)),
+    ("simulate", dict(CONVENTIONAL, record_beliefs=True)),
+    ("simulate", {"--strategy": "conventional"}),  # the base's nu, alpha, eta, K
     ("analyze-chain", {"--replicas": 7}),         # "--" keys are CLI flags
     ("analyze-chain", {"--strategy": "conventional"}),
     ("classify-bench", {"--iterations": 5}),
@@ -488,6 +504,27 @@ def test_cli_analyze_chain(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["N", "K", "rho_Q", "mean_absorption"]
     assert len(rows) > 1
+
+
+def test_cli_large_quorum_exponent(tmp_path):
+    # (beta n_g)^K overflows at these sizes; it used to turn q into NaN
+    cfg_path = tmp_path / "chain.json"
+    cfg_path.write_text(json.dumps(dict(kind="chain_sweep", sweep_N=[100],
+                                        sweep_K=[200])))
+    out = tmp_path / "chain"
+    assert cli_main(["analyze-chain", "--config", str(cfg_path), "--out", str(out)]) == 0
+    with open(out / "chain_sweep.csv") as fh:
+        row = list(csv.DictReader(fh))[0]
+    # large-K limit: only the tied count n = 50 stays transient, as a fair coin
+    assert float(row["rho_Q"]) == pytest.approx(math.comb(100, 50) / 2 ** 100, rel=1e-9)
+
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text(json.dumps(dict(N=40, mean_degree=20, K=400, iterations=150,
+                                        replicas=1, seed=7)))
+    out = tmp_path / "sim"
+    assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    with open(out / "msd.csv") as fh:
+        assert float(list(csv.DictReader(fh))[-1]["agreement_fraction"]) == 1.0
 
 
 def test_cli_determinism(tmp_path):

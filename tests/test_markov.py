@@ -4,9 +4,7 @@ from math import exp, lgamma, log
 import numpy as np
 import pytest
 
-from diffnet.decision import (
-    decision_sweep, global_desires, oracle_relative_f,
-)
+from diffnet.decision import global_desires, run_decision_dynamics
 from diffnet.markov import (
     ChainSizeError, absorption_time_distribution, boundary_mass_closed_form,
     build_exact_chain, build_meanfield_chain, count_ratio,
@@ -137,15 +135,12 @@ def test_absorption_time_n2():
 def test_exact_chain_predicts_simulated_absorption():
     # simulate the sweep dynamics and compare absorption frequencies with the
     # fundamental-matrix prediction
-    rng = np.random.default_rng(1)
     N, K = 6, 2
     topo = complete_topology(N)
     f = np.array([0] * 3 + [1] * 3)
-    rel = oracle_relative_f(f)
     chain = build_exact_chain(topo, K)
 
     g0 = np.array([1, 0, 1, 0, 1, 0])
-    start = int((g0 * (1 << np.arange(N))).sum())
     # exact chain states are global desire configurations; convert local g
     glob0 = global_desires(g0, f)
     start = int((glob0 * (1 << np.arange(N))).sum())
@@ -154,16 +149,8 @@ def test_exact_chain_predicts_simulated_absorption():
     p_all_zero = stats["absorb_prob"][pos, 0]
 
     trials = 600
-    hits = 0
-    for t in range(trials):
-        trng = np.random.default_rng(1000 + t)
-        g = g0.copy()
-        for _ in range(10_000):
-            glob = global_desires(g, f)
-            if (glob == glob[0]).all():
-                hits += glob[0] == 0
-                break
-            g = decision_sweep(topo.adjacency, g, rel, K, trng)
+    hits = sum(run_decision_dynamics(topo, f, K, np.random.default_rng(1000 + t),
+                                     g_init=g0)[0] == 0 for t in range(trials))
     emp = hits / trials
     sigma = np.sqrt(p_all_zero * (1 - p_all_zero) / trials)
     assert abs(emp - p_all_zero) <= 3 * sigma + 1e-9
