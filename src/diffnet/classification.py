@@ -59,14 +59,6 @@ def f_hat(b: float):
     return (np.asarray(b) >= 0.5).astype(int) if np.ndim(b) else int(b >= 0.5)
 
 
-def belief_horizon(alpha: float, cutoff: float = 1e-3) -> int:
-    """Smallest C with alpha^(C+1) < cutoff (initial condition negligible)."""
-    c = max(1, math.ceil(math.log(cutoff) / math.log(alpha) - 1.0))
-    while alpha ** (c + 1) >= cutoff:
-        c += 1
-    return c
-
-
 def estimate_tau(env: AgentEnvironment, models: ModelPair, sample_count: int,
                  rng: np.random.Generator) -> float:
     """Monte Carlo bound estimate for the fourth-moment randomness ratio
@@ -125,24 +117,23 @@ def markov_tail_bound(p: float, alpha: float) -> float:
 
 
 def direction_pair_benchmark(z_k, z_l, w, env: AgentEnvironment, nu: float,
-                             eta: float, trials: int, rng: np.random.Generator,
-                             steps: int | None = None) -> dict:
+                             eta: float, trials: int, rng: np.random.Generator) -> dict:
     """Controlled far/near-field benchmark for a pair of agents.
 
     Both agents hold the same frozen estimate w while their smoothed update
-    directions run to steady state; returns empirical far-field rates and
-    event frequencies over independent trials.
+    directions run ceil(8 / nu) steps, to steady state, under the one noise
+    variance of env; returns empirical far-field rates and event frequencies
+    over independent trials.
     """
     z_k = np.asarray(z_k, dtype=float)
     z_l = np.asarray(z_l, dtype=float)
     w = np.asarray(w, dtype=float)
-    if steps is None:
-        steps = math.ceil(8.0 / nu)
+    (sigma_v2,) = env.sigma_v2
+    sig = np.sqrt(sigma_v2)
     chol = env.ru_chol.T
-    sig = np.sqrt(env.sigma_v2[:2].mean() if env.sigma_v2.size > 1 else env.sigma_v2[0])
 
     h = [np.zeros((trials, env.M)), np.zeros((trials, env.M))]
-    for _ in range(steps):
+    for _ in range(math.ceil(8.0 / nu)):
         for idx, z in enumerate((z_k, z_l)):
             u = rng.standard_normal((trials, env.M)) @ chol
             resid = u @ (z - w) + sig * rng.standard_normal(trials)

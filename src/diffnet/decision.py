@@ -7,6 +7,8 @@ import numpy as np
 
 from .network import Topology, check_assignment
 
+AGREEMENT_SWEEP_CAP = 50_000    # quorum sweeps before run_decision_dynamics gives up
+
 
 def translate_neighbor_g(g_l_self: int, f_hat_k_l: int) -> int:
     """Map neighbor l's own-frame desired model into agent k's frame.
@@ -100,8 +102,7 @@ def decision_sweep(adjacency: np.ndarray, g_local: np.ndarray, f_rel: np.ndarray
 
 def run_decision_dynamics(topology: Topology, f, K: int,
                           rng: np.random.Generator,
-                          g_init: np.ndarray | None = None,
-                          max_sweeps: int = 50_000):
+                          g_init: np.ndarray | None = None):
     """Iterate quorum sweeps (with oracle neighbor classification) until the
     network is unanimous in the global frame.
 
@@ -111,9 +112,9 @@ def run_decision_dynamics(topology: Topology, f, K: int,
     f_rel = oracle_relative_f(f)
     adj = topology.adjacency
     g = np.ones(topology.N, dtype=int) if g_init is None else np.asarray(g_init, dtype=int)
-    for i in range(max_sweeps + 1):
+    for i in range(AGREEMENT_SWEEP_CAP + 1):
         glob = global_desires(g, f)
         if (glob == glob[0]).all():
             return int(glob[0]), i, g
         g = decision_sweep(adj, g, f_rel, K, rng)
-    return None, max_sweeps, g
+    return None, AGREEMENT_SWEEP_CAP, g

@@ -63,21 +63,22 @@ class MeanErrorSystem:
     y: np.ndarray
 
 
-def build_mean_error_system(env: AgentEnvironment, models: ModelPair, f, q: int,
-                            A1: np.ndarray,
+def build_mean_error_system(env: AgentEnvironment, mu, models: ModelPair, f,
+                            q: int, A1: np.ndarray,
                             A2: np.ndarray | None = None) -> MeanErrorSystem:
     """Assemble the NM x NM mean-error system of the modified strategy,
 
         B = A1^T (I - M R) + A2^T,  y = A1^T M R z~,
 
-    with z~_k = w_q - z_k stacked into an NM vector.  Conventional diffusion
+    with M = diag(mu_k) from the step size mu (one value or one per agent)
+    and z~_k = w_q - z_k stacked into an NM vector.  Conventional diffusion
     is the case A1 = A with no A2.
     """
     f = check_assignment(f)
     N = f.size
     M = env.M
     eye = np.eye(M)
-    mu = np.broadcast_to(env.mu, (N,))
+    mu = np.broadcast_to(mu, (N,))
     MR = np.kron(np.diag(mu), env.Ru)      # blockdiag(mu_k Ru)
     ztilde = (models.stacked()[q][None, :] - models.observed(f)).reshape(-1)
     A1cal_T = np.kron(A1, eye).T

@@ -39,15 +39,20 @@ DECISION_FIELDS = {"rule", "nu", "alpha", "eta", "K", "beta", "oracle_classifica
 _SIMULATION = ("N", "M", "w0", "w1", "split", "rule", "mu", "nu", "alpha", "eta", "K",
                "beta", "iterations", "replicas", "oracle_classification",
                "forced_desired", "mean_error_vs")
-# The fields each kind reads besides kind, seed and out; a kind refuses
+# The fields each kind reads besides kind and seed; a kind refuses
 # non-default values of all the others (fish runs the modified strategy only).
 KIND_FIELDS = {"static_two_model": _SIMULATION + ("strategy", "mean_degree", "ru_range",
                                                   "noise_db_range", "record_beliefs"),
                "fish": _SIMULATION + ("motion", "comm_radius", "arena"),
                "chain_sweep": ("sweep_N", "sweep_K"),
-               "classify_bench": ("M", "w0", "w1", "mu", "nu", "eta", "ru_range",
+               "classify_bench": ("M", "w0", "w1", "nu", "eta", "ru_range",
                                   "bench_trials", "bench_distance")}
 KINDS = tuple(KIND_FIELDS)
+# validate() refuses, before anything is allocated, a config whose float64
+# arrays would pass 2 GiB, and a classify-bench whose ceil(8/nu) steps or
+# steps x trials pass the caps (it would run for hours).
+MEMORY_BUDGET = 2 * 2 ** 30
+BENCH_MAX_STEPS, BENCH_MAX_DRAWS = 10 ** 5, 10 ** 9
 
 
 class ConfigError(ValueError):
@@ -69,11 +74,10 @@ class ScenarioConfig:
     alpha: float = 0.95
     eta: float = 1.0
     K: int = 4
-    beta: float | list = 1.0         # quorum quality weight (scalar) or [q0, q1]
+    beta: float | list = 1.0         # quorum quality weight, one or [model 0, model 1]
     iterations: int = 2000
     replicas: int = 50
     seed: int = 0
-    out: str | None = None
     mean_degree: float = 5.0
     ru_range: tuple = (1.0, 2.0)     # diagonal Ru entries, uniform
     noise_db_range: tuple = (-35.0, -5.0)
@@ -102,11 +106,12 @@ class ScenarioConfig:
         default = ScenarioConfig()
         for f in dataclasses.fields(self):     # f.type is the annotation's text
             value = getattr(self, f.name)
-            check = {"int": _is_int, "float": _is_real}.get(f.type)
+            check = {"int": _is_int, "float": _is_real,
+                     "bool": lambda v: isinstance(v, bool)}.get(f.type)
             if check and not check(value):
                 raise ConfigError(f"{f.name} must be of type {f.type}, not {value!r}")
             # object arrays compare ragged lists too
-            if f.name not in reads + ("kind", "seed", "out") and not np.array_equal(
+            if f.name not in reads + ("kind", "seed") and not np.array_equal(
                     np.asarray(value, dtype=object),
                     np.asarray(getattr(default, f.name), dtype=object)):
                 raise ConfigError(f"{f.name} does not apply to {scope} scenarios")
@@ -153,10 +158,34 @@ class ScenarioConfig:
                 if not (isinstance(values, list) and values
                         and all(_is_int(v) and v >= low for v in values)):
                     raise ConfigError(f"{name} must be a non-empty list of ints >= {low}")
-        if self.kind == "classify_bench" and not (self.bench_trials >= 1
-                                                  and self.bench_distance > 0):
-            raise ConfigError("require bench_trials >= 1 and bench_distance > 0")
+        if self.kind == "classify_bench":
+            if not (self.bench_trials >= 1 and self.bench_distance > 0):
+                raise ConfigError("require bench_trials >= 1 and bench_distance > 0")
+            steps = 8.0 / self.nu        # may be inf, so compared before ceil
+            if not (steps <= BENCH_MAX_STEPS
+                    and math.ceil(steps) * self.bench_trials <= BENCH_MAX_DRAWS):
+                raise ConfigError(f"classify-bench runs 8/nu = {steps:.4g} steps of "
+                                  f"{self.bench_trials} trials; the caps are "
+                                  f"{BENCH_MAX_STEPS} steps and {BENCH_MAX_DRAWS} draws")
+        estimate = self._estimated_bytes()
+        if estimate > MEMORY_BUDGET:
+            raise ConfigError(f"the run would allocate about {estimate / 2 ** 30:.3g} "
+                              f"GiB, over the {MEMORY_BUDGET / 2 ** 30:g} GiB budget")
         return self
+
+    def _estimated_bytes(self) -> float:
+        """Bytes of the float64 arrays a run of this (validated) config
+        allocates, to within a small factor."""
+        if self.kind == "chain_sweep":     # P, its row factors, (I - Q)^-1
+            return 8.0 * 5 * (max(self.sweep_N) + 1.0) ** 2
+        if self.kind == "classify_bench":  # regressor draws and both directions
+            return 8.0 * 8 * self.M * max(self.bench_trials, 10_000.0)
+        N, iters = float(self.N), float(self.iterations)
+        return 8.0 * (16 * iters                          # records and their sums
+                      + (2.0 * self.replicas + 12) * N * N  # final beliefs, step state
+                      + self.record_beliefs * iters * N * N
+                      + (self.mean_error_vs is not None) * 2 * iters * N * self.M
+                      + (self.kind == "fish") * 6 * iters * N)   # trajectory
 
     def _validate_fish(self) -> None:
         """The fish engine runs the shared modified step on a moving radius
@@ -175,6 +204,8 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError(f"a config must be a JSON object, not {type(doc).__name__}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(doc) - known
         if unknown:
@@ -187,7 +218,7 @@ class ScenarioConfig:
         try:
             with open(path) as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_dict(doc)
 
@@ -206,17 +237,14 @@ def _is_vector(value, size: int) -> bool:
 
 
 # Canned scenario layouts, named for the behavior each one demonstrates.
-_PAPER = dict(N=40, M=4, w0=[5.0, -5.0, 5.0, 5.0], w1=[5.0, 5.0, -5.0, 5.0],
-              split=20, mu=0.005, nu=0.05, alpha=0.95, eta=1.0, K=4,
-              iterations=6000, replicas=50, mean_degree=5.0)
+_PAPER = dict(iterations=6000)    # the ScenarioConfig defaults are the paper's
 PRESETS = {
     "bifurcation": _PAPER,
     "beliefs": dict(_PAPER, iterations=1200, replicas=1, record_beliefs=True),
     "quorum_k1": dict(_PAPER, K=1, iterations=1500),
     "fast_weights": dict(_PAPER, rule="fast"),
-    "school": dict(kind="fish", N=40, M=2, w0=[10.0, 10.0], w1=[-10.0, 10.0],
-                   split=20, mu=0.02, nu=0.2, alpha=0.95, eta=1.0, K=4,
-                   iterations=2500, replicas=1, comm_radius=8.0,
+    "school": dict(kind="fish", M=2, w0=[10.0, 10.0], w1=[-10.0, 10.0],
+                   mu=0.02, nu=0.2, iterations=2500, replicas=1, comm_radius=8.0,
                    motion=dict(dt=0.1, lam=0.3, beta=0.7, gamma=1.0,
                                d_s=3.0, kappa=0.01)),
 }
@@ -232,7 +260,6 @@ def preset(name: str) -> ScenarioConfig:
 class TraceSet:
     """Per-iteration metric records of one scenario run (ensemble-averaged)."""
 
-    config: ScenarioConfig
     msd0_db: np.ndarray
     msd1_db: np.ndarray
     msd_desired_db: np.ndarray      # vs each agent's currently desired model
@@ -338,7 +365,6 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
         return np.array([msd_db(v / R) for v in sums[key]])
 
     return TraceSet(
-        config=cfg,
         msd0_db=db("sq0"),
         msd1_db=db("sq1"),
         msd_desired_db=db("sqd"),
@@ -361,9 +387,7 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
 def _build_environment(cfg: ScenarioConfig, rng: np.random.Generator):
     ru_diag = rng.uniform(cfg.ru_range[0], cfg.ru_range[1], cfg.M)
     noise_db = rng.uniform(cfg.noise_db_range[0], cfg.noise_db_range[1], cfg.N)
-    env = AgentEnvironment(Ru=np.diag(ru_diag),
-                           sigma_v2=10.0 ** (noise_db / 10.0),
-                           mu=np.full(cfg.N, cfg.mu))
+    env = AgentEnvironment(Ru=np.diag(ru_diag), sigma_v2=10.0 ** (noise_db / 10.0))
     if not check_stepsize_stability(cfg.mu, env.Ru):
         raise ConfigError(
             f"step-size mu={cfg.mu} violates the stability bound "
@@ -381,7 +405,7 @@ class _Replica:
         N, M, iters = cfg.N, cfg.M, cfg.iterations
         self.cfg, self.f = cfg, f
         self.stacked = models.stacked()
-        self.beta = np.asarray(cfg.beta, dtype=float)
+        self.beta = np.broadcast_to(np.asarray(cfg.beta, dtype=float), 2)  # per model
         self.oracle_rel = oracle_relative_f(f) if cfg.oracle_classification else None
         self.conventional = cfg.strategy == "conventional"
         self.w = np.zeros((N, M))
@@ -422,8 +446,8 @@ class _Replica:
                       where=active)
             fhat = self.oracle_rel if self.oracle_rel is not None else f_hat(self.b)
             if cfg.forced_desired is None:
-                beta = self.beta if self.beta.ndim == 0 else self.beta[self.glob]
-                self.g = decision_sweep(adj, self.g, fhat, cfg.K, rng, beta)
+                self.g = decision_sweep(adj, self.g, fhat, cfg.K, rng,
+                                        self.beta[self.glob])
             if cfg.rule == "fast":
                 A = _fast_weight_matrix(adj, fhat == self.g[:, None])
             A1, A2 = split_matrices(A, fhat, self.g)
@@ -506,11 +530,8 @@ def run_classify_bench(cfg: ScenarioConfig) -> dict:
     """Far/near-field classification benchmark against the analytic bounds."""
     rng = np.random.default_rng(cfg.seed)
     models = ModelPair(np.array(cfg.w0), np.array(cfg.w1))
-    env = AgentEnvironment(
-        Ru=np.diag(rng.uniform(cfg.ru_range[0], cfg.ru_range[1], cfg.M)),
-        sigma_v2=np.array([1e-2]),
-        mu=np.array([cfg.mu]),
-    )
+    ru_diag = rng.uniform(cfg.ru_range[0], cfg.ru_range[1], cfg.M)
+    env = AgentEnvironment(Ru=np.diag(ru_diag), sigma_v2=np.array([1e-2]))
     tau_hat = estimate_tau(env, models, max(10_000, cfg.bench_trials // 2), rng)
     pd_lo, pf_hi = pd_pf_bounds(cfg.nu, tau_hat)
 

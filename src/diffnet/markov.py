@@ -18,6 +18,7 @@ from .network import Topology
 # the np.where factor are S^2 float64 (134 MB each), the `same` mask S^2 bool
 # (17 MB).  At 14 the same arrays would take 2 x 2.1 GB.
 EXACT_STATE_CAP = 12
+MC_STEP_CAP = 1_000_000   # a Monte Carlo walk stops here even if not absorbed
 
 
 class ChainSizeError(ValueError):
@@ -121,9 +122,8 @@ def transient_spectral_radius(chain: DecisionChain) -> float:
 def rate_identity_residual(chain: DecisionChain) -> float:
     """|rho(Q) - (1 - y_Q^T (b+c))| with y_Q the normalized left Perron
     eigenvector of Q.  Valid when Q is primitive."""
-    Q = chain.Q
-    rho = transient_spectral_radius(chain)
-    vals, vecs = np.linalg.eig(Q.T)
+    vals, vecs = np.linalg.eig(chain.Q.T)
+    rho = float(np.abs(vals).max())
     idx = int(np.argmax(vals.real))
     y = np.abs(vecs[:, idx].real)
     y /= y.sum()
@@ -176,14 +176,12 @@ def absorption_time_distribution(chain: DecisionChain,
         out["expected_from_start"] = (float(expected[start - 1])
                                       if 0 < start < len(chain.P) - 1 else 0.0)
     if trials > 0:
-        if rng is None:
-            rng = np.random.default_rng(0)
         out["mc_mean_steps"] = _mc_absorption(chain, start, trials, rng)
     return out
 
 
 def _mc_absorption(chain: DecisionChain, start: int | None, trials: int,
-                   rng: np.random.Generator, cap: int = 1_000_000) -> float:
+                   rng: np.random.Generator) -> float:
     last = len(chain.P) - 1       # states 0 and last absorb
     s0 = 1 if start is None else start
     if not 0 < s0 < last:
@@ -191,7 +189,7 @@ def _mc_absorption(chain: DecisionChain, start: int | None, trials: int,
     totals = 0
     for _ in range(trials):
         s, steps = s0, 0
-        while 0 < s < last and steps < cap:
+        while 0 < s < last and steps < MC_STEP_CAP:
             s = rng.choice(last + 1, p=chain.P[s])
             steps += 1
         totals += steps

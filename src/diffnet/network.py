@@ -6,9 +6,10 @@ from functools import cached_property
 
 import numpy as np
 
-# Perron vector is computed by power iteration to this tolerance.
-PERRON_TOL = 1e-12
+PERRON_TOL = 1e-12            # perron_vector's power iteration stops at this change
 PERRON_MAX_ITERS = 100_000
+STOCHASTIC_TOL = 1e-12        # column sums of a left-stochastic matrix
+TOPOLOGY_ATTEMPTS = 200       # random graphs generate_topology draws before giving up
 
 
 class TopologyError(ValueError):
@@ -36,10 +37,6 @@ class ModelPair:
             raise ValueError("the two models must differ")
         object.__setattr__(self, "w0", w0)
         object.__setattr__(self, "w1", w1)
-
-    @property
-    def M(self) -> int:
-        return self.w0.size
 
     def stacked(self) -> np.ndarray:
         """(2, M) array indexed by model id."""
@@ -85,11 +82,6 @@ class Topology:
     def N(self) -> int:
         return self.adjacency.shape[0]
 
-    @property
-    def degrees(self) -> np.ndarray:
-        """Neighborhood sizes n_k (self included)."""
-        return self.adjacency.sum(axis=0)
-
 
 def reachable(support: np.ndarray, start: np.ndarray) -> np.ndarray:
     """Mask of the nodes reachable from the `start` mask along the edges of
@@ -102,8 +94,7 @@ def reachable(support: np.ndarray, start: np.ndarray) -> np.ndarray:
         reached = grown
 
 
-def generate_topology(N: int, mean_degree: float, rng: np.random.Generator,
-                      max_retries: int = 200) -> Topology:
+def generate_topology(N: int, mean_degree: float, rng: np.random.Generator) -> Topology:
     """Random connected topology with self-loops (Erdos-Renyi with retries).
 
     mean_degree counts the node itself, matching |N_k|.
@@ -113,7 +104,7 @@ def generate_topology(N: int, mean_degree: float, rng: np.random.Generator,
     if mean_degree < 2:
         raise TopologyError("mean_degree must be >= 2")
     p = min(1.0, (mean_degree - 1.0) / (N - 1.0))
-    for _ in range(max_retries):
+    for _ in range(TOPOLOGY_ATTEMPTS):
         upper = rng.random((N, N)) < p
         adj = np.triu(upper, k=1)
         adj = adj | adj.T
@@ -122,7 +113,7 @@ def generate_topology(N: int, mean_degree: float, rng: np.random.Generator,
             return Topology(adj)
     raise TopologyError(
         f"could not generate a connected topology with N={N}, "
-        f"mean_degree={mean_degree} after {max_retries} attempts"
+        f"mean_degree={mean_degree} after {TOPOLOGY_ATTEMPTS} attempts"
     )
 
 
@@ -136,34 +127,13 @@ def uniform_weights(topology: Topology) -> np.ndarray:
     return adj / adj.sum(axis=0, keepdims=True)
 
 
-def three_node_matrix(a: float, b: float, c: float, d: float) -> np.ndarray:
-    """Three-node chain 1-2-3 combination matrix with free weights.
-
-    Node 3 has no link to node 1, which is what makes the conventional bias
-    term at node 3 irreducible.  Requires a, b, c, d in [0, 1] and b+c <= 1.
-    """
-    for name, val in (("a", a), ("b", b), ("c", c), ("d", d)):
-        if not 0.0 <= val <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1]")
-    if b + c > 1.0:
-        raise ValueError("b + c must not exceed 1")
-    return np.array([
-        [a, b, 0.0],
-        [1.0 - a, 1.0 - b - c, d],
-        [0.0, c, 1.0 - d],
-    ])
-
-
-def is_left_stochastic(A: np.ndarray, topology: Topology | None = None,
-                       tol: float = 1e-12) -> bool:
+def is_left_stochastic(A: np.ndarray, topology: Topology) -> bool:
     A = np.asarray(A, dtype=float)
     if (A < 0).any():
         return False
-    if np.abs(A.sum(axis=0) - 1.0).max() > tol:
+    if np.abs(A.sum(axis=0) - 1.0).max() > STOCHASTIC_TOL:
         return False
-    if topology is not None and (A[~topology.adjacency] != 0).any():
-        return False
-    return True
+    return not (A[~topology.adjacency] != 0).any()
 
 
 def is_primitive(A: np.ndarray) -> bool:
@@ -181,8 +151,7 @@ def is_primitive(A: np.ndarray) -> bool:
     return bool(support.all())
 
 
-def perron_vector(A: np.ndarray, tol: float = PERRON_TOL,
-                  max_iters: int = PERRON_MAX_ITERS) -> np.ndarray:
+def perron_vector(A: np.ndarray) -> np.ndarray:
     """Right eigenvector c of a primitive left-stochastic A with Ac = c,
     entries positive and summing to one.  Power iteration."""
     A = np.asarray(A, dtype=float)
@@ -190,10 +159,10 @@ def perron_vector(A: np.ndarray, tol: float = PERRON_TOL,
         raise PrimitivityError("combination matrix is not primitive")
     n = A.shape[0]
     c = np.full(n, 1.0 / n)
-    for _ in range(max_iters):
+    for _ in range(PERRON_MAX_ITERS):
         nxt = A @ c
         nxt /= nxt.sum()
-        if np.abs(nxt - c).max() < tol:
+        if np.abs(nxt - c).max() < PERRON_TOL:
             return nxt
         c = nxt
     raise RuntimeError("power iteration did not converge")
@@ -201,15 +170,11 @@ def perron_vector(A: np.ndarray, tol: float = PERRON_TOL,
 
 @dataclass(frozen=True)
 class AgentEnvironment:
-    """Per-agent data-generation parameters.
-
-    Ru is shared across agents (homogeneous-agents assumption); step-sizes
-    and noise variances may vary per agent.
-    """
+    """The data model: the regressor covariance Ru, shared across agents
+    (homogeneous-agents assumption), and per-agent noise variances."""
 
     Ru: np.ndarray
     sigma_v2: np.ndarray
-    mu: np.ndarray
 
     def __post_init__(self):
         Ru = np.atleast_2d(np.asarray(self.Ru, dtype=float))
@@ -218,14 +183,10 @@ class AgentEnvironment:
         if np.linalg.eigvalsh(Ru).min() <= 0:
             raise ValueError("Ru must be positive definite")
         sigma_v2 = np.atleast_1d(np.asarray(self.sigma_v2, dtype=float))
-        mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
         if (sigma_v2 < 0).any():
             raise ValueError("noise variances must be nonnegative")
-        if (mu <= 0).any():
-            raise ValueError("step-sizes must be positive")
         object.__setattr__(self, "Ru", Ru)
         object.__setattr__(self, "sigma_v2", sigma_v2)
-        object.__setattr__(self, "mu", mu)
 
     @property
     def M(self) -> int:
@@ -249,6 +210,4 @@ def sample_data(z: np.ndarray, env: AgentEnvironment,
 def bias_limit(c: np.ndarray, models: ModelPair, f) -> np.ndarray:
     """Limit point of conventional diffusion under mixed models:
     the Perron-weighted convex combination of the observed models."""
-    f = check_assignment(f)
-    z = models.observed(f)
-    return c @ z
+    return c @ models.observed(f)

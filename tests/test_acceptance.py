@@ -15,7 +15,7 @@ from diffnet.decision import (
     global_desires, oracle_relative_f, run_decision_dynamics,
 )
 from diffnet.diffusion import build_mean_error_system, spectral_radius
-from diffnet.harness import _build_environment, preset, run_scenario
+from diffnet.harness import preset, run_scenario
 from diffnet.markov import (
     absorption_time_distribution, boundary_mass_closed_form, build_exact_chain,
     build_meanfield_chain, rate_identity_residual, verify_K_monotonicity,
@@ -46,13 +46,12 @@ def bifurcation_trace():
 
 @pytest.fixture(scope="module")
 def bifurcation_env():
+    # the graph and data model are drawn before any replica, so one short
+    # replica gives the bifurcation run's own
     cfg = preset("bifurcation")
-    master = np.random.SeedSequence(SEED)
-    env_ss, *_ = master.spawn(cfg.replicas + 1)
-    rng = np.random.default_rng(env_ss)
-    topology = generate_topology(cfg.N, cfg.mean_degree, rng)
-    env = _build_environment(cfg, rng)
-    return topology, env
+    cfg.seed, cfg.iterations, cfg.replicas = SEED, 1, 1
+    trace = run_scenario(cfg)
+    return trace.topology, trace.env
 
 
 def test_criterion_1_bifurcation(bifurcation_trace):
@@ -97,7 +96,7 @@ def test_criterion_3_mean_convergence(bifurcation_env):
     A = uniform_weights(topology)
     A1 = A * (f == 1)[:, None]
     models = ModelPair(np.array(cfg.w0), np.array(cfg.w1))
-    system = build_mean_error_system(env, models, f, 1, A1, A - A1)
+    system = build_mean_error_system(env, cfg.mu, models, f, 1, A1, A - A1)
     rho = spectral_radius(system.B)
     unbiased = bool((system.y == 0.0).all())
     ok = rho < 1.0 and unbiased and ratio <= 1e-2
@@ -196,8 +195,7 @@ def test_criterion_8_classification(bifurcation_trace, bifurcation_env):
     rng = np.random.default_rng(0)
     tau_hat = estimate_tau(env, models, 200_000, rng)
     pd_lo, pf_hi = pd_pf_bounds(0.05, tau_hat)
-    bench_env = AgentEnvironment(Ru=env.Ru, sigma_v2=np.array([0.01]),
-                                 mu=np.array([0.005]))
+    bench_env = AgentEnvironment(Ru=env.Ru, sigma_v2=np.array([0.01]))
     w_far = models.w0 - 10.0 * (models.w0 - models.w1) \
         / np.linalg.norm(models.w0 - models.w1)
     same = direction_pair_benchmark(models.w0, models.w0, w_far, bench_env,
@@ -220,8 +218,7 @@ def test_criterion_9_field_bounds(bifurcation_env):
     rng = np.random.default_rng(1)
     nu, eta, trials = 0.05, 1.0, 100_000
     tau_hat = estimate_tau(env, models, 200_000, rng)
-    bench_env = AgentEnvironment(Ru=env.Ru, sigma_v2=np.array([0.01]),
-                                 mu=np.array([0.005]))
+    bench_env = AgentEnvironment(Ru=env.Ru, sigma_v2=np.array([0.01]))
 
     gap = (models.w0 - models.w1) / np.linalg.norm(models.w0 - models.w1)
     w_far = models.w0 - 10.0 * gap

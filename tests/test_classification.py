@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diffnet.classification import (
-    E1, E1C, NO_UPDATE, belief_error_oracle, belief_horizon,
+    E1, E1C, NO_UPDATE, belief_error_oracle,
     check_stepsize_separation, classify_event, direction_pair_benchmark,
     error_bound_Pu, estimate_tau, f_hat, markov_tail_bound, pd_pf_bounds,
     update_belief, update_direction,
@@ -47,26 +47,20 @@ def test_update_belief_and_decision():
     assert np.array_equal(f_hat(np.array([0.2, 0.8])), [0, 1])
 
 
-def test_belief_horizon():
-    c = belief_horizon(0.95, 1e-3)
-    assert 0.95 ** (c + 1) < 1e-3 <= 0.95 ** c
-    assert c == 134
-
-
 def test_estimate_tau_gaussian_values():
     rng = np.random.default_rng(0)
     # scalar Gaussian: E(u^2 - 1)^2 = 2
-    env1 = AgentEnvironment(Ru=np.eye(1), sigma_v2=[0.01], mu=[0.01])
+    env1 = AgentEnvironment(Ru=np.eye(1), sigma_v2=[0.01])
     m1 = ModelPair([1.0], [-1.0])
     assert abs(estimate_tau(env1, m1, 200_000, rng) - 2.0) < 0.15
     # M-dimensional identity Ru: tau = M + 1
-    env4 = AgentEnvironment(Ru=np.eye(4), sigma_v2=[0.01], mu=[0.01])
+    env4 = AgentEnvironment(Ru=np.eye(4), sigma_v2=[0.01])
     m4 = ModelPair([5.0, -5.0, 5.0, 5.0], [5.0, 5.0, -5.0, 5.0])
     assert abs(estimate_tau(env4, m4, 200_000, rng) - 5.0) < 0.3
 
 
 def test_estimate_tau_rejects_small_sample():
-    env = AgentEnvironment(Ru=np.eye(1), sigma_v2=[0.01], mu=[0.01])
+    env = AgentEnvironment(Ru=np.eye(1), sigma_v2=[0.01])
     with pytest.raises(ValueError):
         estimate_tau(env, ModelPair([1.0], [-1.0]), 100,
                      np.random.default_rng(0))
@@ -101,7 +95,7 @@ def test_belief_error_oracle_within_markov_bound():
 
 def test_direction_benchmark_far_vs_near():
     rng = np.random.default_rng(2)
-    env = AgentEnvironment(Ru=np.eye(2), sigma_v2=[0.01], mu=[0.005])
+    env = AgentEnvironment(Ru=np.eye(2), sigma_v2=[0.01])
     z = np.array([5.0, 5.0])
     far = direction_pair_benchmark(z, z, np.zeros(2), env, nu=0.05, eta=1.0,
                                    trials=4000, rng=rng)
@@ -113,3 +107,6 @@ def test_direction_benchmark_far_vs_near():
     opposite = direction_pair_benchmark(z, -z, np.zeros(2), env, nu=0.05,
                                         eta=1.0, trials=4000, rng=rng)
     assert opposite["p_e1c"] > 0.9      # anti-aligned far-field pair
+    with pytest.raises(ValueError):     # the pair shares one noise variance
+        direction_pair_benchmark(z, z, z, AgentEnvironment(np.eye(2), [0.01, 0.02]),
+                                 nu=0.05, eta=1.0, trials=10, rng=rng)

@@ -51,15 +51,14 @@ def test_split_matrices_matches_columnwise():
         assert np.array_equal(A2[:, k], a2)
 
 
-def _env(N, M, mu=0.01, sig2=0.01):
-    return AgentEnvironment(Ru=np.eye(M), sigma_v2=np.full(N, sig2),
-                            mu=np.full(N, mu))
+def _env(N, M, sig2=0.01):
+    return AgentEnvironment(Ru=np.eye(M), sigma_v2=np.full(N, sig2))
 
 
 def test_mean_error_single_agent_reduces_to_lms():
-    env = AgentEnvironment(Ru=np.diag([1.0, 2.0]), sigma_v2=[0.01], mu=[0.05])
+    env = AgentEnvironment(Ru=np.diag([1.0, 2.0]), sigma_v2=[0.01])
     models = ModelPair([1.0, 0.0], [0.0, 1.0])
-    sys = build_mean_error_system(env, models, [0], 0, np.array([[1.0]]))
+    sys = build_mean_error_system(env, 0.05, models, [0], 0, np.array([[1.0]]))
     assert np.allclose(sys.B, np.eye(2) - 0.05 * env.Ru)
     assert np.allclose(sys.y, 0.0)  # observes the reference model
 
@@ -78,7 +77,7 @@ def test_modified_system_unbiased_under_oracle_agreement():
     A2 = A - A1
     env = _env(10, 3)
     models = ModelPair([1.0, 2.0, 3.0], [3.0, 2.0, 1.0])
-    sys = build_mean_error_system(env, models, f, q, A1, A2)
+    sys = build_mean_error_system(env, np.full(10, 0.01), models, f, q, A1, A2)
     assert np.all(sys.y == 0.0)
     assert spectral_radius(sys.B) < 1.0
 
@@ -90,7 +89,7 @@ def test_conventional_system_biased_under_two_models():
     f = np.array([0, 0, 0, 1, 1, 1])
     env = _env(6, 2)
     models = ModelPair([1.0, 0.0], [0.0, 1.0])
-    sys = build_mean_error_system(env, models, f, 1, A)
+    sys = build_mean_error_system(env, 0.01, models, f, 1, A)
     assert np.abs(sys.y).max() > 0.0
 
 
@@ -103,9 +102,8 @@ def test_mean_recursion_predicts_ensemble_average():
     A = uniform_weights(topo)
     f = np.array([0, 0, 1])
     models = ModelPair([1.0], [-1.0])
-    env = AgentEnvironment(Ru=np.eye(1), sigma_v2=np.full(N, 0.01),
-                           mu=np.full(N, mu))
-    sys = build_mean_error_system(env, models, f, 0, A)
+    env = AgentEnvironment(Ru=np.eye(1), sigma_v2=np.full(N, 0.01))
+    sys = build_mean_error_system(env, mu, models, f, 0, A)
 
     z = models.observed(f)[:, 0]
     w = np.zeros((reps, N))
@@ -154,8 +152,8 @@ def test_spectral_radius_non_normal_complex_pair():
 
 def test_rate_bound_tight_for_single_agent():
     Ru = np.diag([0.5, 2.0])
-    env = AgentEnvironment(Ru=Ru, sigma_v2=[0.01], mu=[0.1])
+    env = AgentEnvironment(Ru=Ru, sigma_v2=[0.01])
     models = ModelPair([1.0, 0.0], [0.0, 1.0])
-    sys = build_mean_error_system(env, models, [0], 0, np.array([[1.0]]))
+    sys = build_mean_error_system(env, 0.1, models, [0], 0, np.array([[1.0]]))
     assert abs(convergence_rate(sys.B) - rate_lower_bound(0.1, Ru)) < 1e-12
 

@@ -1,11 +1,13 @@
 """Randomized configs through the CLI: every one ends in a documented exit
 code (0 ok, 2 config, 3 divergence, 4 I/O) and never in a traceback.
 
-Each config mutates one to three fields of a small valid base.  Sizes stay
-small (N <= 12, iterations <= 30, replicas <= 2, sweep_N <= 30,
-bench_trials <= 500, nu >= 0.01): N, iterations, sweep_N and bench_trials
-have no size refusal yet, and classify-bench runs ceil(8 / nu) steps, so a
-large value (or a tiny nu) would only measure memory or time.
+Each config mutates one to three fields of a small valid base.  Sizes that
+run stay small (N <= 12, iterations <= 30, replicas <= 2, sweep_N <= 30,
+bench_trials <= 500, nu >= 0.01).  The other sizes sit just above a cap:
+above the memory budget even with every other field at the smallest value
+the pools hold, or (nu) just past classify-bench's step cap, so they are
+refused and nothing runs.  The steps x trials cap has no such value: a
+larger nu in the same config would bring it under the cap and run it.
 """
 import dataclasses
 import json
@@ -32,7 +34,7 @@ GENERIC = [None, True, False, "x", "3", [], [1.0], [1.0, "a"], {}, 0, 1, 2, -1,
            0.0, 0.5, 1.5, -0.5, 2.0]
 SPECIFIC = {
     "kind": ["fish", "chain_sweep", "classify_bench", "static_two_model", "bogus"],
-    "N": [2, 3, 5, 12],
+    "N": [2, 3, 5, 12, 4379],
     "M": [1, 3, 4],
     "w0": [[1.0, 1.0], [0.0, 1.0], [1.0, 0.0, 0.0], [5.0, -5.0, 5.0, 5.0], [None, 1.0]],
     "w1": [[1.0, 0.0], [1e3, -1e3], [5.0, 5.0, -5.0, 5.0], ["a", "b"]],
@@ -40,13 +42,13 @@ SPECIFIC = {
     "strategy": ["conventional", "modified", "modified_fast_weights", "quantum"],
     "rule": ["uniform", "fast", "slow"],
     "mu": [1e-4, 0.3, 10.0],
-    "nu": [0.01, 0.99, 1.0],
+    "nu": [0.01, 0.99, 1.0, 7.99e-5],
     "alpha": [0.01, 0.999, 1.0],
     "eta": [1e-6, 100.0],
     "K": [1, 7, 50, 200, 1000],
     "beta": [[1.0, 4.0], [0.1, 1e3], [1.0], [0.0, 1.0], 1e-3, 1e3],
-    "iterations": [1, 30],
-    "replicas": [2],
+    "iterations": [1, 30, 2 ** 24 + 1],
+    "replicas": [2, 2 ** 25],
     "seed": [0, 7, 2**31, -3],
     "mean_degree": [2, 11.0, 100.0],
     "ru_range": [[0.5, 1.0], [2.0, 1.0], [1.0], [0.0, 1.0], ["a", 1.0]],
@@ -59,12 +61,12 @@ SPECIFIC = {
                {"kappa": 0.0}, {"d_s": 0.0}],
     "comm_radius": [0.0, 1.0, 100.0],
     "arena": [0.0, 1.0, 1e3],
-    "sweep_N": [[2], [30], [2, 30], [1], [0], [4.0], [[4]]],
+    "sweep_N": [[2], [30], [2, 30], [1], [0], [4.0], [[4]], [7327]],
     "sweep_K": [[1000], [200, 1], [3], [0], [-2], [2.5]],
-    "bench_trials": [1, 500],
+    "bench_trials": [1, 500, 8_388_609],
     "bench_distance": [1e-6, 1e3],
 }
-FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig) if f.name != "out"]
+FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig)]
 CASES = 80      # per subcommand
 
 

@@ -1,7 +1,10 @@
 import csv
+import dataclasses
 import json
 import math
 import subprocess
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,9 +18,10 @@ from diffnet.decision import decide, global_desires, quorum_prob, \
 from diffnet.diffusion import atc_adapt, atc_combine, modified_combine, \
     split_weights
 from diffnet.harness import (
-    ConfigError, ScenarioConfig, _fast_weight_matrix, _git_stamp, agreement_time,
-    msd_db, preset, run_chain_sweep, run_scenario, write_beliefs_csv,
-    write_chain_sweep_csv, write_meta, write_msd_csv, write_trajectory_csv,
+    KIND_FIELDS, ConfigError, ScenarioConfig, _fast_weight_matrix, _git_stamp,
+    agreement_time, msd_db, preset, run_chain_sweep, run_classify_bench,
+    run_scenario, write_beliefs_csv, write_chain_sweep_csv, write_meta,
+    write_msd_csv, write_trajectory_csv,
 )
 from diffnet.network import ModelPair, Topology, complete_topology, \
     uniform_weights
@@ -122,6 +126,38 @@ def test_golden_trace_regression():
     assert tr.agreement_fraction[59] == 1.0
     assert tr.agreement_times.tolist() == [22.0, 26.0]
     assert tr.final_w_mean[0, 0] == pytest.approx(0.43936800667316295, abs=1e-14)
+
+
+def test_golden_school_and_analyses():
+    # frozen outputs of the fish engine, the chain sweep and the
+    # classification benchmark, which the static golden run does not reach
+    school = run_scenario(small_school(iterations=40, seed=3))
+    assert school.agreement_times.tolist() == [32.0]
+    for index, value in [((0, 0, 0), -7.996502666464335),
+                         ((0, 0, 1), 2.4699469283394393),
+                         ((20, 3, 5), 362.05280875771996),
+                         ((39, 5, 2), 0.16265755323951647),
+                         ((39, 7, 0), 1.2549345532244423),
+                         ((39, 7, 3), 0.3667643728055345)]:
+        assert school.trajectory[index] == pytest.approx(value, abs=1e-12)
+
+    rows = run_chain_sweep(ScenarioConfig(kind="chain_sweep", sweep_N=[4, 6],
+                                          sweep_K=[1, 2]))
+    frozen = [(4, 1, 0.7500000000000009, 3.9770114942528743),
+              (4, 2, 0.49600994375736995, 2.0438891558545573),
+              (6, 1, 0.8333333333333336, 5.924141950004021),
+              (6, 2, 0.49959824437847405, 2.1828297066966162)]
+    for row, (N, K, rho, absorption) in zip(rows, frozen, strict=True):
+        assert (row["N"], row["K"]) == (N, K)
+        assert row["rho_Q"] == pytest.approx(rho, abs=1e-12)
+        assert row["mean_absorption"] == pytest.approx(absorption, abs=1e-12)
+
+    report = run_classify_bench(ScenarioConfig(kind="classify_bench", bench_trials=300,
+                                               seed=3))
+    assert report == pytest.approx({
+        "tau_hat": 6.252912543572984, "pd_lower_bound": 0.4931579998985314,
+        "pf_upper_bound": 0.5068420001014686, "empirical_pd": 1.0,
+        "empirical_pf": 0.0, "empirical_far_rate": 1.0}, abs=1e-12)
 
 
 @pytest.mark.parametrize("strategy", ["modified", "conventional"])
@@ -436,19 +472,51 @@ def test_cli_simulate_and_exit_codes(tmp_path):
     ("analyze-chain", {"--replicas": 7}),         # "--" keys are CLI flags
     ("analyze-chain", {"--strategy": "conventional"}),
     ("classify-bench", {"--iterations": 5}),
+    ("simulate", {"out": "elsewhere"}),               # fields nothing reads
+    ("classify-bench", {"mu": 1e-4}),
+    ("simulate", {"record_beliefs": "no"}),
+    ("simulate", {"oracle_classification": "no"}),
+    pytest.param("simulate", b"5", id="simulate-document-number"),
+    pytest.param("simulate", b"null", id="simulate-document-null"),
+    pytest.param("simulate", b'[["N", 8]]', id="simulate-document-list"),
+    pytest.param("simulate", b'{"N": 8, "seed": "\xff"}', id="simulate-document-not-utf8"),
+    # sizes past the memory budget or the benchmark's step caps
+    pytest.param("simulate", {"record_beliefs": True, "N": 1000, "iterations": 6000},
+                 id="simulate-size-belief-stream"),
+    pytest.param("simulate", {"iterations": 10 ** 9}, id="simulate-size-iterations"),
+    pytest.param("simulate", {"replicas": 10 ** 8}, id="simulate-size-replicas"),
+    pytest.param("analyze-chain", {"sweep_N": [10 ** 6]}, id="analyze-chain-size-sweep_N"),
+    pytest.param("classify-bench", {"bench_trials": 10 ** 10},
+                 id="classify-bench-size-bench_trials"),
+    pytest.param("classify-bench", {"nu": 1e-7}, id="classify-bench-size-nu"),
 ], ids=lambda v: "-".join(v) if isinstance(v, dict) else v)
 def test_cli_refuses_bad_config(tmp_path, command, overrides):
+    # overrides are config fields, "--" CLI flags, or the whole file as bytes;
+    # every refusal comes before the run allocates or computes anything
     doc = {"simulate": dict(N=8, M=2, w0=[1.0, 0.0], w1=[0.0, 1.0], split=4,
                             mu=0.02, nu=0.2, alpha=0.9, eta=0.3, K=2, iterations=10,
                             replicas=1, seed=5, mean_degree=4.0),
            "analyze-chain": dict(kind="chain_sweep", sweep_N=[4], sweep_K=[1]),
            "classify-bench": dict(kind="classify_bench", bench_trials=200)}[command]
-    flags = [str(s) for k, v in overrides.items() if k.startswith("--") for s in (k, v)]
-    fields = {k: v for k, v in overrides.items() if not k.startswith("--")}
+    flags, text = [], overrides
+    if isinstance(overrides, dict):
+        flags = [str(s) for k, v in overrides.items() if k.startswith("--")
+                 for s in (k, v)]
+        fields = {k: v for k, v in overrides.items() if not k.startswith("--")}
+        text = json.dumps(dict(doc, **fields)).encode()
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(dict(doc, **fields)))
+    cfg_path.write_bytes(text)
     out = tmp_path / "o"
-    assert cli_main([command, "--config", str(cfg_path), *flags, "--out", str(out)]) == 2
+    tracemalloc.start()
+    start = time.monotonic()
+    try:
+        assert cli_main([command, "--config", str(cfg_path), *flags,
+                         "--out", str(out)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.monotonic() - start < 1.0
+    assert peak < 10 * 2 ** 20
     assert not out.exists()
 
 
@@ -536,3 +604,78 @@ def test_cli_determinism(tmp_path):
     assert (out1 / "msd.csv").read_bytes() == (out2 / "msd.csv").read_bytes()
     assert (out1 / "beliefs.csv").read_bytes() == \
         (out2 / "beliefs.csv").read_bytes()
+
+
+# One small base per kind.  The fish base lowers K and raises eta, because at
+# the school's distances every direction clears eta = 1 and K = 4 quorums
+# settle alike within 40 steps.  Classify-bench saturates (P_d = 1, P_f = 0) at
+# the default distance, so its base brings the two agents' estimates closer.
+DEAD_KNOB_BASES = {
+    "static_two_model": dict(N=8, M=2, w0=[1.0, 0.0], w1=[0.0, 1.0], split=4,
+                             iterations=60, replicas=2, seed=123, mean_degree=4.0),
+    "fish": dict(preset("school").to_dict(), N=8, split=4, iterations=40, K=1,
+                 eta=5.0, seed=3),
+    "chain_sweep": dict(kind="chain_sweep", sweep_N=[4, 6], sweep_K=[1, 2]),
+    "classify_bench": dict(kind="classify_bench", bench_trials=300, bench_distance=1.0),
+}
+ENTRY_POINTS = {"static_two_model": run_scenario, "fish": run_scenario,
+                "chain_sweep": run_chain_sweep, "classify_bench": run_classify_bench}
+
+
+def _changed(value):
+    """Another value of a config field's type, near the old one."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value * 0.8
+    if value is None:
+        return 0
+    if isinstance(value, str):
+        return {"modified": "conventional", "uniform": "fast"}.get(value, value + "x")
+    if isinstance(value, tuple):
+        return (value[0] * 0.5, value[1])
+    if isinstance(value, list):
+        return [x + 1 for x in value]
+    return dict(value, lam=0.5)          # the motion parameters
+
+
+def _outputs(result):
+    """Every array and number in a run's result; a config it carries is not
+    an output."""
+    if isinstance(result, dict):
+        result = list(result.values())
+    if isinstance(result, (list, tuple)):
+        return [x for item in result for x in _outputs(item)]
+    if dataclasses.is_dataclass(result) and not isinstance(result, ScenarioConfig):
+        return _outputs([getattr(result, f.name) for f in dataclasses.fields(result)])
+    return [np.asarray(result)] if isinstance(result, (np.ndarray, float, int)) else []
+
+
+@pytest.mark.parametrize("kind", list(DEAD_KNOB_BASES))
+def test_every_accepted_field_moves_the_result(kind):
+    # a field that validate() accepts at another value must change what the
+    # kind's entry point returns; the chain sweep draws nothing, so its seed
+    # is the one exemption (the CLI passes --seed to every command)
+    base = ScenarioConfig(**DEAD_KNOB_BASES[kind]).validate()
+    run = ENTRY_POINTS[kind]
+    reference = _outputs(run(base))
+    tested, dead = [], []
+    for f in dataclasses.fields(ScenarioConfig):
+        if f.name == "kind" or (kind == "chain_sweep" and f.name == "seed"):
+            continue
+        cfg = dataclasses.replace(base, **{f.name: _changed(getattr(base, f.name))})
+        try:
+            cfg.validate()
+        except ConfigError:
+            continue
+        tested.append(f.name)
+        outputs = _outputs(run(cfg))
+        if len(outputs) == len(reference) and all(
+                a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+                for a, b in zip(outputs, reference)):
+            dead.append(f.name)
+    # M must equal the models' length, so it never changes alone
+    assert set(tested) >= set(KIND_FIELDS[kind]) - {"M"}
+    assert not dead, f"{kind} ignores {dead}"

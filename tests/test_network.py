@@ -3,15 +3,15 @@ import pytest
 
 from diffnet.network import (
     AgentEnvironment, ModelPair, PrimitivityError, Topology, TopologyError,
-    bias_limit, check_assignment, complete_topology, three_node_matrix,
-    generate_topology, is_left_stochastic, is_primitive, perron_vector,
-    reachable, sample_data, uniform_weights,
+    bias_limit, check_assignment, complete_topology, generate_topology,
+    is_left_stochastic, is_primitive, perron_vector, reachable, sample_data,
+    uniform_weights,
 )
 
 
 def test_model_pair_basic():
     m = ModelPair([5, -5, 5, 5], [5, 5, -5, 5])
-    assert m.M == 4
+    assert m.w0.dtype == float and m.w0.shape == m.w1.shape == (4,)
     assert np.array_equal(m.stacked()[0], m.w0)
     z = m.observed([0, 1, 1])
     assert z.shape == (3, 4)
@@ -49,7 +49,7 @@ def test_generate_topology_properties():
     assert adj.diagonal().all()
     assert topo.N == 40
     # mean neighborhood size (self included) near the target
-    assert 3.0 < topo.degrees.mean() < 8.0
+    assert 3.0 < adj.sum(axis=0).mean() < 8.0
 
 
 def test_generate_topology_rejects_tiny():
@@ -65,18 +65,8 @@ def test_uniform_weights_left_stochastic():
     A = uniform_weights(topo)
     assert is_left_stochastic(A, topo)
     k = 3
-    n_k = topo.degrees[k]
+    n_k = topo.adjacency[:, k].sum()
     assert np.allclose(A[topo.adjacency[:, k], k], 1.0 / n_k)
-
-
-def test_three_node_matrix_structure():
-    A = three_node_matrix(0.3, 0.2, 0.4, 0.6)
-    assert A[0, 2] == 0.0 and A[2, 0] == 0.0
-    assert np.allclose(A.sum(axis=0), 1.0)
-    with pytest.raises(ValueError):
-        three_node_matrix(1.2, 0.2, 0.2, 0.2)
-    with pytest.raises(ValueError):
-        three_node_matrix(0.5, 0.7, 0.7, 0.2)
 
 
 def test_is_primitive():
@@ -124,19 +114,18 @@ def test_perron_rejects_non_primitive():
 
 def test_agent_environment_validation():
     with pytest.raises(ValueError):
-        AgentEnvironment(Ru=np.array([[1.0, 2.0], [0.0, 1.0]]),
-                         sigma_v2=[0.1], mu=[0.01])
+        AgentEnvironment(Ru=np.array([[1.0, 2.0], [0.0, 1.0]]), sigma_v2=[0.1])
     with pytest.raises(ValueError):
-        AgentEnvironment(Ru=np.diag([1.0, -1.0]), sigma_v2=[0.1], mu=[0.01])
+        AgentEnvironment(Ru=np.diag([1.0, -1.0]), sigma_v2=[0.1])
     with pytest.raises(ValueError):
-        AgentEnvironment(Ru=np.eye(2), sigma_v2=[0.1], mu=[0.0])
-    env = AgentEnvironment(Ru=np.diag([1.0, 2.0]), sigma_v2=[0.1], mu=[0.01])
+        AgentEnvironment(Ru=np.eye(2), sigma_v2=[0.1, -0.1])
+    env = AgentEnvironment(Ru=np.diag([1.0, 2.0]), sigma_v2=[0.1])
     assert env.M == 2
     assert np.allclose(env.ru_chol @ env.ru_chol.T, env.Ru)
 
 
 def test_sample_data_statistics():
-    env = AgentEnvironment(Ru=np.diag([1.0, 2.0]), sigma_v2=[0.04], mu=[0.01])
+    env = AgentEnvironment(Ru=np.diag([1.0, 2.0]), sigma_v2=[0.04])
     z = np.tile([1.0, -1.0], (20000, 1))
     draws, u = sample_data(z, env, np.random.default_rng(0))
     assert draws.shape == (20000,) and u.shape == (20000, 2)
