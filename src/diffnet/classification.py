@@ -128,8 +128,7 @@ def direction_pair_benchmark(z_k, z_l, w, env: AgentEnvironment, nu: float,
     z_k = np.asarray(z_k, dtype=float)
     z_l = np.asarray(z_l, dtype=float)
     w = np.asarray(w, dtype=float)
-    (sigma_v2,) = env.sigma_v2
-    sig = np.sqrt(sigma_v2)
+    (sig,) = env.sigma_v
     chol = env.ru_chol.T
 
     h = [np.zeros((trials, env.M)), np.zeros((trials, env.M))]

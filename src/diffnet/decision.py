@@ -84,20 +84,22 @@ def local_agreement_predicate(g_local: np.ndarray, f_rel: np.ndarray,
     return not diff.any()
 
 
+def quorum_table(N: int, K: int, beta) -> np.ndarray:
+    """quorum_prob at [model b, n_k, n_g], counts 0..N; beta one value or a pair."""
+    counts = np.arange(N + 1.0)
+    return quorum_prob(counts, counts[:, None], K, np.broadcast_to(beta, 2)[:, None, None])
+
+
 def decision_sweep(adjacency: np.ndarray, g_local: np.ndarray, f_rel: np.ndarray,
-                   K: int, rng: np.random.Generator,
-                   beta: np.ndarray | float = 1.0) -> np.ndarray:
-    """One synchronous quorum-response sweep over all agents."""
-    adjacency = np.asarray(adjacency, dtype=bool)
-    g_local = np.asarray(g_local, dtype=int)
+                   table: np.ndarray, rng: np.random.Generator, n_k: np.ndarray,
+                   plane) -> np.ndarray:
+    """One synchronous quorum-response sweep: agent k keeps its desire with
+    probability table[plane[k], n_k[k], n_g[k]]; g_local itself if none flips."""
     # k's translation of g(l) equals g(k) iff "g(l) differs from g(k)" is the
     # opposite of f_rel[k, l] (0/1 entries; same counts as translate_neighbor_g)
-    agree = ((g_local[None, :] ^ g_local[:, None]) != np.asarray(f_rel)) & adjacency
-    n_g = agree.sum(axis=1)
-    n_k = adjacency.sum(axis=1)
-    q = quorum_prob(n_g, n_k, K, beta)
-    keep = rng.random(g_local.size) < q
-    return np.where(keep, g_local, 1 - g_local)
+    agree = ((g_local[None, :] ^ g_local[:, None]) != f_rel) & adjacency
+    keep = rng.random(g_local.size) < table[plane, n_k, np.add.reduce(agree, axis=1)]
+    return g_local if keep.all() else np.where(keep, g_local, 1 - g_local)
 
 
 def run_decision_dynamics(topology: Topology, f, K: int,
@@ -111,10 +113,11 @@ def run_decision_dynamics(topology: Topology, f, K: int,
     f = check_assignment(f)
     f_rel = oracle_relative_f(f)
     adj = topology.adjacency
+    table, n_k = quorum_table(topology.N, K, 1.0), adj.sum(axis=1)
     g = np.ones(topology.N, dtype=int) if g_init is None else np.asarray(g_init, dtype=int)
     for i in range(AGREEMENT_SWEEP_CAP + 1):
         glob = global_desires(g, f)
         if (glob == glob[0]).all():
             return int(glob[0]), i, g
-        g = decision_sweep(adj, g, f_rel, K, rng)
+        g = decision_sweep(adj, g, f_rel, table, rng, n_k, 0)
     return None, AGREEMENT_SWEEP_CAP, g

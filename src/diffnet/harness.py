@@ -7,6 +7,7 @@ import csv
 import dataclasses
 import json
 import math
+import operator
 import os
 import subprocess
 from dataclasses import dataclass, field
@@ -16,7 +17,7 @@ import numpy as np
 from . import __version__
 from .classification import check_stepsize_separation, direction_pair_benchmark, \
     estimate_tau, f_hat, pd_pf_bounds
-from .decision import decision_sweep, global_desires, oracle_relative_f, \
+from .decision import decision_sweep, global_desires, oracle_relative_f, quorum_table, \
     quorum_prob  # noqa: F401  (perfbench's tracer checks the name is wrapped here too)
 from .diffusion import DIVERGENCE_LIMIT, DivergenceError, check_stepsize_stability, \
     split_matrices
@@ -29,6 +30,7 @@ from .network import AgentEnvironment, ModelPair, Topology, generate_topology, \
 
 MSD_FLOOR_DB = -120.0
 NEVER = math.inf
+METRIC_BLOCK = 64     # iterations whose metric records are computed together
 
 STRATEGIES = ("conventional", "modified")
 RULES = ("uniform", "fast")
@@ -49,9 +51,10 @@ KIND_FIELDS = {"static_two_model": _SIMULATION + ("strategy", "mean_degree", "ru
                                   "bench_trials", "bench_distance")}
 KINDS = tuple(KIND_FIELDS)
 # validate() refuses, before anything is allocated, a config whose float64
-# arrays would pass 2 GiB, and a classify-bench whose ceil(8/nu) steps or
-# steps x trials pass the caps (it would run for hours).
+# arrays would pass 2 GiB, or whose replicas x iterations, or classify-bench
+# ceil(8/nu) steps or steps x trials, pass their caps (it would run for hours).
 MEMORY_BUDGET = 2 * 2 ** 30
+MAX_REPLICA_ITERATIONS = 2 ** 22
 BENCH_MAX_STEPS, BENCH_MAX_DRAWS = 10 ** 5, 10 ** 9
 
 
@@ -144,8 +147,10 @@ class ScenarioConfig:
                     and (np.asarray(self.beta, dtype=float) > 0).all()):
                 raise ConfigError("beta must be a positive number or a list "
                                   "[beta0, beta1] of positive numbers")
-            if self.iterations < 1 or self.replicas < 1:
-                raise ConfigError("iterations and replicas must be positive")
+            if not (self.iterations >= 1 and self.replicas >= 1
+                    and self.replicas * self.iterations <= MAX_REPLICA_ITERATIONS):
+                raise ConfigError("iterations and replicas must be positive, with replicas"
+                                  f" x iterations at most {MAX_REPLICA_ITERATIONS}")
             for value in (self.forced_desired, self.mean_error_vs):
                 if value is not None and not (_is_int(value) and value in (0, 1)):
                     raise ConfigError("forced_desired and mean_error_vs must be "
@@ -181,8 +186,8 @@ class ScenarioConfig:
         if self.kind == "classify_bench":  # regressor draws and both directions
             return 8.0 * 8 * self.M * max(self.bench_trials, 10_000.0)
         N, iters = float(self.N), float(self.iterations)
-        return 8.0 * (16 * iters                          # records and their sums
-                      + (2.0 * self.replicas + 12) * N * N  # final beliefs, step state
+        return 8.0 * (16 * iters + METRIC_BLOCK * (3 * self.M + 3) * N  # records, block
+                      + (2.0 * self.replicas + 14) * N * N  # beliefs, state, quorum table
                       + self.record_beliefs * iters * N * N
                       + (self.mean_error_vs is not None) * 2 * iters * N * self.M
                       + (self.kind == "fish") * 6 * iters * N)   # trajectory
@@ -405,72 +410,89 @@ class _Replica:
         N, M, iters = cfg.N, cfg.M, cfg.iterations
         self.cfg, self.f = cfg, f
         self.stacked = models.stacked()
-        self.beta = np.broadcast_to(np.asarray(cfg.beta, dtype=float), 2)  # per model
+        self.table = quorum_table(N, cfg.K, cfg.beta)
         self.oracle_rel = oracle_relative_f(f) if cfg.oracle_classification else None
         self.conventional = cfg.strategy == "conventional"
         self.w = np.zeros((N, M))
         self.h_hat = np.zeros((N, M))
         self.b = np.full((N, N), 0.5)
-        if cfg.forced_desired is not None:
-            self.g = (f == cfg.forced_desired).astype(int)
-        else:
-            self.g = np.ones(N, dtype=int)
+        self.fhat = self.oracle_rel if self.oracle_rel is not None else f_hat(self.b)
+        forced = cfg.forced_desired
+        self.g = np.ones(N, dtype=int) if forced is None else (f == forced).astype(int)
         self.glob = global_desires(self.g, f)     # validates f once
-        self.f_flip = 1 - f
-        self.rows = np.arange(N)
         self.sq0, self.sq1, self.sqd, self.sqr, self.frac = np.empty((5, iters))
+        self.w_block = np.empty((METRIC_BLOCK, N, M))
+        self.glob_block = np.empty((METRIC_BLOCK, N), dtype=int)
         self.err = np.empty((iters, N, M)) if cfg.mean_error_vs is not None else None
         self.stream = np.empty((iters, N, N)) if cfg.record_beliefs else None
         self.graph = self.trajectory = None       # graph: the adjacency self.links is for
+        self.split_for = (None,) * 3              # the (A, fhat, g) of A1, A2
 
     def step(self, i: int, adj: np.ndarray, A: np.ndarray, u: np.ndarray,
              d: np.ndarray, rng: np.random.Generator) -> None:
         """One network-wide iteration on the graph `adj` with combination
         matrix A, regressors u and measurements d; the quorum uniforms are
-        the only draws taken from rng."""
-        cfg, N = self.cfg, self.cfg.N
+        the only draws taken from rng.  Beliefs, fhat, global desires and the
+        A1/A2 split are recomputed only when their inputs change."""
+        cfg = self.cfg
         update = u * (d - (u * self.w).sum(axis=1))[:, None]
         psi = self.w + cfg.mu * update
         if self.conventional:
             self.w = A.T @ psi
         else:
             if adj is not self.graph:   # a moving school brings a new graph each step
-                self.graph, self.links = adj, adj & ~np.eye(N, dtype=bool)
+                self.graph, self.n_k = adj, adj.sum(axis=1)
+                self.links = adj & ~np.eye(cfg.N, dtype=bool)
             self.h_hat = (1.0 - cfg.nu) * self.h_hat + cfg.nu * update
             far = (self.h_hat ** 2).sum(axis=1) > cfg.eta ** 2
-            active = far[:, None] & far[None, :] & self.links
             # diagonal beliefs are never active, so they stay 0.5 and f_hat
             # reads 1 there
-            np.copyto(self.b, cfg.alpha * self.b
-                      + (1.0 - cfg.alpha) * (self.h_hat @ self.h_hat.T > 0.0),
-                      where=active)
-            fhat = self.oracle_rel if self.oracle_rel is not None else f_hat(self.b)
-            if cfg.forced_desired is None:
-                self.g = decision_sweep(adj, self.g, fhat, cfg.K, rng,
-                                        self.beta[self.glob])
+            if np.count_nonzero(far) > 1:     # else no link is active
+                active = far[:, None] & far[None, :] & self.links
+                if active.any():
+                    same = self.h_hat @ self.h_hat.T > 0.0
+                    np.copyto(self.b, cfg.alpha * self.b + (1.0 - cfg.alpha) * same,
+                              where=active)
+                    if self.oracle_rel is None and not np.array_equal(
+                            fhat := f_hat(self.b), self.fhat):
+                        self.fhat = fhat
+            g = self.g if cfg.forced_desired is not None else decision_sweep(
+                adj, self.g, self.fhat, self.table, rng, self.n_k, self.glob)
             if cfg.rule == "fast":
-                A = _fast_weight_matrix(adj, fhat == self.g[:, None])
-            A1, A2 = split_matrices(A, fhat, self.g)
-            self.w = A1.T @ psi + A2.T @ self.w
+                A = _fast_weight_matrix(adj, self.fhat == g[:, None])
+            if not all(map(operator.is_, (A, self.fhat, g), self.split_for)):
+                self.split_for = (A, self.fhat, g)
+                self.A1, self.A2 = split_matrices(A, self.fhat, g)
+            if g is not self.g:
+                self.g, self.glob = g, global_desires(g, self.f)
+            self.w = self.A1.T @ psi + self.A2.T @ self.w
 
         w = self.w
         if not ((w * w).sum(axis=1).max() <= DIVERGENCE_LIMIT ** 2):
             raise DivergenceError(f"estimate norm exceeded {DIVERGENCE_LIMIT:g} "
                                   f"at iteration {i}")
-        # (N, 2) squared distances; each sum / N is bit for bit ndarray.mean
-        dev = ((w[:, None, :] - self.stacked[None]) ** 2).sum(axis=2)
-        self.sq0[i] = dev[:, 0].sum() / N
-        self.sq1[i] = dev[:, 1].sum() / N
-        if not self.conventional:
-            self.glob = np.where(self.g == 1, self.f, self.f_flip)
-            self.sqd[i] = dev[self.rows, self.glob].sum() / N
-            self.sqr[i] = dev[self.rows, 1 - self.glob].sum() / N
-            share1 = self.glob.sum() / N
-            self.frac[i] = max(share1, 1.0 - share1)
+        j = i % METRIC_BLOCK
+        self.w_block[j], self.glob_block[j] = w, self.glob
+        if j == METRIC_BLOCK - 1 or i == cfg.iterations - 1:
+            self._record(i - j, j + 1)
         if self.err is not None:
             self.err[i] = self.stacked[cfg.mean_error_vs][None, :] - w
         if self.stream is not None:
             self.stream[i] = self.b
+
+    def _record(self, start: int, n: int) -> None:
+        """Metric records of iterations start .. start + n - 1; each sum runs
+        along a contiguous axis, so each is bit for bit that step's mean."""
+        N, span, glob = self.cfg.N, slice(start, start + n), self.glob_block[:n]
+        dev = self.w_block[:n, None] - self.stacked[None, :, None]   # (n, model, N, M)
+        dev = np.square(dev, out=dev).sum(axis=3)
+        self.sq0[span] = dev[:, 0].sum(axis=1) / N
+        self.sq1[span] = dev[:, 1].sum(axis=1) / N
+        if not self.conventional:
+            self.sqd[span] = np.where(glob == 0, dev[:, 0], dev[:, 1]).sum(axis=1) / N
+            self.sqr[span] = np.where(glob == 0, dev[:, 1], dev[:, 0]).sum(axis=1) / N
+            share1 = glob.sum(axis=1) / N
+            self.frac[span] = np.maximum(share1, 1.0 - share1)
 
 
 def _replica_static(cfg, adj, A, env, models, f, rng):

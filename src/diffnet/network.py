@@ -196,15 +196,19 @@ class AgentEnvironment:
     def ru_chol(self) -> np.ndarray:
         return np.linalg.cholesky(self.Ru)
 
+    @cached_property
+    def sigma_v(self) -> np.ndarray:
+        return np.sqrt(self.sigma_v2)
+
 
 def sample_data(z: np.ndarray, env: AgentEnvironment,
                 rng: np.random.Generator):
     """One (d, u) draw per agent from the linear regression model
     d_k = u_k z_k + v_k, for the (N, M) observed models z: the regressors u
-    (N, M) first, then the noise v (N)."""
-    u = rng.standard_normal(z.shape) @ env.ru_chol.T
-    v = np.sqrt(env.sigma_v2) * rng.standard_normal(len(z))
-    return (u * z).sum(axis=1) + v, u
+    (N, M) first, then the noise v (N), in one draw."""
+    draw = rng.standard_normal(z.size + len(z))
+    u = draw[:z.size].reshape(z.shape) @ env.ru_chol.T
+    return (u * z).sum(axis=1) + env.sigma_v * draw[z.size:], u
 
 
 def bias_limit(c: np.ndarray, models: ModelPair, f) -> np.ndarray:

@@ -3,8 +3,8 @@ import pytest
 
 from diffnet.decision import (
     decide, decision_sweep, global_desires, local_agreement_predicate,
-    oracle_relative_f, quorum_prob, quorum_set_size, run_decision_dynamics,
-    translate_neighbor_g,
+    oracle_relative_f, quorum_prob, quorum_set_size, quorum_table,
+    run_decision_dynamics, translate_neighbor_g,
 )
 from diffnet.network import complete_topology, generate_topology
 
@@ -104,9 +104,35 @@ def test_unanimity_is_absorbing():
     f = np.array([0, 0, 0, 1, 1, 1])
     rel = oracle_relative_f(f)
     g = np.where(f == 1, 1, 0)  # everyone desires global model 1
+    table, n_k = quorum_table(6, 2, 1.0), topo.adjacency.sum(axis=1)
     for _ in range(50):
-        g = decision_sweep(topo.adjacency, g, rel, K=2, rng=rng)
+        g = decision_sweep(topo.adjacency, g, rel, table, rng, n_k, 0)
         assert np.array_equal(global_desires(g, f), np.ones(6, dtype=int))
+
+
+def test_quorum_table_matches_quorum_prob():
+    # bit for bit, for every valid count pair and both beta planes, also
+    # where the large exponent needs the ratio form
+    for N, K, beta in ((6, 1, 1.0), (9, 4, [1.0, 3.0]), (40, 200, [0.5, 2.0])):
+        table = quorum_table(N, K, beta)
+        assert table.shape == (2, N + 1, N + 1)
+        for b in (0, 1):
+            for n_k in range(1, N + 1):
+                n_g = np.arange(1, n_k + 1)
+                q = quorum_prob(n_g, n_k, K, np.broadcast_to(beta, 2)[b])
+                assert np.array_equal(table[b, n_k, 1:n_k + 1], q)
+
+
+def test_decision_sweep_without_flips_returns_its_input():
+    topo = generate_topology(10, 4.0, np.random.default_rng(1))
+    g = np.array([1, 0] * 5)
+    rel = oracle_relative_f(np.array([0, 1] * 5))
+    table, n_k = np.ones((2, 11, 11)), topo.adjacency.sum(axis=1)
+    rng = np.random.default_rng(2)
+    assert decision_sweep(topo.adjacency, g, rel, table, rng, n_k, g) is g
+    # a table of zeros flips every agent
+    flipped = decision_sweep(topo.adjacency, g, rel, 0 * table, rng, n_k, g)
+    assert np.array_equal(flipped, 1 - g)
 
 
 def test_run_decision_dynamics_reaches_agreement():

@@ -5,8 +5,9 @@ Each config mutates one to three fields of a small valid base.  Sizes that
 run stay small (N <= 12, iterations <= 30, replicas <= 2, sweep_N <= 30,
 bench_trials <= 500, nu >= 0.01).  The other sizes sit just above a cap:
 above the memory budget even with every other field at the smallest value
-the pools hold, or (nu) just past classify-bench's step cap, so they are
-refused and nothing runs.  The steps x trials cap has no such value: a
+the pools hold, (replicas) just past the replicas x iterations cap at one
+iteration, or (nu) just past classify-bench's step cap, so they are refused
+and nothing runs.  The steps x trials cap has no such value: a
 larger nu in the same config would bring it under the cap and run it.
 """
 import dataclasses
@@ -34,7 +35,7 @@ GENERIC = [None, True, False, "x", "3", [], [1.0], [1.0, "a"], {}, 0, 1, 2, -1,
            0.0, 0.5, 1.5, -0.5, 2.0]
 SPECIFIC = {
     "kind": ["fish", "chain_sweep", "classify_bench", "static_two_model", "bogus"],
-    "N": [2, 3, 5, 12, 4379],
+    "N": [2, 3, 5, 12, 4085],
     "M": [1, 3, 4],
     "w0": [[1.0, 1.0], [0.0, 1.0], [1.0, 0.0, 0.0], [5.0, -5.0, 5.0, 5.0], [None, 1.0]],
     "w1": [[1.0, 0.0], [1e3, -1e3], [5.0, 5.0, -5.0, 5.0], ["a", "b"]],
@@ -48,7 +49,7 @@ SPECIFIC = {
     "K": [1, 7, 50, 200, 1000],
     "beta": [[1.0, 4.0], [0.1, 1e3], [1.0], [0.0, 1.0], 1e-3, 1e3],
     "iterations": [1, 30, 2 ** 24 + 1],
-    "replicas": [2, 2 ** 25],
+    "replicas": [2, 2 ** 22 + 1, 2 ** 25],
     "seed": [0, 7, 2**31, -3],
     "mean_degree": [2, 11.0, 100.0],
     "ru_range": [[0.5, 1.0], [2.0, 1.0], [1.0], [0.0, 1.0], ["a", 1.0]],

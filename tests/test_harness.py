@@ -5,6 +5,7 @@ import math
 import subprocess
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from diffnet.classification import classify_event, f_hat, update_belief, \
 from diffnet.cli import main as cli_main
 from diffnet.decision import decide, global_desires, quorum_prob, \
     quorum_set_size, translate_neighbor_g
-from diffnet.diffusion import atc_adapt, atc_combine, modified_combine, \
-    split_weights
+from diffnet.diffusion import DivergenceError, atc_adapt, atc_combine, \
+    modified_combine, split_matrices, split_weights
 from diffnet.harness import (
     KIND_FIELDS, ConfigError, ScenarioConfig, _fast_weight_matrix, _git_stamp,
     agreement_time, msd_db, preset, run_chain_sweep, run_classify_bench,
@@ -218,32 +219,98 @@ def test_step_matches_per_agent_reference(strategy):
     assert np.abs(tr.final_beliefs[0] - b).max() < 1e-10
 
 
-def test_step_keeps_kernel_invariants(monkeypatch):
-    # after every step of a static and of a fish replica: desires match the
-    # library projection, the metric records equal a fresh ndarray.mean of
-    # the distances, diagonal beliefs never move, and the graph masks belong
-    # to the adjacency of that step (the school's changes as it moves)
-    step, graphs = harness._Replica.step, []
+def _checked_runs(monkeypatch, cfg, check=lambda rep, i, adj, A: None):
+    """Run cfg with check(rep, i, adj, A) after every step; returns, per
+    replica, the replica and copies of its w and glob after each step."""
+    step, runs = harness._Replica.step, {}
 
     def checked(rep, i, adj, A, u, d, rng):
         step(rep, i, adj, A, u, d, rng)
+        check(rep, i, adj, A)
+        ws, globs = runs.setdefault(id(rep), (rep, [], []))[1:]
+        ws.append(rep.w.copy())
+        globs.append(rep.glob.copy())
+
+    monkeypatch.setattr(harness._Replica, "step", checked)
+    run_scenario(cfg)
+    monkeypatch.undo()
+    return list(runs.values())
+
+
+def _assert_records_match_steps(rep, ws, globs):
+    # every record equals a fresh ndarray.mean of that step's distances
+    assert len(ws) == rep.sq0.size
+    for i, (w, glob) in enumerate(zip(ws, globs)):
+        records = [(rep.sq0, rep.stacked[0]), (rep.sq1, rep.stacked[1])]
+        if not rep.conventional:
+            records += [(rep.sqd, rep.stacked[glob]), (rep.sqr, rep.stacked[1 - glob])]
+            share1 = glob.sum() / glob.size
+            assert rep.frac[i] == max(share1, 1.0 - share1)
+        for record, model in records:
+            assert record[i] == ((w - model) ** 2).sum(axis=1).mean()
+
+
+def test_step_keeps_kernel_invariants(monkeypatch):
+    # after every step of a static and of a fish replica: desires match the
+    # library projection, diagonal beliefs never move, the graph masks belong
+    # to the adjacency of that step (the school's changes as it moves), and
+    # the cached fhat and A1/A2 split equal fresh ones; after the run, every
+    # metric record equals the one computed from that step's w and glob
+    graphs = []
+
+    def check(rep, i, adj, A):
         assert np.array_equal(rep.glob, global_desires(rep.g, rep.f))
-        for record, model in ((rep.sq0, rep.stacked[0]), (rep.sq1, rep.stacked[1]),
-                              (rep.sqd, rep.stacked[rep.glob]),
-                              (rep.sqr, rep.stacked[1 - rep.glob])):
-            assert record[i] == ((rep.w - model) ** 2).sum(axis=1).mean()
         assert (np.diag(rep.b) == 0.5).all()
         assert rep.graph is adj
         assert np.array_equal(rep.links, adj & ~np.eye(len(adj), dtype=bool))
+        assert np.array_equal(rep.n_k, adj.sum(axis=1))
+        fresh = rep.oracle_rel if rep.cfg.oracle_classification else f_hat(rep.b)
+        assert np.array_equal(rep.fhat, fresh)
+        if rep.cfg.rule == "fast":
+            A = _fast_weight_matrix(adj, fresh == rep.g[:, None])
+        for cached, expected in zip((rep.A1, rep.A2), split_matrices(A, fresh, rep.g)):
+            assert np.array_equal(cached, expected)
         graphs.append(adj.copy())
 
-    monkeypatch.setattr(harness._Replica, "step", checked)
-    run_scenario(small_config(replicas=1, iterations=30))
+    for cfg in (small_config(replicas=1, iterations=30),
+                small_config(replicas=1, iterations=30, rule="fast"),
+                small_config(replicas=1, iterations=30, oracle_classification=True)):
+        for run in _checked_runs(monkeypatch, cfg, check):
+            _assert_records_match_steps(*run)
     assert all(np.array_equal(adj, graphs[0]) for adj in graphs)
     graphs.clear()
-    run_scenario(small_school(iterations=30, comm_radius=4.0))
+    (run,) = _checked_runs(monkeypatch, small_school(iterations=30, comm_radius=4.0),
+                           check)
+    _assert_records_match_steps(*run)
     assert len(graphs) == 30
     assert not all(np.array_equal(adj, graphs[0]) for adj in graphs)
+
+
+@pytest.mark.parametrize("iterations", [1, 63, 64, 65, 197])
+def test_metric_blocks_match_per_step_records(monkeypatch, iterations):
+    # the records are computed a block of iterations at a time; at and around
+    # the block edges each one still equals the per-step reference
+    for extra in ({}, CONVENTIONAL):
+        cfg = small_config(replicas=2, iterations=iterations, **extra)
+        runs = _checked_runs(monkeypatch, cfg)
+        assert len(runs) == 2
+        for run in runs:
+            _assert_records_match_steps(*run)
+
+
+def test_divergence_mid_block_names_its_iteration(monkeypatch):
+    step = harness._Replica.step
+
+    def poisoned(rep, i, adj, A, u, d, rng):
+        if i == 40:
+            rep.w[:] = np.nan
+        step(rep, i, adj, A, u, d, rng)
+
+    monkeypatch.setattr(harness._Replica, "step", poisoned)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match="at iteration 40$"):
+            run_scenario(small_config(replicas=1, iterations=100))
 
 
 def test_determinism_and_seed_sensitivity():
@@ -485,6 +552,7 @@ def test_cli_simulate_and_exit_codes(tmp_path):
                  id="simulate-size-belief-stream"),
     pytest.param("simulate", {"iterations": 10 ** 9}, id="simulate-size-iterations"),
     pytest.param("simulate", {"replicas": 10 ** 8}, id="simulate-size-replicas"),
+    pytest.param("simulate", {"replicas": 10 ** 6}, id="simulate-size-replica-iterations"),
     pytest.param("analyze-chain", {"sweep_N": [10 ** 6]}, id="analyze-chain-size-sweep_N"),
     pytest.param("classify-bench", {"bench_trials": 10 ** 10},
                  id="classify-bench-size-bench_trials"),
