@@ -90,15 +90,20 @@ def quorum_table(N: int, K: int, beta) -> np.ndarray:
     return quorum_prob(counts, counts[:, None], K, np.broadcast_to(beta, 2)[:, None, None])
 
 
-def decision_sweep(adjacency: np.ndarray, g_local: np.ndarray, f_rel: np.ndarray,
-                   table: np.ndarray, rng: np.random.Generator, n_k: np.ndarray,
-                   plane) -> np.ndarray:
-    """One synchronous quorum-response sweep: agent k keeps its desire with
-    probability table[plane[k], n_k[k], n_g[k]]; g_local itself if none flips."""
+def keep_probabilities(adjacency: np.ndarray, g_local: np.ndarray, f_rel: np.ndarray,
+                       table: np.ndarray, n_k: np.ndarray, plane) -> np.ndarray:
+    """Agent k's probability of keeping its desire, table[plane[k], n_k[k],
+    n_g[k]], with n_g[k] the neighbours (k included) whose desire agrees."""
     # k's translation of g(l) equals g(k) iff "g(l) differs from g(k)" is the
     # opposite of f_rel[k, l] (0/1 entries; same counts as translate_neighbor_g)
     agree = ((g_local[None, :] ^ g_local[:, None]) != f_rel) & adjacency
-    keep = rng.random(g_local.size) < table[plane, n_k, np.add.reduce(agree, axis=1)]
+    return table[plane, n_k, np.add.reduce(agree, axis=1)]
+
+
+def decision_sweep(g_local: np.ndarray, q: np.ndarray, rng: np.random.Generator):
+    """One synchronous quorum-response sweep: agent k keeps its desire with
+    probability q[k] (one uniform each); g_local itself if none flips."""
+    keep = rng.random(g_local.size) < q
     return g_local if keep.all() else np.where(keep, g_local, 1 - g_local)
 
 
@@ -119,5 +124,5 @@ def run_decision_dynamics(topology: Topology, f, K: int,
         glob = global_desires(g, f)
         if (glob == glob[0]).all():
             return int(glob[0]), i, g
-        g = decision_sweep(adj, g, f_rel, table, rng, n_k, 0)
+        g = decision_sweep(g, keep_probabilities(adj, g, f_rel, table, n_k, 0), rng)
     return None, AGREEMENT_SWEEP_CAP, g

@@ -17,7 +17,8 @@ import numpy as np
 from . import __version__
 from .classification import check_stepsize_separation, direction_pair_benchmark, \
     estimate_tau, f_hat, pd_pf_bounds
-from .decision import decision_sweep, global_desires, oracle_relative_f, quorum_table, \
+from .decision import decision_sweep, global_desires, keep_probabilities, \
+    oracle_relative_f, quorum_table, \
     quorum_prob  # noqa: F401  (perfbench's tracer checks the name is wrapped here too)
 from .diffusion import DIVERGENCE_LIMIT, DivergenceError, check_stepsize_stability, \
     split_matrices
@@ -187,7 +188,7 @@ class ScenarioConfig:
             return 8.0 * 8 * self.M * max(self.bench_trials, 10_000.0)
         N, iters = float(self.N), float(self.iterations)
         return 8.0 * (16 * iters + METRIC_BLOCK * (3 * self.M + 3) * N  # records, block
-                      + (2.0 * self.replicas + 14) * N * N  # beliefs, state, quorum table
+                      + (2.0 * self.replicas + 16) * N * N  # beliefs, state, table, links
                       + self.record_beliefs * iters * N * N
                       + (self.mean_error_vs is not None) * 2 * iters * N * self.M
                       + (self.kind == "fish") * 6 * iters * N)   # trajectory
@@ -197,8 +198,10 @@ class ScenarioConfig:
         graph; its graph and sensing come from comm_radius and motion."""
         if self.M != 2:
             raise ConfigError("fish scenario is planar (M = 2)")
-        if not self.arena >= 0:
-            raise ConfigError("arena must be non-negative")
+        if not 0 <= self.arena < math.inf:
+            raise ConfigError("arena must be non-negative and finite")
+        if not 0 < self.comm_radius < math.inf:
+            raise ConfigError("comm_radius must be positive and finite")
         try:
             MotionParams(**self.motion)
         except (TypeError, ValueError) as exc:
@@ -426,45 +429,52 @@ class _Replica:
         self.err = np.empty((iters, N, M)) if cfg.mean_error_vs is not None else None
         self.stream = np.empty((iters, N, N)) if cfg.record_beliefs else None
         self.graph = self.trajectory = None       # graph: the adjacency self.links is for
-        self.split_for = (None,) * 3              # the (A, fhat, g) of A1, A2
+        self.key = (None,) * 4                    # the (adj, A, fhat, g) of q and A1, A2
 
     def step(self, i: int, adj: np.ndarray, A: np.ndarray, u: np.ndarray,
              d: np.ndarray, rng: np.random.Generator) -> None:
         """One network-wide iteration on the graph `adj` with combination
         matrix A, regressors u and measurements d; the quorum uniforms are
-        the only draws taken from rng.  Beliefs, fhat, global desires and the
-        A1/A2 split are recomputed only when their inputs change."""
+        the only draws taken from rng.  Only active links (both ends in the
+        far field, listed again for a new graph object or far set) update
+        their beliefs; fhat changes when one crosses 0.5, the global desires
+        when g flips, and q, the fast weights and the A1/A2 split are rebuilt,
+        when next used, once (adj, A, fhat, g) are not the same objects."""
         cfg = self.cfg
         update = u * (d - (u * self.w).sum(axis=1))[:, None]
         psi = self.w + cfg.mu * update
         if self.conventional:
             self.w = A.T @ psi
         else:
-            if adj is not self.graph:   # a moving school brings a new graph each step
-                self.graph, self.n_k = adj, adj.sum(axis=1)
+            if adj is not self.graph:   # the school brings a new one when its graph changes
+                self.graph, self.n_k, self.far = adj, adj.sum(axis=1), None
                 self.links = adj & ~np.eye(cfg.N, dtype=bool)
             self.h_hat = (1.0 - cfg.nu) * self.h_hat + cfg.nu * update
             far = (self.h_hat ** 2).sum(axis=1) > cfg.eta ** 2
-            # diagonal beliefs are never active, so they stay 0.5 and f_hat
-            # reads 1 there
-            if np.count_nonzero(far) > 1:     # else no link is active
-                active = far[:, None] & far[None, :] & self.links
-                if active.any():
-                    same = self.h_hat @ self.h_hat.T > 0.0
-                    np.copyto(self.b, cfg.alpha * self.b + (1.0 - cfg.alpha) * same,
-                              where=active)
-                    if self.oracle_rel is None and not np.array_equal(
-                            fhat := f_hat(self.b), self.fhat):
-                        self.fhat = fhat
-            g = self.g if cfg.forced_desired is not None else decision_sweep(
-                adj, self.g, self.fhat, self.table, rng, self.n_k, self.glob)
-            if cfg.rule == "fast":
-                A = _fast_weight_matrix(adj, self.fhat == g[:, None])
-            if not all(map(operator.is_, (A, self.fhat, g), self.split_for)):
-                self.split_for = (A, self.fhat, g)
-                self.A1, self.A2 = split_matrices(A, self.fhat, g)
-            if g is not self.g:
-                self.g, self.glob = g, global_desires(g, self.f)
+            if self.far is None or not np.array_equal(far, self.far):
+                # flat indices of the links with both ends in the far field;
+                # diagonal beliefs are never active, so they stay 0.5
+                self.far, self.active = far, np.flatnonzero(far[:, None] & far & self.links)
+            if self.active.size:
+                same = (self.h_hat @ self.h_hat.T > 0.0).take(self.active)
+                old = self.b.take(self.active)
+                new = cfg.alpha * old + (1.0 - cfg.alpha) * same
+                self.b.put(self.active, new)
+                if self.oracle_rel is None and ((new >= 0.5) != (old >= 0.5)).any():
+                    self.fhat = f_hat(self.b)
+            self._drop_stale(adj, A)
+            if cfg.forced_desired is None:
+                if self.q is None:
+                    self.q = keep_probabilities(adj, self.g, self.fhat, self.table,
+                                                self.n_k, self.glob)
+                g = decision_sweep(self.g, self.q, rng)
+                if g is not self.g:
+                    self.g, self.glob = g, global_desires(g, self.f)
+                    self._drop_stale(adj, A)
+            if self.A1 is None:
+                if cfg.rule == "fast":
+                    A = _fast_weight_matrix(adj, self.fhat == self.g[:, None])
+                self.A1, self.A2 = split_matrices(A, self.fhat, self.g)
             self.w = self.A1.T @ psi + self.A2.T @ self.w
 
         w = self.w
@@ -479,6 +489,12 @@ class _Replica:
             self.err[i] = self.stacked[cfg.mean_error_vs][None, :] - w
         if self.stream is not None:
             self.stream[i] = self.b
+
+    def _drop_stale(self, adj: np.ndarray, A: np.ndarray) -> None:
+        """Drop q and the A1/A2 split unless (adj, A, fhat, g) are the same objects."""
+        key = (adj, A, self.fhat, self.g)
+        if not all(map(operator.is_, key, self.key)):
+            self.key, self.q, self.A1 = key, None, None
 
     def _record(self, start: int, n: int) -> None:
         """Metric records of iterations start .. start + n - 1; each sum runs
@@ -506,18 +522,20 @@ def _replica_static(cfg, adj, A, env, models, f, rng):
 
 
 def _replica_fish(cfg, params, models, f, rng):
-    """Moving agents: radius graph, range/bearing sensing of each agent's own
-    target, then motion toward the new estimate."""
+    """Moving agents: radius graph (new objects only when it changes, so the
+    step keeps its caches meanwhile), range/bearing sensing of each agent's
+    own target, then motion toward the new estimate."""
     rep = _Replica(cfg, models, f)
     z = models.observed(f)
     x = rng.uniform(-cfg.arena / 2.0, cfg.arena / 2.0, (cfg.N, 2))
-    vel = np.zeros((cfg.N, 2))
+    vel, adj = np.zeros((cfg.N, 2)), None
     u = np.tile(np.array([1.0, 0.0]), (cfg.N, 1))
     rep.trajectory = trajectory = np.empty((cfg.iterations, cfg.N, 6))
 
     for i in range(cfg.iterations):
-        adj = radius_adjacency(x, cfg.comm_radius)
-        A = adj / adj.sum(axis=0)[None, :]
+        graph = radius_adjacency(x, cfg.comm_radius)
+        if not np.array_equal(graph, adj):   # same objects while the graph holds
+            adj, A = graph, graph / graph.sum(axis=0)[None, :]
         d, u = measure_target(x, u, z, params.kappa, params.sigma_angle, rng)
         rep.step(i, adj, A, u, d, rng)
         x, vel = update_motion(x, vel, rep.w, A, cohesion_all(x, adj, params.d_s),

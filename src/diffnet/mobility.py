@@ -1,6 +1,7 @@
 """Fish-schooling motion model with noisy range/bearing target measurements."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,15 +18,13 @@ class MotionParams:
     sigma_angle: float = 0.05  # bearing noise (radians, std dev)
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.d_s <= 0:
-            raise ValueError("safe distance must be positive")
-        if self.kappa <= 0:
-            raise ValueError("noise scale must be positive")
-        for name in ("lam", "beta", "gamma"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        # NaN fails every comparison, so it is refused as well
+        for name in ("dt", "d_s", "kappa"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        for name in ("lam", "beta", "gamma", "sigma_angle"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
 
 
 def cohesion_term(k: int, positions: np.ndarray, adjacency: np.ndarray,

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from diffnet.decision import (
-    decide, decision_sweep, global_desires, local_agreement_predicate,
-    oracle_relative_f, quorum_prob, quorum_set_size, quorum_table,
-    run_decision_dynamics, translate_neighbor_g,
+    decide, decision_sweep, global_desires, keep_probabilities,
+    local_agreement_predicate, oracle_relative_f, quorum_prob, quorum_set_size,
+    quorum_table, run_decision_dynamics, translate_neighbor_g,
 )
 from diffnet.network import complete_topology, generate_topology
 
@@ -106,7 +106,8 @@ def test_unanimity_is_absorbing():
     g = np.where(f == 1, 1, 0)  # everyone desires global model 1
     table, n_k = quorum_table(6, 2, 1.0), topo.adjacency.sum(axis=1)
     for _ in range(50):
-        g = decision_sweep(topo.adjacency, g, rel, table, rng, n_k, 0)
+        q = keep_probabilities(topo.adjacency, g, rel, table, n_k, 0)
+        g = decision_sweep(g, q, rng)
         assert np.array_equal(global_desires(g, f), np.ones(6, dtype=int))
 
 
@@ -129,10 +130,11 @@ def test_decision_sweep_without_flips_returns_its_input():
     rel = oracle_relative_f(np.array([0, 1] * 5))
     table, n_k = np.ones((2, 11, 11)), topo.adjacency.sum(axis=1)
     rng = np.random.default_rng(2)
-    assert decision_sweep(topo.adjacency, g, rel, table, rng, n_k, g) is g
+    q = keep_probabilities(topo.adjacency, g, rel, table, n_k, g)
+    assert decision_sweep(g, q, rng) is g
     # a table of zeros flips every agent
-    flipped = decision_sweep(topo.adjacency, g, rel, 0 * table, rng, n_k, g)
-    assert np.array_equal(flipped, 1 - g)
+    q = keep_probabilities(topo.adjacency, g, rel, 0 * table, n_k, g)
+    assert np.array_equal(decision_sweep(g, q, rng), 1 - g)
 
 
 def test_run_decision_dynamics_reaches_agreement():

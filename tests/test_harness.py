@@ -1,7 +1,9 @@
+import collections
 import csv
 import dataclasses
 import json
 import math
+import operator
 import subprocess
 import time
 import tracemalloc
@@ -219,19 +221,26 @@ def test_step_matches_per_agent_reference(strategy):
     assert np.abs(tr.final_beliefs[0] - b).max() < 1e-10
 
 
-def _checked_runs(monkeypatch, cfg, check=lambda rep, i, adj, A: None):
-    """Run cfg with check(rep, i, adj, A) after every step; returns, per
+def _checked_runs(monkeypatch, cfg, check=lambda rep, i, adj, A, sweeps: None):
+    """Run cfg with check(rep, i, adj, A, sweeps) after every step, where
+    sweeps lists the (g, q) of each quorum sweep of that step; returns, per
     replica, the replica and copies of its w and glob after each step."""
-    step, runs = harness._Replica.step, {}
+    step, sweep, runs, sweeps = harness._Replica.step, harness.decision_sweep, {}, []
+
+    def recorded(g, q, rng):
+        sweeps.append((g, q))
+        return sweep(g, q, rng)
 
     def checked(rep, i, adj, A, u, d, rng):
+        sweeps.clear()
         step(rep, i, adj, A, u, d, rng)
-        check(rep, i, adj, A)
+        check(rep, i, adj, A, sweeps)
         ws, globs = runs.setdefault(id(rep), (rep, [], []))[1:]
         ws.append(rep.w.copy())
         globs.append(rep.glob.copy())
 
     monkeypatch.setattr(harness._Replica, "step", checked)
+    monkeypatch.setattr(harness, "decision_sweep", recorded)
     run_scenario(cfg)
     monkeypatch.undo()
     return list(runs.values())
@@ -250,28 +259,78 @@ def _assert_records_match_steps(rep, ws, globs):
             assert record[i] == ((w - model) ** 2).sum(axis=1).mean()
 
 
-def test_step_keeps_kernel_invariants(monkeypatch):
-    # after every step of a static and of a fish replica: desires match the
-    # library projection, diagonal beliefs never move, the graph masks belong
-    # to the adjacency of that step (the school's changes as it moves), and
-    # the cached fhat and A1/A2 split equal fresh ones; after the run, every
-    # metric record equals the one computed from that step's w and glob
-    graphs = []
+def _step_checker(graphs):
+    """check(rep, i, adj, A, sweeps) for after every step, and the counts it
+    keeps.
 
-    def check(rep, i, adj, A):
+    It asserts that the desires match the library projection, diagonal
+    beliefs never move, the graph masks belong to the adjacency of that step
+    (the school's changes as it moves), b is the dense masked update of the
+    previous b on the far-field links, and the active links, fhat, the
+    cache key, the q each sweep used, the cached q (unless a flip dropped
+    it), and the A1/A2 split and the combination matrix it splits equal
+    fresh ones.  counts[name, True] counts the steps that kept the object of
+    the step before and counts[name, False] those that replaced it."""
+    counts, last = collections.Counter(), {}
+
+    def check(rep, i, adj, A, sweeps):
+        cfg, prev = rep.cfg, last.get(id(rep))
         assert np.array_equal(rep.glob, global_desires(rep.g, rep.f))
         assert (np.diag(rep.b) == 0.5).all()
         assert rep.graph is adj
         assert np.array_equal(rep.links, adj & ~np.eye(len(adj), dtype=bool))
         assert np.array_equal(rep.n_k, adj.sum(axis=1))
-        fresh = rep.oracle_rel if rep.cfg.oracle_classification else f_hat(rep.b)
+        # the belief update as a dense masked copyto of the previous beliefs
+        prev_b = prev["b"] if prev else np.full_like(rep.b, 0.5)
+        far = (rep.h_hat ** 2).sum(axis=1) > cfg.eta ** 2
+        active = far[:, None] & far[None, :] & rep.links
+        expected = prev_b.copy()
+        np.copyto(expected, cfg.alpha * prev_b + (1.0 - cfg.alpha)
+                  * (rep.h_hat @ rep.h_hat.T > 0.0), where=active)
+        assert np.array_equal(rep.b, expected)
+        assert np.array_equal(rep.active, np.flatnonzero(active))
+        fresh = rep.oracle_rel if cfg.oracle_classification else f_hat(rep.b)
         assert np.array_equal(rep.fhat, fresh)
-        if rep.cfg.rule == "fast":
+        assert all(map(operator.is_, rep.key, (adj, A, rep.fhat, rep.g)))
+
+        def fresh_q(g):
+            # n_g from the per-agent translation, self included
+            translated = np.where(fresh == 1, g[None, :], 1 - g[None, :])
+            n_g = ((translated == g[:, None]) & adj).sum(axis=1)
+            return rep.table[global_desires(g, rep.f), adj.sum(axis=1), n_g]
+
+        assert len(sweeps) == (cfg.forced_desired is None)
+        for g, q in sweeps:
+            assert np.array_equal(q, fresh_q(g))
+        if rep.q is not None:
+            assert np.array_equal(rep.q, fresh_q(rep.g))
+        else:   # the sweep flipped g, and q is rebuilt when next used
+            assert sweeps[0][0] is not rep.g
+        if cfg.rule == "fast":
             A = _fast_weight_matrix(adj, fresh == rep.g[:, None])
+        assert np.array_equal(rep.A1 + rep.A2, A)
         for cached, expected in zip((rep.A1, rep.A2), split_matrices(A, fresh, rep.g)):
             assert np.array_equal(cached, expected)
         graphs.append(adj.copy())
+        now = dict(b=rep.b.copy(), far=rep.far, active=rep.active, fhat=rep.fhat,
+                   glob=rep.glob, key=rep.key, A1=rep.A1,
+                   q=sweeps[0][1] if sweeps else None)
+        if prev:
+            for name in ("active", "fhat", "glob", "key", "A1", "q"):
+                counts[name, now[name] is prev[name]] += 1
+            crossed = ((rep.b >= 0.5) != (prev_b >= 0.5)).any()
+            counts["crossing, far set kept"] += bool(crossed and rep.far is prev["far"])
+        last[id(rep)] = now
 
+    return check, counts
+
+
+def test_step_keeps_kernel_invariants(monkeypatch):
+    # _step_checker's assertions after every step of a static and of a fish
+    # replica; after the run, every metric record equals the one computed
+    # from that step's w and glob
+    graphs = []
+    check, _ = _step_checker(graphs)
     for cfg in (small_config(replicas=1, iterations=30),
                 small_config(replicas=1, iterations=30, rule="fast"),
                 small_config(replicas=1, iterations=30, oracle_classification=True)):
@@ -284,6 +343,31 @@ def test_step_keeps_kernel_invariants(monkeypatch):
     _assert_records_match_steps(*run)
     assert len(graphs) == 30
     assert not all(np.array_equal(adj, graphs[0]) for adj in graphs)
+
+
+@pytest.mark.parametrize("cfg", [
+    pytest.param(dict(), id="uniform"),
+    pytest.param(dict(rule="fast"), id="fast"),
+    pytest.param(dict(school=True), id="school"),
+])
+def test_step_caches_are_reused_and_rebuilt(monkeypatch, cfg):
+    # runs long enough that each cache of the step is kept on some steps and
+    # rebuilt on others, with every cached value checked against a fresh one
+    # after every step, and a belief crossing 0.5 on some step that keeps
+    # the far set.  The school passes a new graph only when its radius graph
+    # changes, so its caches are kept in between
+    graphs = []
+    check, counts = _step_checker(graphs)
+    moving = cfg.pop("school", False)
+    run_cfg = (small_school(iterations=400, comm_radius=4.0) if moving
+               else small_config(replicas=1, iterations=400, **cfg))
+    _checked_runs(monkeypatch, run_cfg, check)
+    for name in ("active", "fhat", "glob", "key", "A1", "q"):
+        assert counts[name, True] + counts[name, False] == 399
+        assert counts[name, True] > 0 and counts[name, False] > 0
+    assert counts["crossing, far set kept"] > 0
+    changed = sum(not np.array_equal(a, b) for a, b in zip(graphs, graphs[1:]))
+    assert (changed > 0) == moving
 
 
 @pytest.mark.parametrize("iterations", [1, 63, 64, 65, 197])
@@ -557,6 +641,15 @@ def test_cli_simulate_and_exit_codes(tmp_path):
     pytest.param("classify-bench", {"bench_trials": 10 ** 10},
                  id="classify-bench-size-bench_trials"),
     pytest.param("classify-bench", {"nu": 1e-7}, id="classify-bench-size-nu"),
+    # the school's geometry and motion must be finite (JSON Infinity and NaN)
+    pytest.param("fish", {"arena": math.inf}, id="fish-arena-inf"),
+    pytest.param("fish", {"comm_radius": -1.0}, id="fish-comm_radius-negative"),
+    pytest.param("fish", {"comm_radius": 0.0}, id="fish-comm_radius-zero"),
+    pytest.param("fish", {"comm_radius": math.nan}, id="fish-comm_radius-nan"),
+    pytest.param("fish", {"comm_radius": math.inf}, id="fish-comm_radius-inf"),
+    pytest.param("fish", {"motion": {"dt": math.nan}}, id="fish-motion-dt-nan"),
+    pytest.param("fish", {"motion": {"kappa": math.inf}}, id="fish-motion-kappa-inf"),
+    pytest.param("fish", {"motion": {"lam": math.nan}}, id="fish-motion-lam-nan"),
 ], ids=lambda v: "-".join(v) if isinstance(v, dict) else v)
 def test_cli_refuses_bad_config(tmp_path, command, overrides):
     # overrides are config fields, "--" CLI flags, or the whole file as bytes;
@@ -564,6 +657,9 @@ def test_cli_refuses_bad_config(tmp_path, command, overrides):
     doc = {"simulate": dict(N=8, M=2, w0=[1.0, 0.0], w1=[0.0, 1.0], split=4,
                             mu=0.02, nu=0.2, alpha=0.9, eta=0.3, K=2, iterations=10,
                             replicas=1, seed=5, mean_degree=4.0),
+           "fish": dict(kind="fish", N=8, M=2, w0=[10.0, 10.0], w1=[-10.0, 10.0],
+                        split=4, mu=0.02, nu=0.2, eta=1.0, iterations=20, replicas=1,
+                        comm_radius=8.0, motion=dict(dt=0.1, kappa=0.01)),
            "analyze-chain": dict(kind="chain_sweep", sweep_N=[4], sweep_K=[1]),
            "classify-bench": dict(kind="classify_bench", bench_trials=200)}[command]
     flags, text = [], overrides
