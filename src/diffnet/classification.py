@@ -136,7 +136,10 @@ def direction_pair_benchmark(z_k, z_l, w, env: AgentEnvironment, nu: float,
         for idx, z in enumerate((z_k, z_l)):
             u = rng.standard_normal((trials, env.M)) @ chol
             resid = u @ (z - w) + sig * rng.standard_normal(trials)
-            h[idx] = (1.0 - nu) * h[idx] + nu * u * resid[:, None]
+            u *= nu                   # (1 - nu) h + nu u resid, in place
+            u *= resid[:, None]
+            h[idx] *= 1.0 - nu
+            h[idx] += u
 
     far_k = (h[0] ** 2).sum(axis=1) > eta ** 2
     far_l = (h[1] ** 2).sum(axis=1) > eta ** 2

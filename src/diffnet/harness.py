@@ -24,8 +24,8 @@ from .diffusion import DIVERGENCE_LIMIT, DivergenceError, check_stepsize_stabili
     split_matrices
 from .markov import absorption_time_distribution, build_meanfield_chain, \
     transient_spectral_radius
-from .mobility import MotionParams, cohesion_all, measure_target, radius_adjacency, \
-    update_motion
+from .mobility import MotionParams, cohesion_all, measure_target, pairwise_offsets, \
+    radius_adjacency, update_motion
 from .network import AgentEnvironment, ModelPair, Topology, generate_topology, \
     sample_data, uniform_weights
 
@@ -182,7 +182,7 @@ class ScenarioConfig:
     def _estimated_bytes(self) -> float:
         """Bytes of the float64 arrays a run of this (validated) config
         allocates, to within a small factor."""
-        if self.kind == "chain_sweep":     # P, its row factors, (I - Q)^-1
+        if self.kind == "chain_sweep":     # P, its half-height row factors, I - Q, its LU
             return 8.0 * 5 * (max(self.sweep_N) + 1.0) ** 2
         if self.kind == "classify_bench":  # regressor draws and both directions
             return 8.0 * 8 * self.M * max(self.bench_trials, 10_000.0)
@@ -533,13 +533,14 @@ def _replica_fish(cfg, params, models, f, rng):
     rep.trajectory = trajectory = np.empty((cfg.iterations, cfg.N, 6))
 
     for i in range(cfg.iterations):
-        graph = radius_adjacency(x, cfg.comm_radius)
+        diff, dist = pairwise_offsets(x)     # x moves only after cohesion_all
+        graph = radius_adjacency(dist, cfg.comm_radius)
         if not np.array_equal(graph, adj):   # same objects while the graph holds
             adj, A = graph, graph / graph.sum(axis=0)[None, :]
         d, u = measure_target(x, u, z, params.kappa, params.sigma_angle, rng)
         rep.step(i, adj, A, u, d, rng)
-        x, vel = update_motion(x, vel, rep.w, A, cohesion_all(x, adj, params.d_s),
-                               params)
+        x, vel = update_motion(x, vel, rep.w, A,
+                               cohesion_all(diff, dist, adj, params.d_s), params)
         trajectory[i, :, 0:2] = x
         trajectory[i, :, 2:4] = vel
         trajectory[i, :, 4] = rep.glob

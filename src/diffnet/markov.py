@@ -28,7 +28,12 @@ class ChainSizeError(ValueError):
 @dataclass(frozen=True)
 class DecisionChain:
     """Right-stochastic transition matrix whose first and last states are
-    the two absorbing ones (unanimity) and all others transient."""
+    the two absorbing ones (unanimity) and all others transient.
+
+    Both builders order the states so that swapping the two models reverses
+    them (count n <-> N - n, configuration s <-> its bit complement), and P
+    equals P[::-1, ::-1] bit for bit; transient_spectral_radius relies on it.
+    """
 
     P: np.ndarray
     states: np.ndarray        # exact: (S, N) binary configs; meanfield: counts
@@ -81,23 +86,31 @@ def build_exact_chain(topology: Topology, K: int) -> DecisionChain:
 
 def build_meanfield_chain(N: int, K: int) -> DecisionChain:
     """Count chain over n in {0..N}: every agent independently picks model 1
-    with probability q_n = n^K / (n^K + (N-n)^K), so rows are binomial."""
+    with probability q_n = n^K / (n^K + (N-n)^K), so rows are binomial.
+
+    q_{N-n} = 1 - q_n, so row N - n is row n reversed: rows 1..N//2 are
+    computed and the rest mirrored, which makes P exactly reversal-symmetric.
+    """
     if N < 2:
         raise ValueError("N must be at least 2")
     # binomial rows in log space: C(N, m) overflows a float beyond N ~ 1029;
     # log C(N, m) sums log((N - j + 1) / j) over j <= m
     m = np.arange(N + 1)
     log_binom = np.concatenate(([0.0], np.cumsum(np.log(N + 1 - m[1:]) - np.log(m[1:]))))
-    q = quorum_prob(m[1:N], N, K)[:, None]
+    h = N // 2
+    q = quorum_prob(m[1:h + 1], N, K)[:, None]
     P = np.zeros((N + 1, N + 1))
-    P[0, 0] = P[N, N] = 1.0
+    P[0, 0] = 1.0
     # a zero exponent contributes 0, also where q rounds to 1 and log1p(-q) is -inf
-    shape = (N - 1, N + 1)
+    shape = (h, N + 1)
     with np.errstate(divide="ignore"):
         log_q, log_1mq = np.log(q), np.log1p(-q)
     log_hits = np.multiply(m, log_q, out=np.zeros(shape), where=m > 0)
     log_misses = np.multiply(N - m, log_1mq, out=np.zeros(shape), where=m < N)
-    P[1:N] = np.exp(log_binom + log_hits + log_misses)
+    P[1:h + 1] = np.exp(log_binom + log_hits + log_misses)
+    if N % 2 == 0:             # the centre row (q = 1/2) equals its reverse
+        P[h] = (P[h] + P[h, ::-1]) / 2
+    P[N:h:-1] = P[:N - h, ::-1]   # rows N, N-1, .., h+1 from rows 0, 1, ..
     return DecisionChain(P, m)
 
 
@@ -114,9 +127,24 @@ def count_ratio(a: float, b: float, N: int, x: float) -> float:
 
 
 def transient_spectral_radius(chain: DecisionChain) -> float:
-    if chain.Q.size == 0:
+    """rho(Q) from Q folded onto the reversal-symmetric vectors.
+
+    Q commutes with the reversal J, and for a Perron vector x of the
+    nonnegative Q so is Jx, so x + Jx is a symmetric one: rho(Q) is the
+    radius of Q restricted to v = Jv, the half-size matrix that keeps the
+    first ceil(n/2) rows and adds column n-1-j into column j.  A Q that is
+    not symmetric is refused.
+    """
+    Q = chain.Q
+    n = len(Q)
+    if n == 0:
         raise ValueError("chain has no transient states")
-    return spectral_radius(chain.Q)
+    if not np.array_equal(Q, Q[::-1, ::-1]):
+        raise ValueError("Q is not symmetric under swapping the two models")
+    c, f = (n + 1) // 2, n // 2
+    fold = Q[:c, :c].copy()
+    fold[:, :f] += Q[:c, ::-1][:, :f]
+    return spectral_radius(fold)
 
 
 def rate_identity_residual(chain: DecisionChain) -> float:
@@ -160,16 +188,17 @@ def absorption_time_distribution(chain: DecisionChain,
                                  start: int | None = None,
                                  trials: int = 0,
                                  rng: np.random.Generator | None = None) -> dict:
-    """Expected steps to absorption from each transient state via the
-    fundamental matrix (I - Q)^{-1} 1, with an optional Monte Carlo check."""
+    """Expected steps to absorption from each transient state, (I - Q)^{-1} 1,
+    and the absorption probabilities (I - Q)^{-1} [b c], from one solve;
+    with an optional Monte Carlo check."""
     Q = chain.Q
     n_t = Q.shape[0]
+    rhs = np.column_stack([np.ones(n_t), chain.absorption_columns])
     try:
-        fundamental = np.linalg.inv(np.eye(n_t) - Q)
+        solved = np.linalg.solve(np.eye(n_t) - Q, rhs)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError("(I - Q) is singular; chain is not absorbing") from exc
-    expected = fundamental @ np.ones(n_t)
-    absorb_prob = fundamental @ chain.absorption_columns
+    expected, absorb_prob = solved[:, 0], solved[:, 1:]
 
     out = {"expected_steps": expected, "absorb_prob": absorb_prob}
     if start is not None:

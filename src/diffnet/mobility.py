@@ -48,13 +48,20 @@ def cohesion_term(k: int, positions: np.ndarray, adjacency: np.ndarray,
     return out / neigh.size
 
 
-def cohesion_all(positions: np.ndarray, adjacency: np.ndarray,
-                 d_s: float) -> np.ndarray:
-    """Vectorized spacing terms for every agent, (N, 2)."""
+def pairwise_offsets(positions: np.ndarray):
+    """Offsets diff[l, k, :] = x_l - x_k, (N, N, 2), and their norms dist,
+    (N, N): the one distance table a school step shares between
+    radius_adjacency and cohesion_all."""
     positions = np.asarray(positions, dtype=float)
+    diff = positions[:, None, :] - positions[None, :, :]
+    return diff, np.linalg.norm(diff, axis=2)
+
+
+def cohesion_all(diff: np.ndarray, dist: np.ndarray, adjacency: np.ndarray,
+                 d_s: float) -> np.ndarray:
+    """Vectorized spacing terms for every agent, (N, 2), from the
+    pairwise_offsets table of the positions."""
     adjacency = np.asarray(adjacency, dtype=bool)
-    diff = positions[:, None, :] - positions[None, :, :]   # [l, k, :] = x_l - x_k
-    dist = np.linalg.norm(diff, axis=2)
     mask = adjacency.copy()
     np.fill_diagonal(mask, False)
     weight = np.where(mask & (dist > 0), (dist - d_s) / np.where(dist > 0, dist, 1.0), 0.0)
@@ -100,11 +107,9 @@ def measure_target(x: np.ndarray, prev_u: np.ndarray, w_true: np.ndarray,
     return (u * w_true).sum(axis=1) + noise, u
 
 
-def radius_adjacency(positions: np.ndarray, radius: float) -> np.ndarray:
-    """Communication-radius adjacency with self-loops."""
-    positions = np.asarray(positions, dtype=float)
-    diff = positions[:, None, :] - positions[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
+def radius_adjacency(dist: np.ndarray, radius: float) -> np.ndarray:
+    """Communication-radius adjacency with self-loops, from the pairwise
+    distances (pairwise_offsets)."""
     adj = dist <= radius
     np.fill_diagonal(adj, True)
     return adj

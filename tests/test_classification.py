@@ -110,3 +110,34 @@ def test_direction_benchmark_far_vs_near():
     with pytest.raises(ValueError):     # the pair shares one noise variance
         direction_pair_benchmark(z, z, z, AgentEnvironment(np.eye(2), [0.01, 0.02]),
                                  nu=0.05, eta=1.0, trials=10, rng=rng)
+
+
+def _out_of_place_benchmark(z_k, z_l, w, env, nu, eta, trials, rng):
+    """direction_pair_benchmark with its former out-of-place update."""
+    (sig,) = env.sigma_v
+    chol = env.ru_chol.T
+    h = [np.zeros((trials, env.M)), np.zeros((trials, env.M))]
+    for _ in range(math.ceil(8.0 / nu)):
+        for idx, z in enumerate((z_k, z_l)):
+            u = rng.standard_normal((trials, env.M)) @ chol
+            resid = u @ (z - w) + sig * rng.standard_normal(trials)
+            h[idx] = (1.0 - nu) * h[idx] + nu * u * resid[:, None]
+    far_k = (h[0] ** 2).sum(axis=1) > eta ** 2
+    far_l = (h[1] ** 2).sum(axis=1) > eta ** 2
+    inner = (h[0] * h[1]).sum(axis=1)
+    both = far_k & far_l
+    return {"p_far_k": float(far_k.mean()), "p_far_l": float(far_l.mean()),
+            "p_e1": float((both & (inner > 0)).mean()),
+            "p_e1c": float((both & (inner <= 0)).mean())}
+
+
+def test_direction_benchmark_in_place_update_is_bit_identical():
+    env = AgentEnvironment(Ru=np.diag([1.0, 1.5, 2.0]), sigma_v2=[0.05])
+    z_k, z_l = np.array([1.0, -0.5, 0.3]), np.array([-0.2, 0.4, 0.1])
+    w = np.array([0.3, 0.1, -0.2])
+    args = (z_k, z_l, w, env, 0.07, 0.9, 3000)
+    got = direction_pair_benchmark(*args, rng=np.random.default_rng(11))
+    want = _out_of_place_benchmark(*args, rng=np.random.default_rng(11))
+    assert 0.0 < got["p_e1"] < got["p_far_k"] < 1.0     # rates away from 0 and 1
+    for key in ("p_far_k", "p_far_l", "p_e1", "p_e1c"):
+        assert np.array_equal(got[key], want[key])

@@ -312,8 +312,9 @@ def _step_checker(graphs):
         for cached, expected in zip((rep.A1, rep.A2), split_matrices(A, fresh, rep.g)):
             assert np.array_equal(cached, expected)
         graphs.append(adj.copy())
-        now = dict(b=rep.b.copy(), far=rep.far, active=rep.active, fhat=rep.fhat,
-                   glob=rep.glob, key=rep.key, A1=rep.A1,
+        # holding rep keeps its id from being reused by a later run's replica
+        now = dict(rep=rep, b=rep.b.copy(), far=rep.far, active=rep.active,
+                   fhat=rep.fhat, glob=rep.glob, key=rep.key, A1=rep.A1,
                    q=sweeps[0][1] if sweeps else None)
         if prev:
             for name in ("active", "fhat", "glob", "key", "A1", "q"):

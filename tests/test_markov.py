@@ -4,11 +4,13 @@ from math import exp, lgamma, log
 import numpy as np
 import pytest
 
-from diffnet.decision import global_desires, run_decision_dynamics
+from diffnet.decision import global_desires, quorum_prob, run_decision_dynamics
+from diffnet.diffusion import spectral_radius
 from diffnet.markov import (
-    ChainSizeError, absorption_time_distribution, boundary_mass_closed_form,
-    build_exact_chain, build_meanfield_chain, count_ratio,
-    rate_identity_residual, transient_spectral_radius, verify_K_monotonicity,
+    ChainSizeError, DecisionChain, absorption_time_distribution,
+    boundary_mass_closed_form, build_exact_chain, build_meanfield_chain,
+    count_ratio, rate_identity_residual, transient_spectral_radius,
+    verify_K_monotonicity,
 )
 from diffnet.network import complete_topology, generate_topology
 
@@ -154,3 +156,105 @@ def test_exact_chain_predicts_simulated_absorption():
     emp = hits / trials
     sigma = np.sqrt(p_all_zero * (1 - p_all_zero) / trials)
     assert abs(emp - p_all_zero) <= 3 * sigma + 1e-9
+
+
+def _log_space_rows(N, K):
+    """Rows 1..N-1 of the count chain, each computed in log space from its
+    own q_n (the builder before rows were mirrored)."""
+    m = np.arange(N + 1)
+    log_binom = np.concatenate(([0.0], np.cumsum(np.log(N + 1 - m[1:]) - np.log(m[1:]))))
+    q = quorum_prob(m[1:N], N, K)[:, None]
+    shape = (N - 1, N + 1)
+    with np.errstate(divide="ignore"):
+        log_q, log_1mq = np.log(q), np.log1p(-q)
+    log_hits = np.multiply(m, log_q, out=np.zeros(shape), where=m > 0)
+    log_misses = np.multiply(N - m, log_1mq, out=np.zeros(shape), where=m < N)
+    return np.exp(log_binom + log_hits + log_misses)
+
+
+def _exact_row(N, K, n):
+    """Row n in integer arithmetic, each entry correctly rounded:
+    C(N, m) a^m b^(N-m) / (a + b)^N with a = n^K, b = (N-n)^K."""
+    a, b = n ** K, (N - n) ** K
+    total, num, row = (a + b) ** N, b ** N, []
+    for m in range(N + 1):
+        row.append(num / total)
+        num = num * (N - m) * a // ((m + 1) * b)
+    return np.array(row)
+
+
+@pytest.mark.parametrize("N", [*range(2, 10), 100, 1030])
+def test_meanfield_chain_is_mirrored(N):
+    K = 3
+    P = build_meanfield_chain(N, K).P
+    assert np.array_equal(P, P[::-1, ::-1])
+    assert np.abs(P.sum(axis=1) - 1.0).max() < 1e-12
+    oracle = _log_space_rows(N, K)
+    low = (N - 1) // 2                    # rows 1..low are computed as before
+    assert np.array_equal(P[1:low + 1], oracle[:low])
+    if N < 10:
+        assert np.abs(P[low + 1:N] - oracle[low:]).max() <= 1e-15
+    # near n = N the log-space rows lose 1 - q to rounding (relative errors
+    # up to 9% on small entries at N = 100, K = 7); the mirrored rows are
+    # checked against exact rows instead
+    for n in range(low + 1, N) if N <= 100 else (N // 2, N // 2 + 1, N - 2, N - 1):
+        exact = _exact_row(N, K, n)
+        assert (np.abs(P[n] - exact) <= 1e-12 * exact + 1e-300).all()
+
+
+@pytest.mark.parametrize("N, Ks", [*((N, range(1, 6))
+                                     for N in (2, 3, 4, 5, 7, 100, 101, 400)),
+                                   (100, [200])])
+def test_folded_radius_matches_dense_meanfield(N, Ks):
+    # the dense radius of the full Q is the oracle
+    for K in Ks:
+        chain = build_meanfield_chain(N, K)
+        assert abs(transient_spectral_radius(chain) - spectral_radius(chain.Q)) <= 1e-12
+
+
+@pytest.mark.parametrize("N", range(3, 9))
+def test_folded_radius_matches_dense_exact(N):
+    topologies = [complete_topology(N),
+                  generate_topology(N, 2.5, np.random.default_rng(N))]
+    for topo in topologies:
+        for K in (1, 2, 4):
+            chain = build_exact_chain(topo, K)
+            assert np.array_equal(chain.P, chain.P[::-1, ::-1])
+            assert abs(transient_spectral_radius(chain)
+                       - spectral_radius(chain.Q)) <= 1e-12
+
+
+def test_radius_refuses_asymmetric_chain():
+    P = build_meanfield_chain(5, 2).P.copy()
+    P[1, 1:3] += [1e-3, -1e-3]        # still stochastic, no longer mirrored
+    with pytest.raises(ValueError, match="symmetric"):
+        transient_spectral_radius(DecisionChain(P, np.arange(6)))
+
+
+@pytest.mark.parametrize("N", [1000, 2001])
+def test_radius_k1_closed_form(N):
+    # K = 1 is the neutral Wright-Fisher chain: rho(Q) = 1 - 1/N
+    rho = transient_spectral_radius(build_meanfield_chain(N, 1))
+    assert abs(rho - (1.0 - 1.0 / N)) <= 1e-11
+
+
+def test_absorption_solve_matches_inverse():
+    chains = [build_meanfield_chain(N, K) for N, K in [(2, 1), (7, 3), (100, 1),
+                                                       (101, 4), (400, 2)]]
+    chains.append(build_exact_chain(
+        generate_topology(6, 3.0, np.random.default_rng(4)), 2))
+    for chain in chains:
+        n_t = len(chain.Q)
+        fundamental = np.linalg.inv(np.eye(n_t) - chain.Q)
+        oracle = fundamental @ np.column_stack([np.ones(n_t), chain.absorption_columns])
+        stats = absorption_time_distribution(chain)
+        np.testing.assert_allclose(stats["expected_steps"], oracle[:, 0], rtol=1e-12)
+        np.testing.assert_allclose(stats["absorb_prob"], oracle[:, 1:],
+                                   rtol=1e-12, atol=1e-15)
+        assert np.abs(stats["absorb_prob"].sum(axis=1) - 1.0).max() < 1e-12
+
+
+def test_absorption_refuses_singular_chain():
+    P = np.eye(4)                     # no transient state ever leaves
+    with pytest.raises(RuntimeError, match="singular"):
+        absorption_time_distribution(DecisionChain(P, np.arange(4)))

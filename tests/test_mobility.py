@@ -3,7 +3,7 @@ import pytest
 
 from diffnet.mobility import (
     MotionParams, cohesion_all, cohesion_term, measure_target,
-    radius_adjacency, update_motion,
+    pairwise_offsets, radius_adjacency, update_motion,
 )
 
 
@@ -47,8 +47,9 @@ def test_cohesion_all_matches_scalar():
     rng = np.random.default_rng(0)
     for _ in range(20):
         pos = rng.uniform(-5, 5, (7, 2))
-        adj = radius_adjacency(pos, 6.0)
-        batch = cohesion_all(pos, adj, 3.0)
+        diff, dist = pairwise_offsets(pos)
+        adj = radius_adjacency(dist, 6.0)
+        batch = cohesion_all(diff, dist, adj, 3.0)
         for k in range(7):
             assert np.allclose(batch[k], cohesion_term(k, pos, adj, 3.0))
 
@@ -131,7 +132,7 @@ def test_measure_target_bearing_noise_unit_norm():
 
 def test_radius_adjacency():
     pos = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0]])
-    adj = radius_adjacency(pos, 2.0)
+    adj = radius_adjacency(pairwise_offsets(pos)[1], 2.0)
     assert adj.diagonal().all()
     assert np.array_equal(adj, adj.T)
     assert adj[0, 1] and not adj[0, 2]
