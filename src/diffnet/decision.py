@@ -100,10 +100,11 @@ def keep_probabilities(adjacency: np.ndarray, g_local: np.ndarray, f_rel: np.nda
     return table[plane, n_k, np.add.reduce(agree, axis=1)]
 
 
-def decision_sweep(g_local: np.ndarray, q: np.ndarray, rng: np.random.Generator):
-    """One synchronous quorum-response sweep: agent k keeps its desire with
-    probability q[k] (one uniform each); g_local itself if none flips."""
-    keep = rng.random(g_local.size) < q
+def decision_sweep(g_local: np.ndarray, q: np.ndarray, uniforms: np.ndarray):
+    """One synchronous quorum-response sweep: agent k keeps its desire when
+    its uniform draw uniforms[k] falls below q[k]; g_local itself if none
+    flips."""
+    keep = uniforms < q
     return g_local if keep.all() else np.where(keep, g_local, 1 - g_local)
 
 
@@ -124,5 +125,6 @@ def run_decision_dynamics(topology: Topology, f, K: int,
         glob = global_desires(g, f)
         if (glob == glob[0]).all():
             return int(glob[0]), i, g
-        g = decision_sweep(g, keep_probabilities(adj, g, f_rel, table, n_k, 0), rng)
+        g = decision_sweep(g, keep_probabilities(adj, g, f_rel, table, n_k, 0),
+                           rng.random(g.size))
     return None, AGREEMENT_SWEEP_CAP, g

@@ -16,6 +16,18 @@ class DivergenceError(RuntimeError):
     """An estimate blew past the divergence guard (misconfigured step-size)."""
 
 
+def check_divergence(w: np.ndarray, iteration: int) -> None:
+    """Raise DivergenceError, naming the iteration, unless every row of the
+    estimates w has norm at most DIVERGENCE_LIMIT.  The squared total bounds
+    every row, so the rows are tested one by one only when the total is over
+    the limit; NaN and inf fail both tests."""
+    flat = w.ravel()
+    if not (flat @ flat <= DIVERGENCE_LIMIT ** 2
+            or (w * w).sum(axis=1).max() <= DIVERGENCE_LIMIT ** 2):
+        raise DivergenceError(f"estimate norm exceeded {DIVERGENCE_LIMIT:g} "
+                              f"at iteration {iteration}")
+
+
 def atc_adapt(w: np.ndarray, d: float, u: np.ndarray, mu: float) -> np.ndarray:
     """Adaptation step: psi = w + mu u^T (d - u w)."""
     return w + mu * u * (d - u @ w)

@@ -20,8 +20,7 @@ from .classification import check_stepsize_separation, direction_pair_benchmark,
 from .decision import decision_sweep, global_desires, keep_probabilities, \
     oracle_relative_f, quorum_table, \
     quorum_prob  # noqa: F401  (perfbench's tracer checks the name is wrapped here too)
-from .diffusion import DIVERGENCE_LIMIT, DivergenceError, check_stepsize_stability, \
-    split_matrices
+from .diffusion import check_divergence, check_stepsize_stability, split_matrices
 from .markov import absorption_time_distribution, build_meanfield_chain, \
     transient_spectral_radius
 from .mobility import MotionParams, cohesion_all, measure_target, pairwise_offsets, \
@@ -32,6 +31,8 @@ from .network import AgentEnvironment, ModelPair, Topology, generate_topology, \
 MSD_FLOOR_DB = -120.0
 NEVER = math.inf
 METRIC_BLOCK = 64     # iterations whose metric records are computed together
+DRAW_BLOCK = 16       # iterations whose random draws the static engine takes together
+CSV_BLOCK = 256       # rows a CSV writer turns into Python floats together
 
 STRATEGIES = ("conventional", "modified")
 RULES = ("uniform", "fast")
@@ -188,6 +189,7 @@ class ScenarioConfig:
             return 8.0 * 8 * self.M * max(self.bench_trials, 10_000.0)
         N, iters = float(self.N), float(self.iterations)
         return 8.0 * (16 * iters + METRIC_BLOCK * (3 * self.M + 3) * N  # records, block
+                      + DRAW_BLOCK * (2 * self.M + 3) * N   # normals, uniforms, u, d
                       + (2.0 * self.replicas + 16) * N * N  # beliefs, state, table, links
                       + self.record_beliefs * iters * N * N
                       + (self.mean_error_vs is not None) * 2 * iters * N * self.M
@@ -370,7 +372,7 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
     def db(key):
         if key not in sums:
             return np.full(iters, np.nan)
-        return np.array([msd_db(v / R) for v in sums[key]])
+        return np.fromiter(map(msd_db, (sums[key] / R).tolist()), float, iters)
 
     return TraceSet(
         msd0_db=db("sq0"),
@@ -432,10 +434,10 @@ class _Replica:
         self.key = (None,) * 4                    # the (adj, A, fhat, g) of q and A1, A2
 
     def step(self, i: int, adj: np.ndarray, A: np.ndarray, u: np.ndarray,
-             d: np.ndarray, rng: np.random.Generator) -> None:
+             d: np.ndarray, uniforms: np.ndarray | None) -> None:
         """One network-wide iteration on the graph `adj` with combination
-        matrix A, regressors u and measurements d; the quorum uniforms are
-        the only draws taken from rng.  Only active links (both ends in the
+        matrix A, regressors u, measurements d and the N quorum uniforms
+        (None when no decision runs).  Only active links (both ends in the
         far field, listed again for a new graph object or far set) update
         their beliefs; fhat changes when one crosses 0.5, the global desires
         when g flips, and q, the fast weights and the A1/A2 split are rebuilt,
@@ -449,25 +451,34 @@ class _Replica:
             if adj is not self.graph:   # the school brings a new one when its graph changes
                 self.graph, self.n_k, self.far = adj, adj.sum(axis=1), None
                 self.links = adj & ~np.eye(cfg.N, dtype=bool)
-            self.h_hat = (1.0 - cfg.nu) * self.h_hat + cfg.nu * update
-            far = (self.h_hat ** 2).sum(axis=1) > cfg.eta ** 2
-            if self.far is None or not np.array_equal(far, self.far):
-                # flat indices of the links with both ends in the far field;
-                # diagonal beliefs are never active, so they stay 0.5
+            h = self.h_hat              # (1 - nu) h + nu update, in place
+            h *= 1.0 - cfg.nu
+            update *= cfg.nu
+            h += update
+            far = (h ** 2).sum(axis=1) > cfg.eta ** 2
+            if self.far is None or (far != self.far).any():
+                # flat indices of the links with both ends in the far field,
+                # and the side of 0.5 each belief is on; diagonal beliefs are
+                # never active, so they stay 0.5
                 self.far, self.active = far, np.flatnonzero(far[:, None] & far & self.links)
+                self.side = self.b.take(self.active) >= 0.5
             if self.active.size:
-                same = (self.h_hat @ self.h_hat.T > 0.0).take(self.active)
-                old = self.b.take(self.active)
-                new = cfg.alpha * old + (1.0 - cfg.alpha) * same
+                same = (h @ h.T > 0.0).take(self.active)
+                new = cfg.alpha * self.b.take(self.active) + (1.0 - cfg.alpha) * same
                 self.b.put(self.active, new)
-                if self.oracle_rel is None and ((new >= 0.5) != (old >= 0.5)).any():
-                    self.fhat = f_hat(self.b)
+                # a belief keeps its side when the event agrees with it, so
+                # only a disagreeing event can move one across 0.5
+                if self.oracle_rel is None and (same != self.side).any():
+                    side = new >= 0.5
+                    if (side != self.side).any():
+                        self.fhat = f_hat(self.b)
+                    self.side = side
             self._drop_stale(adj, A)
             if cfg.forced_desired is None:
                 if self.q is None:
                     self.q = keep_probabilities(adj, self.g, self.fhat, self.table,
                                                 self.n_k, self.glob)
-                g = decision_sweep(self.g, self.q, rng)
+                g = decision_sweep(self.g, self.q, uniforms)
                 if g is not self.g:
                     self.g, self.glob = g, global_desires(g, self.f)
                     self._drop_stale(adj, A)
@@ -478,9 +489,7 @@ class _Replica:
             self.w = self.A1.T @ psi + self.A2.T @ self.w
 
         w = self.w
-        if not ((w * w).sum(axis=1).max() <= DIVERGENCE_LIMIT ** 2):
-            raise DivergenceError(f"estimate norm exceeded {DIVERGENCE_LIMIT:g} "
-                                  f"at iteration {i}")
+        check_divergence(w, i)
         j = i % METRIC_BLOCK
         self.w_block[j], self.glob_block[j] = w, self.glob
         if j == METRIC_BLOCK - 1 or i == cfg.iterations - 1:
@@ -512,12 +521,23 @@ class _Replica:
 
 
 def _replica_static(cfg, adj, A, env, models, f, rng):
-    """Fixed graph; Gaussian regressors u and measurement noise v per agent."""
+    """Fixed graph; Gaussian regressors u and measurement noise v per agent.
+    Per iteration, N(M + 1) normals (u, then v) and, when decisions run, N
+    quorum uniforms, drawn DRAW_BLOCK iterations ahead in that order."""
     rep = _Replica(cfg, models, f)
     z = models.observed(f)
-    for i in range(cfg.iterations):
-        d, u = sample_data(z, env, rng)
-        rep.step(i, adj, A, u, d, rng)
+    decides = cfg.strategy != "conventional" and cfg.forced_desired is None
+    normals = np.empty((DRAW_BLOCK, z.size + cfg.N))
+    uniforms = np.empty((DRAW_BLOCK, cfg.N))
+    for start in range(0, cfg.iterations, DRAW_BLOCK):
+        n = min(DRAW_BLOCK, cfg.iterations - start)
+        for j in range(n):
+            rng.standard_normal(out=normals[j])
+            if decides:
+                rng.random(out=uniforms[j])
+        d, u = sample_data(z, env, normals[:n])
+        for j in range(n):
+            rep.step(start + j, adj, A, u[j], d[j], uniforms[j] if decides else None)
     return rep
 
 
@@ -538,7 +558,8 @@ def _replica_fish(cfg, params, models, f, rng):
         if not np.array_equal(graph, adj):   # same objects while the graph holds
             adj, A = graph, graph / graph.sum(axis=0)[None, :]
         d, u = measure_target(x, u, z, params.kappa, params.sigma_angle, rng)
-        rep.step(i, adj, A, u, d, rng)
+        uniforms = rng.random(cfg.N) if cfg.forced_desired is None else None
+        rep.step(i, adj, A, u, d, uniforms)
         x, vel = update_motion(x, vel, rep.w, A,
                                cohesion_all(diff, dist, adj, params.d_s), params)
         trajectory[i, :, 0:2] = x
@@ -610,8 +631,10 @@ def write_msd_csv(path: str, trace: TraceSet) -> None:
                trace.agreement_fraction)
     _write_csv(path, ["iteration", "msd0_db", "msd1_db", "msd_desired_db",
                       "agreement_fraction"],
-               ([i, *(repr(float(c[i])) for c in columns)]
-                for i in range(trace.msd0_db.size)))
+               ([start + j, *map(repr, row)]     # each value a Python float
+                for start in range(0, trace.msd0_db.size, CSV_BLOCK)
+                for j, row in enumerate(zip(*(c[start:start + CSV_BLOCK].tolist()
+                                              for c in columns)))))
 
 
 def write_beliefs_csv(path: str, trace: TraceSet) -> None:

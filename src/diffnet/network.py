@@ -201,14 +201,14 @@ class AgentEnvironment:
         return np.sqrt(self.sigma_v2)
 
 
-def sample_data(z: np.ndarray, env: AgentEnvironment,
-                rng: np.random.Generator):
-    """One (d, u) draw per agent from the linear regression model
-    d_k = u_k z_k + v_k, for the (N, M) observed models z: the regressors u
-    (N, M) first, then the noise v (N), in one draw."""
-    draw = rng.standard_normal(z.size + len(z))
-    u = draw[:z.size].reshape(z.shape) @ env.ru_chol.T
-    return (u * z).sum(axis=1) + env.sigma_v * draw[z.size:], u
+def sample_data(z: np.ndarray, env: AgentEnvironment, normals: np.ndarray):
+    """(d, u) of n iterations from the linear regression model
+    d_k = u_k z_k + v_k, for the (N, M) observed models z.  Each row of the
+    standard normals (n, N(M + 1)) is one iteration's draw: the regressors
+    u (N, M) first, then the noise v (N).  Returns d (n, N) and u (n, N, M)."""
+    n, (N, M) = len(normals), z.shape
+    u = normals[:, :N * M].reshape(n, N, M) @ env.ru_chol.T
+    return (u * z).sum(axis=2) + env.sigma_v * normals[:, N * M:], u
 
 
 def bias_limit(c: np.ndarray, models: ModelPair, f) -> np.ndarray:

@@ -107,7 +107,7 @@ def test_unanimity_is_absorbing():
     table, n_k = quorum_table(6, 2, 1.0), topo.adjacency.sum(axis=1)
     for _ in range(50):
         q = keep_probabilities(topo.adjacency, g, rel, table, n_k, 0)
-        g = decision_sweep(g, q, rng)
+        g = decision_sweep(g, q, rng.random(g.size))
         assert np.array_equal(global_desires(g, f), np.ones(6, dtype=int))
 
 
@@ -131,10 +131,10 @@ def test_decision_sweep_without_flips_returns_its_input():
     table, n_k = np.ones((2, 11, 11)), topo.adjacency.sum(axis=1)
     rng = np.random.default_rng(2)
     q = keep_probabilities(topo.adjacency, g, rel, table, n_k, g)
-    assert decision_sweep(g, q, rng) is g
+    assert decision_sweep(g, q, rng.random(g.size)) is g
     # a table of zeros flips every agent
     q = keep_probabilities(topo.adjacency, g, rel, 0 * table, n_k, g)
-    assert np.array_equal(decision_sweep(g, q, rng), 1 - g)
+    assert np.array_equal(decision_sweep(g, q, rng.random(g.size)), 1 - g)
 
 
 def test_run_decision_dynamics_reaches_agreement():

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
+import pytest
 
 from diffnet.diffusion import (
-    atc_adapt, atc_combine, build_mean_error_system, check_stepsize_stability,
-    convergence_rate, modified_combine, rate_lower_bound, spectral_radius,
-    split_matrices, split_weights,
+    DIVERGENCE_LIMIT, DivergenceError, atc_adapt, atc_combine, build_mean_error_system,
+    check_divergence, check_stepsize_stability, convergence_rate, modified_combine,
+    rate_lower_bound, spectral_radius, split_matrices, split_weights,
 )
 from diffnet.network import (
     AgentEnvironment, ModelPair, complete_topology, generate_topology,
@@ -157,3 +160,21 @@ def test_rate_bound_tight_for_single_agent():
     sys = build_mean_error_system(env, 0.1, models, [0], 0, np.array([[1.0]]))
     assert abs(convergence_rate(sys.B) - rate_lower_bound(0.1, Ru)) < 1e-12
 
+
+def test_divergence_guard_tests_rows_when_the_total_is_over():
+    # the squared total bounds every row: past it, each row is tested alone;
+    # NaN and inf fail both tests
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = np.zeros((8, 2))
+        w[:, 1] = DIVERGENCE_LIMIT * (1 - 1e-12)     # every row under, the total over
+        assert w.ravel() @ w.ravel() > DIVERGENCE_LIMIT ** 2
+        check_divergence(w, 5)
+        w[3, 1] = DIVERGENCE_LIMIT * (1 + 1e-12)
+        with pytest.raises(DivergenceError, match="at iteration 5$"):
+            check_divergence(w, 5)
+        for bad in (np.nan, np.inf):
+            w = np.zeros((8, 2))
+            w[6, 0] = bad
+            with pytest.raises(DivergenceError, match="at iteration 9$"):
+                check_divergence(w, 9)

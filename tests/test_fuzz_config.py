@@ -35,7 +35,7 @@ GENERIC = [None, True, False, "x", "3", [], [1.0], [1.0, "a"], {}, 0, 1, 2, -1,
            0.0, 0.5, 1.5, -0.5, 2.0]
 SPECIFIC = {
     "kind": ["fish", "chain_sweep", "classify_bench", "static_two_model", "bogus"],
-    "N": [2, 3, 5, 12, 3852],
+    "N": [2, 3, 5, 12, 3849],
     "M": [1, 3, 4],
     "w0": [[1.0, 1.0], [0.0, 1.0], [1.0, 0.0, 0.0], [5.0, -5.0, 5.0, 5.0], [None, 1.0]],
     "w1": [[1.0, 0.0], [1e3, -1e3], [5.0, 5.0, -5.0, 5.0], ["a", "b"]],

@@ -26,6 +26,8 @@ from diffnet.harness import (
     run_scenario, write_beliefs_csv, write_chain_sweep_csv, write_meta,
     write_msd_csv, write_trajectory_csv,
 )
+from diffnet.mobility import cohesion_all, measure_target, pairwise_offsets, \
+    radius_adjacency, update_motion
 from diffnet.network import ModelPair, Topology, complete_topology, \
     uniform_weights
 
@@ -227,13 +229,13 @@ def _checked_runs(monkeypatch, cfg, check=lambda rep, i, adj, A, sweeps: None):
     replica, the replica and copies of its w and glob after each step."""
     step, sweep, runs, sweeps = harness._Replica.step, harness.decision_sweep, {}, []
 
-    def recorded(g, q, rng):
+    def recorded(g, q, uniforms):
         sweeps.append((g, q))
-        return sweep(g, q, rng)
+        return sweep(g, q, uniforms)
 
-    def checked(rep, i, adj, A, u, d, rng):
+    def checked(rep, i, adj, A, u, d, uniforms):
         sweeps.clear()
-        step(rep, i, adj, A, u, d, rng)
+        step(rep, i, adj, A, u, d, uniforms)
         check(rep, i, adj, A, sweeps)
         ws, globs = runs.setdefault(id(rep), (rep, [], []))[1:]
         ws.append(rep.w.copy())
@@ -289,6 +291,8 @@ def _step_checker(graphs):
                   * (rep.h_hat @ rep.h_hat.T > 0.0), where=active)
         assert np.array_equal(rep.b, expected)
         assert np.array_equal(rep.active, np.flatnonzero(active))
+        if not cfg.oracle_classification:
+            assert np.array_equal(rep.side, rep.b.take(rep.active) >= 0.5)
         fresh = rep.oracle_rel if cfg.oracle_classification else f_hat(rep.b)
         assert np.array_equal(rep.fhat, fresh)
         assert all(map(operator.is_, rep.key, (adj, A, rep.fhat, rep.g)))
@@ -383,13 +387,82 @@ def test_metric_blocks_match_per_step_records(monkeypatch, iterations):
             _assert_records_match_steps(*run)
 
 
+def _per_iteration_static(cfg, adj, A, env, models, f, rng):
+    """The static engine as it drew before its draws were taken a block
+    ahead: on every iteration N(M + 1) normals turned into u and d, then
+    (when decisions run) N quorum uniforms."""
+    rep = harness._Replica(cfg, models, f)
+    z = models.observed(f)
+    decides = cfg.strategy != "conventional" and cfg.forced_desired is None
+    for i in range(cfg.iterations):
+        draw = rng.standard_normal(z.size + cfg.N)
+        u = draw[:z.size].reshape(z.shape) @ env.ru_chol.T
+        d = (u * z).sum(axis=1) + env.sigma_v * draw[z.size:]
+        rep.step(i, adj, A, u, d, rng.random(cfg.N) if decides else None)
+    return rep
+
+
+def _per_step_fish(cfg, params, models, f, rng):
+    """The fish engine as it drew before the step took its quorum uniforms
+    as an argument: the step drew them after the sensing draws."""
+    rep = harness._Replica(cfg, models, f)
+    z = models.observed(f)
+    x = rng.uniform(-cfg.arena / 2.0, cfg.arena / 2.0, (cfg.N, 2))
+    vel, adj = np.zeros((cfg.N, 2)), None
+    u = np.tile(np.array([1.0, 0.0]), (cfg.N, 1))
+    rep.trajectory = np.empty((cfg.iterations, cfg.N, 6))
+    for i in range(cfg.iterations):
+        diff, dist = pairwise_offsets(x)
+        graph = radius_adjacency(dist, cfg.comm_radius)
+        if not np.array_equal(graph, adj):
+            adj, A = graph, graph / graph.sum(axis=0)[None, :]
+        d, u = measure_target(x, u, z, params.kappa, params.sigma_angle, rng)
+        rep.step(i, adj, A, u, d,
+                 rng.random(cfg.N) if cfg.forced_desired is None else None)
+        x, vel = update_motion(x, vel, rep.w, A,
+                               cohesion_all(diff, dist, adj, params.d_s), params)
+        rep.trajectory[i] = np.column_stack(
+            [x, vel, rep.glob, ((x - rep.stacked[rep.glob]) ** 2).sum(axis=1)])
+    return rep
+
+
+@pytest.mark.parametrize("overrides", [
+    pytest.param(dict(), id="uniform"),
+    pytest.param(dict(rule="fast"), id="fast"),
+    pytest.param(dict(record_beliefs=True), id="beliefs"),
+    pytest.param(CONVENTIONAL, id="conventional"),
+    pytest.param(dict(forced_desired=0, mean_error_vs=1), id="forced-mean_error"),
+    pytest.param(dict(oracle_classification=True), id="oracle"),
+    pytest.param(dict(school=True), id="school"),
+])
+def test_engines_match_the_per_iteration_draw(monkeypatch, overrides):
+    # the static engine draws DRAW_BLOCK iterations ahead and transforms a
+    # block at once; every TraceSet array equals the one of the former
+    # per-iteration draw, at and around the block edges
+    assert harness.DRAW_BLOCK == 16
+    overrides = dict(overrides)
+    moving = overrides.pop("school", False)
+    engine, oracle = (("_replica_fish", _per_step_fish) if moving
+                      else ("_replica_static", _per_iteration_static))
+    for iterations in (1, 15, 16, 17, 197):
+        cfg = (small_school(iterations=iterations, replicas=2) if moving
+               else small_config(replicas=2, iterations=iterations, **overrides))
+        ours = _outputs(run_scenario(cfg))
+        monkeypatch.setattr(harness, engine, oracle)
+        expected = _outputs(run_scenario(cfg))
+        monkeypatch.undo()
+        assert len(ours) == len(expected)
+        for a, b in zip(ours, expected):
+            assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+
+
 def test_divergence_mid_block_names_its_iteration(monkeypatch):
     step = harness._Replica.step
 
-    def poisoned(rep, i, adj, A, u, d, rng):
+    def poisoned(rep, i, adj, A, u, d, uniforms):
         if i == 40:
             rep.w[:] = np.nan
-        step(rep, i, adj, A, u, d, rng)
+        step(rep, i, adj, A, u, d, uniforms)
 
     monkeypatch.setattr(harness._Replica, "step", poisoned)
     with warnings.catch_warnings():

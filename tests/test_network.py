@@ -127,7 +127,8 @@ def test_agent_environment_validation():
 def test_sample_data_statistics():
     env = AgentEnvironment(Ru=np.diag([1.0, 2.0]), sigma_v2=[0.04])
     z = np.tile([1.0, -1.0], (20000, 1))
-    draws, u = sample_data(z, env, np.random.default_rng(0))
+    normals = np.random.default_rng(0).standard_normal((1, z.size + len(z)))
+    (draws,), (u,) = sample_data(z, env, normals)
     assert draws.shape == (20000,) and u.shape == (20000, 2)
     # E[d] = 0, var(d) = z^T Ru z + sigma^2 = 3.04
     assert abs(draws.mean()) < 0.05
