@@ -2,6 +2,7 @@
 mean-error linear system used for stability/bias analysis."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,15 +18,16 @@ class DivergenceError(RuntimeError):
 
 
 def check_divergence(w: np.ndarray, iteration: int) -> None:
-    """Raise DivergenceError, naming the iteration, unless every row of the
-    estimates w has norm at most DIVERGENCE_LIMIT.  The squared total bounds
-    every row, so the rows are tested one by one only when the total is over
-    the limit; NaN and inf fail both tests."""
+    """Raise DivergenceError, naming the first agent whose estimate norm is
+    over DIVERGENCE_LIMIT (or NaN), that norm and the iteration.  The squared
+    total bounds every row, so the rows are tested one by one only when the
+    total is over the limit; NaN and inf fail both tests."""
     flat = w.ravel()
-    if not (flat @ flat <= DIVERGENCE_LIMIT ** 2
-            or (w * w).sum(axis=1).max() <= DIVERGENCE_LIMIT ** 2):
-        raise DivergenceError(f"estimate norm exceeded {DIVERGENCE_LIMIT:g} "
-                              f"at iteration {iteration}")
+    if not flat @ flat <= DIVERGENCE_LIMIT ** 2:
+        (over,) = np.nonzero(~(np.add.reduce(w * w, 1) <= DIVERGENCE_LIMIT ** 2))
+        if over.size:
+            raise DivergenceError(f"agent {over[0]} estimate norm {math.hypot(*w[over[0]])!r} "
+                                  f"exceeded {DIVERGENCE_LIMIT:g} at iteration {iteration}")
 
 
 def atc_adapt(w: np.ndarray, d: float, u: np.ndarray, mu: float) -> np.ndarray:

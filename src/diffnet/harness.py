@@ -3,11 +3,9 @@ engine for static and fish scenarios, metrics, and CSV/JSON persistence."""
 from __future__ import annotations
 
 import copy
-import csv
 import dataclasses
 import json
 import math
-import operator
 import os
 import subprocess
 from dataclasses import dataclass, field
@@ -20,7 +18,8 @@ from .classification import check_stepsize_separation, direction_pair_benchmark,
 from .decision import decision_sweep, global_desires, keep_probabilities, \
     oracle_relative_f, quorum_table, \
     quorum_prob  # noqa: F401  (perfbench's tracer checks the name is wrapped here too)
-from .diffusion import check_divergence, check_stepsize_stability, split_matrices
+from .diffusion import DivergenceError, check_divergence, check_stepsize_stability, \
+    split_matrices
 from .markov import absorption_time_distribution, build_meanfield_chain, \
     transient_spectral_radius
 from .mobility import MotionParams, cohesion_all, measure_target, pairwise_offsets, \
@@ -356,7 +355,10 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
     belief_stream = trajectory = None
 
     for r, ss in enumerate(rep_ss):
-        rep = replica(np.random.default_rng(ss))
+        try:
+            rep = replica(np.random.default_rng(ss))
+        except DivergenceError as exc:
+            raise DivergenceError(f"replica {r}: {exc}") from exc
         for key in keys:
             sums[key] += getattr(rep, key)
         w_sum += rep.w
@@ -431,67 +433,77 @@ class _Replica:
         self.err = np.empty((iters, N, M)) if cfg.mean_error_vs is not None else None
         self.stream = np.empty((iters, N, N)) if cfg.record_beliefs else None
         self.graph = self.trajectory = None       # graph: the adjacency self.links is for
-        self.key = (None,) * 4                    # the (adj, A, fhat, g) of q and A1, A2
+        self.A = self.q = self.A1 = None          # A: the matrix the split is of
 
     def step(self, i: int, adj: np.ndarray, A: np.ndarray, u: np.ndarray,
              d: np.ndarray, uniforms: np.ndarray | None) -> None:
         """One network-wide iteration on the graph `adj` with combination
         matrix A, regressors u, measurements d and the N quorum uniforms
         (None when no decision runs).  Only active links (both ends in the
-        far field, listed again for a new graph object or far set) update
-        their beliefs; fhat changes when one crosses 0.5, the global desires
-        when g flips, and q, the fast weights and the A1/A2 split are rebuilt,
-        when next used, once (adj, A, fhat, g) are not the same objects."""
+        far field) update their beliefs.  q, the fast weights and the A1/A2
+        split are dropped where a new adj or A object arrives, fhat is
+        replaced or g flips, and rebuilt when next used.  While q is all 1
+        no sweep runs: no uniform in [0, 1) can flip an agent."""
         cfg = self.cfg
-        update = u * (d - (u * self.w).sum(axis=1))[:, None]
+        update = u * (d - np.add.reduce(u * self.w, 1))[:, None]
         psi = self.w + cfg.mu * update
+        j = i % METRIC_BLOCK
+        row = self.w_block[j]           # the combine is written into its metric row
         if self.conventional:
-            self.w = A.T @ psi
+            np.copyto(row, A.T @ psi)
         else:
-            if adj is not self.graph:   # the school brings a new one when its graph changes
-                self.graph, self.n_k, self.far = adj, adj.sum(axis=1), None
+            if adj is not self.graph:   # the school brings new adj and A when its graph changes
+                self.graph, self.n_k, self.far, self.A = adj, adj.sum(axis=1), None, None
                 self.links = adj & ~np.eye(cfg.N, dtype=bool)
+            if A is not self.A:
+                self.A, self.q, self.A1 = A, None, None
             h = self.h_hat              # (1 - nu) h + nu update, in place
             h *= 1.0 - cfg.nu
             update *= cfg.nu
             h += update
-            far = (h ** 2).sum(axis=1) > cfg.eta ** 2
-            if self.far is None or (far != self.far).any():
-                # flat indices of the links with both ends in the far field,
-                # and the side of 0.5 each belief is on; diagonal beliefs are
-                # never active, so they stay 0.5
-                self.far, self.active = far, np.flatnonzero(far[:, None] & far & self.links)
+            far = np.add.reduce(h * h, 1) > cfg.eta ** 2
+            if far.tobytes() != self.far:     # self.far holds the far set's bytes
+                # flat indices of the active links and the side of 0.5 of each
+                # belief; diagonal beliefs are never active, so they stay 0.5
+                self.far, self.rest = far.tobytes(), None
+                self.active = np.flatnonzero(far[:, None] & far & self.links)
                 self.side = self.b.take(self.active) >= 0.5
             if self.active.size:
-                same = (h @ h.T > 0.0).take(self.active)
-                new = cfg.alpha * self.b.take(self.active) + (1.0 - cfg.alpha) * same
-                self.b.put(self.active, new)
-                # a belief keeps its side when the event agrees with it, so
-                # only a disagreeing event can move one across 0.5
-                if self.oracle_rel is None and (same != self.side).any():
-                    side = new >= 0.5
-                    if (side != self.side).any():
-                        self.fhat = f_hat(self.b)
-                    self.side = side
-            self._drop_stale(adj, A)
+                same = (h @ h.T).take(self.active) > 0.0
+                events = same.tobytes()
+                # rest: the events of the last update if it moved no belief;
+                # the same events move none again
+                if events != self.rest:
+                    old = self.b.take(self.active)
+                    new = cfg.alpha * old + (1.0 - cfg.alpha) * same
+                    self.b.put(self.active, new)
+                    self.rest = events if new.tobytes() == old.tobytes() else None
+                    # a belief keeps its side when the event agrees with it,
+                    # so only a disagreeing event can move one across 0.5
+                    if self.oracle_rel is None and events != self.side.tobytes():
+                        side = new >= 0.5
+                        if side.tobytes() != self.side.tobytes():
+                            self.fhat, self.q, self.A1 = f_hat(self.b), None, None
+                        self.side = side
             if cfg.forced_desired is None:
                 if self.q is None:
                     self.q = keep_probabilities(adj, self.g, self.fhat, self.table,
                                                 self.n_k, self.glob)
-                g = decision_sweep(self.g, self.q, uniforms)
-                if g is not self.g:
-                    self.g, self.glob = g, global_desires(g, self.f)
-                    self._drop_stale(adj, A)
+                    self.sure = self.q.min() >= 1.0
+                if not self.sure:
+                    g = decision_sweep(self.g, self.q, uniforms)
+                    if g is not self.g:
+                        self.g, self.glob = g, global_desires(g, self.f)
+                        self.q = self.A1 = None
             if self.A1 is None:
                 if cfg.rule == "fast":
                     A = _fast_weight_matrix(adj, self.fhat == self.g[:, None])
                 self.A1, self.A2 = split_matrices(A, self.fhat, self.g)
-            self.w = self.A1.T @ psi + self.A2.T @ self.w
+            np.add(self.A1.T @ psi, self.A2.T @ self.w, out=row)
 
-        w = self.w
+        self.w = w = row
         check_divergence(w, i)
-        j = i % METRIC_BLOCK
-        self.w_block[j], self.glob_block[j] = w, self.glob
+        self.glob_block[j] = self.glob
         if j == METRIC_BLOCK - 1 or i == cfg.iterations - 1:
             self._record(i - j, j + 1)
         if self.err is not None:
@@ -499,25 +511,23 @@ class _Replica:
         if self.stream is not None:
             self.stream[i] = self.b
 
-    def _drop_stale(self, adj: np.ndarray, A: np.ndarray) -> None:
-        """Drop q and the A1/A2 split unless (adj, A, fhat, g) are the same objects."""
-        key = (adj, A, self.fhat, self.g)
-        if not all(map(operator.is_, key, self.key)):
-            self.key, self.q, self.A1 = key, None, None
-
     def _record(self, start: int, n: int) -> None:
         """Metric records of iterations start .. start + n - 1; each sum runs
         along a contiguous axis, so each is bit for bit that step's mean."""
         N, span, glob = self.cfg.N, slice(start, start + n), self.glob_block[:n]
         dev = self.w_block[:n, None] - self.stacked[None, :, None]   # (n, model, N, M)
-        dev = np.square(dev, out=dev).sum(axis=3)
-        self.sq0[span] = dev[:, 0].sum(axis=1) / N
-        self.sq1[span] = dev[:, 1].sum(axis=1) / N
-        if not self.conventional:
-            self.sqd[span] = np.where(glob == 0, dev[:, 0], dev[:, 1]).sum(axis=1) / N
-            self.sqr[span] = np.where(glob == 0, dev[:, 1], dev[:, 0]).sum(axis=1) / N
-            share1 = glob.sum(axis=1) / N
-            self.frac[span] = np.maximum(share1, 1.0 - share1)
+        dev = np.add.reduce(np.square(dev, out=dev), 3)
+        self.sq0[span], self.sq1[span] = sq = np.add.reduce(dev, 2).T / N
+        if self.conventional:
+            return
+        first = glob.flat[0]
+        if (glob == first).all():       # unanimous: what the np.where sums below give
+            self.sqd[span], self.sqr[span], self.frac[span] = sq[first], sq[1 - first], 1.0
+            return
+        self.sqd[span] = np.add.reduce(np.where(glob == 0, dev[:, 0], dev[:, 1]), 1) / N
+        self.sqr[span] = np.add.reduce(np.where(glob == 0, dev[:, 1], dev[:, 0]), 1) / N
+        share1 = np.add.reduce(glob, 1) / N
+        self.frac[span] = np.maximum(share1, 1.0 - share1)
 
 
 def _replica_static(cfg, adj, A, env, models, f, rng):
@@ -619,49 +629,47 @@ def run_classify_bench(cfg: ScenarioConfig) -> dict:
 # ---------------------------------------------------------------------------
 # persistence
 
-def _write_csv(path: str, header: list, rows) -> None:
+def _write_csv(path: str, header: str, lines) -> None:
+    """Lines end in csv's CR LF; no field (an int or a float's repr) needs quoting."""
     with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(header)
-        out.writerows(rows)
+        fh.write(header + "\r\n")
+        fh.writelines(lines)
 
 
 def write_msd_csv(path: str, trace: TraceSet) -> None:
-    columns = (trace.msd0_db, trace.msd1_db, trace.msd_desired_db,
-               trace.agreement_fraction)
-    _write_csv(path, ["iteration", "msd0_db", "msd1_db", "msd_desired_db",
-                      "agreement_fraction"],
-               ([start + j, *map(repr, row)]     # each value a Python float
+    columns = trace.msd0_db, trace.msd1_db, trace.msd_desired_db, trace.agreement_fraction
+    _write_csv(path, "iteration,msd0_db,msd1_db,msd_desired_db,agreement_fraction",
+               (f"{start + j},{a!r},{b!r},{c!r},{e!r}\r\n"
                 for start in range(0, trace.msd0_db.size, CSV_BLOCK)
-                for j, row in enumerate(zip(*(c[start:start + CSV_BLOCK].tolist()
-                                              for c in columns)))))
+                for j, (a, b, c, e) in enumerate(zip(*(col[start:start + CSV_BLOCK].tolist()
+                                                     for col in columns)))))
 
 
 def write_beliefs_csv(path: str, trace: TraceSet) -> None:
     if trace.belief_stream is None:
         raise ValueError("trace has no belief stream (record_beliefs off)")
     adj = trace.topology.adjacency
-    pairs = [(k, l) for k in range(adj.shape[0])
-             for l in np.flatnonzero(adj[:, k]) if l != k]
-    _write_csv(path, ["iteration", "observer", "neighbor", "belief", "f_hat"],
-               ([i, k, l, repr(float(b[k, l])), int(b[k, l] >= 0.5)]
-                for i, b in enumerate(trace.belief_stream) for k, l in pairs))
+    # (observer k, neighbour l != k) pairs, k major: the nonzeros of adj.T
+    observer, neighbor = np.nonzero(adj.T & ~np.eye(adj.shape[0], dtype=bool))
+    pairs = [f"{k},{l}," for k, l in zip(observer.tolist(), neighbor.tolist())]
+    _write_csv(path, "iteration,observer,neighbor,belief,f_hat",
+               (f"{i},{pair}{v!r},{int(v >= 0.5)}\r\n"
+                for i, b in enumerate(trace.belief_stream)
+                for pair, v in zip(pairs, b[observer, neighbor].tolist())))
 
 
 def write_trajectory_csv(path: str, trace: TraceSet) -> None:
     if trace.trajectory is None:
         raise ValueError("trace has no trajectory (not a fish run)")
-    _write_csv(path, ["step", "agent", "x1", "x2", "v1", "v2", "g_global",
-                      "msd_to_target"],
-               ([i, k, *(repr(float(v)) for v in row[:4]), int(row[4]),
-                 repr(float(row[5]))]
+    _write_csv(path, "step,agent,x1,x2,v1,v2,g_global,msd_to_target",
+               (f"{i},{k},{x1!r},{x2!r},{v1!r},{v2!r},{int(g)},{msd!r}\r\n"
                 for i, step in enumerate(trace.trajectory)
-                for k, row in enumerate(step)))
+                for k, (x1, x2, v1, v2, g, msd) in enumerate(step.tolist())))
 
 
 def write_chain_sweep_csv(path: str, rows: list[dict]) -> None:
-    _write_csv(path, ["N", "K", "rho_Q", "mean_absorption"],
-               ([row["N"], row["K"], repr(row["rho_Q"]), repr(row["mean_absorption"])]
+    _write_csv(path, "N,K,rho_Q,mean_absorption",
+               (f"{row['N']},{row['K']},{row['rho_Q']!r},{row['mean_absorption']!r}\r\n"
                 for row in rows))
 
 

@@ -124,6 +124,17 @@ def test_quorum_table_matches_quorum_prob():
                 assert np.array_equal(table[b, n_k, 1:n_k + 1], q)
 
 
+def test_quorum_table_diagonal_is_one():
+    # an agent whose whole neighbourhood agrees keeps its desire for sure,
+    # which lets the step skip the sweep; it holds where (beta n)^K
+    # overflows (beta 1e3) or underflows (beta 1e-3) and the ratio form is used
+    for N in (2, 40, 200):
+        for K in (1, 2, 4, 6, 200):
+            for beta in (1.0, [0.5, 2.0], [1e-3, 1e3]):
+                n = np.arange(1, N + 1)
+                assert (quorum_table(N, K, beta)[:, n, n] == 1.0).all()
+
+
 def test_decision_sweep_without_flips_returns_its_input():
     topo = generate_topology(10, 4.0, np.random.default_rng(1))
     g = np.array([1, 0] * 5)

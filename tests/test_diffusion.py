@@ -171,10 +171,12 @@ def test_divergence_guard_tests_rows_when_the_total_is_over():
         assert w.ravel() @ w.ravel() > DIVERGENCE_LIMIT ** 2
         check_divergence(w, 5)
         w[3, 1] = DIVERGENCE_LIMIT * (1 + 1e-12)
-        with pytest.raises(DivergenceError, match="at iteration 5$"):
+        with pytest.raises(DivergenceError, match="at iteration 5$") as caught:
             check_divergence(w, 5)
+        assert str(caught.value).startswith(f"agent 3 estimate norm {float(w[3, 1])!r} ")
         for bad in (np.nan, np.inf):
             w = np.zeros((8, 2))
-            w[6, 0] = bad
-            with pytest.raises(DivergenceError, match="at iteration 9$"):
+            w[6, 0] = w[7, 1] = bad
+            with pytest.raises(DivergenceError, match="at iteration 9$") as caught:
                 check_divergence(w, 9)
+            assert str(caught.value).startswith(f"agent 6 estimate norm {bad!r} ")

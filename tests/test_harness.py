@@ -3,7 +3,6 @@ import csv
 import dataclasses
 import json
 import math
-import operator
 import subprocess
 import time
 import tracemalloc
@@ -268,11 +267,15 @@ def _step_checker(graphs):
     It asserts that the desires match the library projection, diagonal
     beliefs never move, the graph masks belong to the adjacency of that step
     (the school's changes as it moves), b is the dense masked update of the
-    previous b on the far-field links, and the active links, fhat, the
-    cache key, the q each sweep used, the cached q (unless a flip dropped
-    it), and the A1/A2 split and the combination matrix it splits equal
-    fresh ones.  counts[name, True] counts the steps that kept the object of
-    the step before and counts[name, False] those that replaced it."""
+    previous b on the far-field links, and the active links, fhat, the q
+    each sweep used, the cached q (unless a flip dropped it), and the A1/A2
+    split and the combination matrix it splits equal fresh ones.  A step
+    runs one sweep, or none while the cached q is all 1 and g stays the same
+    object.  counts[name, True] counts the steps that kept the object of the
+    step before and counts[name, False] those that replaced it;
+    counts["skipped"] counts the steps that ran no sweep and counts["beliefs
+    at rest"] those after which the next step with the same events skips the
+    belief update."""
     counts, last = collections.Counter(), {}
 
     def check(rep, i, adj, A, sweeps):
@@ -295,7 +298,6 @@ def _step_checker(graphs):
             assert np.array_equal(rep.side, rep.b.take(rep.active) >= 0.5)
         fresh = rep.oracle_rel if cfg.oracle_classification else f_hat(rep.b)
         assert np.array_equal(rep.fhat, fresh)
-        assert all(map(operator.is_, rep.key, (adj, A, rep.fhat, rep.g)))
 
         def fresh_q(g):
             # n_g from the per-agent translation, self included
@@ -303,25 +305,32 @@ def _step_checker(graphs):
             n_g = ((translated == g[:, None]) & adj).sum(axis=1)
             return rep.table[global_desires(g, rep.f), adj.sum(axis=1), n_g]
 
-        assert len(sweeps) == (cfg.forced_desired is None)
-        for g, q in sweeps:
-            assert np.array_equal(q, fresh_q(g))
+        if cfg.forced_desired is not None:
+            assert not sweeps and rep.q is None
+        elif not sweeps:    # no uniform in [0, 1) can flip an agent whose q is 1
+            assert rep.sure and rep.q.min() >= 1.0
+            assert prev is None or rep.g is prev["g"]
+            counts["skipped"] += 1
+        else:
+            assert len(sweeps) == 1 and np.array_equal(sweeps[0][1], fresh_q(sweeps[0][0]))
         if rep.q is not None:
             assert np.array_equal(rep.q, fresh_q(rep.g))
-        else:   # the sweep flipped g, and q is rebuilt when next used
+            assert rep.sure == (rep.q.min() >= 1.0)
+        elif cfg.forced_desired is None:   # the sweep flipped g; q is rebuilt when next used
             assert sweeps[0][0] is not rep.g
         if cfg.rule == "fast":
             A = _fast_weight_matrix(adj, fresh == rep.g[:, None])
         assert np.array_equal(rep.A1 + rep.A2, A)
         for cached, expected in zip((rep.A1, rep.A2), split_matrices(A, fresh, rep.g)):
             assert np.array_equal(cached, expected)
+        counts["beliefs at rest"] += rep.rest is not None
         graphs.append(adj.copy())
         # holding rep keeps its id from being reused by a later run's replica
         now = dict(rep=rep, b=rep.b.copy(), far=rep.far, active=rep.active,
-                   fhat=rep.fhat, glob=rep.glob, key=rep.key, A1=rep.A1,
-                   q=sweeps[0][1] if sweeps else None)
+                   fhat=rep.fhat, g=rep.g, glob=rep.glob, A1=rep.A1,
+                   q=sweeps[0][1] if sweeps else rep.q)
         if prev:
-            for name in ("active", "fhat", "glob", "key", "A1", "q"):
+            for name in ("active", "fhat", "g", "glob", "A1", "q"):
                 counts[name, now[name] is prev[name]] += 1
             crossed = ((rep.b >= 0.5) != (prev_b >= 0.5)).any()
             counts["crossing, far set kept"] += bool(crossed and rep.far is prev["far"])
@@ -367,12 +376,71 @@ def test_step_caches_are_reused_and_rebuilt(monkeypatch, cfg):
     run_cfg = (small_school(iterations=400, comm_radius=4.0) if moving
                else small_config(replicas=1, iterations=400, **cfg))
     _checked_runs(monkeypatch, run_cfg, check)
-    for name in ("active", "fhat", "glob", "key", "A1", "q"):
+    for name in ("active", "fhat", "g", "glob", "A1", "q"):
         assert counts[name, True] + counts[name, False] == 399
         assert counts[name, True] > 0 and counts[name, False] > 0
     assert counts["crossing, far set kept"] > 0
+    assert 0 < counts["skipped"] < 399
+    assert counts["beliefs at rest"] > 0 or moving    # the school's do not settle in 400
     changed = sum(not np.array_equal(a, b) for a, b in zip(graphs, graphs[1:]))
     assert (changed > 0) == moving
+
+
+def test_sweeps_stop_once_every_keep_probability_is_1(monkeypatch):
+    # after agreement every agent's neighbourhood agrees, q is all 1 and the
+    # step runs no sweep; the outputs equal those of a step made to sweep on
+    # every iteration, which draws the same uniforms and flips no one
+    cfg = small_config(replicas=1, iterations=400)
+    sweep, step, now, swept = harness.decision_sweep, harness._Replica.step, [], []
+
+    def counted(g, q, uniforms):
+        swept.append(now[-1])
+        return sweep(g, q, uniforms)
+
+    def tracked(rep, i, adj, A, u, d, uniforms):
+        now.append(i)
+        step(rep, i, adj, A, u, d, uniforms)
+
+    monkeypatch.setattr(harness, "decision_sweep", counted)
+    monkeypatch.setattr(harness._Replica, "step", tracked)
+    ours = run_scenario(cfg)
+    monkeypatch.undo()
+    # the sweep of the agreement iteration is the one that brings agreement
+    (settled,) = ours.agreement_times
+    assert 0 < settled < 400 and swept and max(swept) <= settled
+
+    # a class property shadows the step's `sure`, which then always reads False
+    monkeypatch.setattr(harness._Replica, "sure", property(lambda rep: False,
+                                                          lambda rep, value: None),
+                        raising=False)
+    monkeypatch.setattr(harness, "decision_sweep", counted)
+    swept.clear()
+    expected = run_scenario(cfg)
+    monkeypatch.undo()
+    assert len(swept) == 400
+    for a, b in zip(_outputs(ours), _outputs(expected), strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+
+
+def test_beliefs_at_rest_are_dropped_with_their_active_links():
+    # the link between agents 0 and 1 comes to rest under agreeing events;
+    # then the far set moves to agents 2 and 3, whose link has as many
+    # events, all agreeing too, but a belief of 0.5 that must move
+    cfg = small_config(N=4, split=2, replicas=1, iterations=1000, forced_desired=0)
+    rep = harness._Replica(cfg, ModelPair(cfg.w0, cfg.w1), np.array([0, 0, 1, 1]))
+    adj, A = np.ones((4, 4), dtype=bool), np.full((4, 4), 0.25)
+    u, d = np.zeros((4, cfg.M)), np.zeros(4)    # no update: h is only scaled
+
+    def step(i, far):
+        rep.h_hat[:] = 0.0
+        rep.h_hat[far] = 10.0 / (1.0 - cfg.nu)
+        rep.step(i, adj, A, u, d, None)
+
+    for i in range(999):
+        step(i, [0, 1])
+    assert rep.rest is not None and rep.b[0, 1] == rep.b[1, 0] > 0.99
+    step(999, [2, 3])
+    assert rep.b[2, 3] == rep.b[3, 2] == cfg.alpha * 0.5 + (1.0 - cfg.alpha)
 
 
 @pytest.mark.parametrize("iterations", [1, 63, 64, 65, 197])
@@ -469,6 +537,23 @@ def test_divergence_mid_block_names_its_iteration(monkeypatch):
         warnings.simplefilter("error")
         with pytest.raises(DivergenceError, match="at iteration 40$"):
             run_scenario(small_config(replicas=1, iterations=100))
+
+
+def test_divergence_names_replica_agent_and_norm(monkeypatch):
+    # agent 7 of the second replica turns NaN at iteration 40, after the
+    # combine (which would spread it to every agent) and before the guard
+    guard, replicas = harness.check_divergence, []
+
+    def poisoned(w, i):
+        replicas.extend([i] if i == 0 else [])
+        if len(replicas) == 2 and i == 40:
+            w[7] = np.nan
+        guard(w, i)
+
+    monkeypatch.setattr(harness, "check_divergence", poisoned)
+    with pytest.raises(DivergenceError, match=r"^replica 1: agent 7 estimate norm nan "
+                                              r"exceeded 1e\+06 at iteration 40$"):
+        run_scenario(small_config(replicas=2, iterations=100))
 
 
 def test_determinism_and_seed_sensitivity():
@@ -599,6 +684,46 @@ def test_csv_and_meta_writers(tmp_path):
         {"N": 4, "K": 1, "rho_Q": 0.5, "mean_absorption": 2.0}])
     assert sweep_path.read_text().splitlines()[0] == \
         "N,K,rho_Q,mean_absorption"
+
+
+def _csv_oracle(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(header)
+        out.writerows(rows)
+
+
+def test_writers_match_the_csv_module(tmp_path):
+    # every writer's bytes equal csv.writer's for the same rows of Python
+    # values, the NaN columns of a conventional run included
+    def same(writer, arg, header, rows):
+        writer(tmp_path / "ours.csv", arg)
+        _csv_oracle(tmp_path / "csv.csv", header, rows)
+        assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "csv.csv").read_bytes()
+
+    msd_header = ["iteration", "msd0_db", "msd1_db", "msd_desired_db", "agreement_fraction"]
+    for cfg in (small_config(record_beliefs=True, iterations=300),
+                small_config(**CONVENTIONAL)):
+        tr = run_scenario(cfg)
+        columns = (tr.msd0_db, tr.msd1_db, tr.msd_desired_db, tr.agreement_fraction)
+        same(write_msd_csv, tr, msd_header,
+             ([i, *(repr(float(c[i])) for c in columns)] for i in range(cfg.iterations)))
+    assert np.isnan(tr.msd_desired_db).all()
+    tr = run_scenario(small_config(record_beliefs=True, replicas=1, iterations=30))
+    adj = tr.topology.adjacency
+    pairs = [(k, l) for k in range(adj.shape[0])
+             for l in np.flatnonzero(adj[:, k]) if l != k]
+    same(write_beliefs_csv, tr, ["iteration", "observer", "neighbor", "belief", "f_hat"],
+         ([i, k, l, repr(float(b[k, l])), int(b[k, l] >= 0.5)]
+          for i, b in enumerate(tr.belief_stream) for k, l in pairs))
+    tr = run_scenario(small_school(iterations=30))
+    same(write_trajectory_csv, tr, ["step", "agent", "x1", "x2", "v1", "v2", "g_global",
+                                    "msd_to_target"],
+         ([i, k, *(repr(float(v)) for v in row[:4]), int(row[4]), repr(float(row[5]))]
+          for i, step in enumerate(tr.trajectory) for k, row in enumerate(step)))
+    rows = run_chain_sweep(ScenarioConfig(kind="chain_sweep", sweep_N=[4, 6]))
+    same(write_chain_sweep_csv, rows, ["N", "K", "rho_Q", "mean_absorption"],
+         ([r["N"], r["K"], repr(r["rho_Q"]), repr(r["mean_absorption"])] for r in rows))
 
 
 def test_trajectory_writer(tmp_path):
