@@ -545,7 +545,8 @@ def test_divergence_names_replica_agent_and_norm(monkeypatch):
     guard, replicas = harness.check_divergence, []
 
     def poisoned(w, i):
-        replicas.extend([i] if i == 0 else [])
+        if i == 0:          # a replica's first step
+            replicas.append(w)
         if len(replicas) == 2 and i == 40:
             w[7] = np.nan
         guard(w, i)
@@ -686,19 +687,15 @@ def test_csv_and_meta_writers(tmp_path):
         "N,K,rho_Q,mean_absorption"
 
 
-def _csv_oracle(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(header)
-        out.writerows(rows)
-
-
 def test_writers_match_the_csv_module(tmp_path):
     # every writer's bytes equal csv.writer's for the same rows of Python
     # values, the NaN columns of a conventional run included
     def same(writer, arg, header, rows):
         writer(tmp_path / "ours.csv", arg)
-        _csv_oracle(tmp_path / "csv.csv", header, rows)
+        with open(tmp_path / "csv.csv", "w", newline="") as fh:
+            out = csv.writer(fh)
+            out.writerow(header)
+            out.writerows(rows)
         assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "csv.csv").read_bytes()
 
     msd_header = ["iteration", "msd0_db", "msd1_db", "msd_desired_db", "agreement_fraction"]
