@@ -22,7 +22,7 @@ def check_divergence(w: np.ndarray, iteration: int) -> None:
     over DIVERGENCE_LIMIT (or NaN), that norm and the iteration.  The squared
     total bounds every row, so the rows are tested one by one only when the
     total is over the limit; NaN and inf fail both tests."""
-    flat = w.ravel()
+    flat = w.ravel("K")     # memory order: no copy of a transposed w
     if not flat @ flat <= DIVERGENCE_LIMIT ** 2:
         (over,) = np.nonzero(~(np.add.reduce(w * w, 1) <= DIVERGENCE_LIMIT ** 2))
         if over.size:

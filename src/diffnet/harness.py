@@ -355,8 +355,9 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
     belief_stream = trajectory = None
 
     for r, ss in enumerate(rep_ss):
-        try:
-            rep = replica(np.random.default_rng(ss))
+        try:    # a huge but finite estimate overflows before the guard names it
+            with np.errstate(over="ignore", invalid="ignore"):
+                rep = replica(np.random.default_rng(ss))
         except DivergenceError as exc:
             raise DivergenceError(f"replica {r}: {exc}") from exc
         for key in keys:
@@ -411,7 +412,10 @@ def _build_environment(cfg: ScenarioConfig, rng: np.random.Generator):
 class _Replica:
     """State and per-iteration metric records of one replica under the
     adapt -> classify -> decide -> split-combine step shared by the static
-    and fish scenarios."""
+    and fish scenarios.  The state is component-major: h_hat, the step's u
+    and the metric block's rows are C-contiguous (M, N), so each per-agent
+    sum over M adds M rows of length N in the order of a sum along M; w is
+    the (N, M) transpose of the block row the last step wrote."""
 
     def __init__(self, cfg: ScenarioConfig, models: ModelPair, f: np.ndarray):
         N, M, iters = cfg.N, cfg.M, cfg.iterations
@@ -420,15 +424,16 @@ class _Replica:
         self.table = quorum_table(N, cfg.K, cfg.beta)
         self.oracle_rel = oracle_relative_f(f) if cfg.oracle_classification else None
         self.conventional = cfg.strategy == "conventional"
-        self.w = np.zeros((N, M))
-        self.h_hat = np.zeros((N, M))
+        self.w = np.zeros((M, N)).T
+        self.h_hat = np.zeros((M, N))
         self.b = np.full((N, N), 0.5)
         self.fhat = self.oracle_rel if self.oracle_rel is not None else f_hat(self.b)
         forced = cfg.forced_desired
         self.g = np.ones(N, dtype=int) if forced is None else (f == forced).astype(int)
-        self.glob = global_desires(self.g, f)     # validates f once
+        self.flip = global_desires(np.zeros(N, dtype=int), f)   # validates f once
+        self.glob = self.g ^ self.flip            # global_desires(g, f)
         self.sq0, self.sq1, self.sqd, self.sqr, self.frac = np.empty((5, iters))
-        self.w_block = np.empty((METRIC_BLOCK, N, M))
+        self.w_block = np.empty((METRIC_BLOCK, M, N))
         self.glob_block = np.empty((METRIC_BLOCK, N), dtype=int)
         self.err = np.empty((iters, N, M)) if cfg.mean_error_vs is not None else None
         self.stream = np.empty((iters, N, N)) if cfg.record_beliefs else None
@@ -439,18 +444,18 @@ class _Replica:
              d: np.ndarray, uniforms: np.ndarray | None) -> None:
         """One network-wide iteration on the graph `adj` with combination
         matrix A, regressors u, measurements d and the N quorum uniforms
-        (None when no decision runs).  Only active links (both ends in the
-        far field) update their beliefs.  q, the fast weights and the A1/A2
+        (None when no decision runs); u is (M, N).  Only active links (both
+        ends in the far field) update their beliefs.  q, the fast weights and the A1/A2
         split are dropped where a new adj or A object arrives, fhat is
         replaced or g flips, and rebuilt when next used.  While q is all 1
         no sweep runs: no uniform in [0, 1) can flip an agent."""
-        cfg = self.cfg
-        update = u * (d - np.add.reduce(u * self.w, 1))[:, None]
-        psi = self.w + cfg.mu * update
+        cfg, w = self.cfg, self.w.T
+        update = u * (d - np.add.reduce(u * w, 0))
+        psi = w + cfg.mu * update
         j = i % METRIC_BLOCK
         row = self.w_block[j]           # the combine is written into its metric row
         if self.conventional:
-            np.copyto(row, A.T @ psi)
+            np.copyto(row, psi @ A)
         else:
             if adj is not self.graph:   # the school brings new adj and A when its graph changes
                 self.graph, self.n_k, self.far, self.A = adj, adj.sum(axis=1), None, None
@@ -461,7 +466,7 @@ class _Replica:
             h *= 1.0 - cfg.nu
             update *= cfg.nu
             h += update
-            far = np.add.reduce(h * h, 1) > cfg.eta ** 2
+            far = np.add.reduce(h * h, 0) > cfg.eta ** 2
             if far.tobytes() != self.far:     # self.far holds the far set's bytes
                 # flat indices of the active links and the side of 0.5 of each
                 # belief; diagonal beliefs are never active, so they stay 0.5
@@ -469,7 +474,7 @@ class _Replica:
                 self.active = np.flatnonzero(far[:, None] & far & self.links)
                 self.side = self.b.take(self.active) >= 0.5
             if self.active.size:
-                same = (h @ h.T).take(self.active) > 0.0
+                same = (h.T @ h).take(self.active) > 0.0
                 events = same.tobytes()
                 # rest: the events of the last update if it moved no belief;
                 # the same events move none again
@@ -493,15 +498,15 @@ class _Replica:
                 if not self.sure:
                     g = decision_sweep(self.g, self.q, uniforms)
                     if g is not self.g:
-                        self.g, self.glob = g, global_desires(g, self.f)
+                        self.g, self.glob = g, g ^ self.flip
                         self.q = self.A1 = None
             if self.A1 is None:
                 if cfg.rule == "fast":
                     A = _fast_weight_matrix(adj, self.fhat == self.g[:, None])
                 self.A1, self.A2 = split_matrices(A, self.fhat, self.g)
-            np.add(self.A1.T @ psi, self.A2.T @ self.w, out=row)
+            np.add(psi @ self.A1, w @ self.A2, out=row)
 
-        self.w = w = row
+        self.w = w = row.T
         check_divergence(w, i)
         self.glob_block[j] = self.glob
         if j == METRIC_BLOCK - 1 or i == cfg.iterations - 1:
@@ -512,11 +517,12 @@ class _Replica:
             self.stream[i] = self.b
 
     def _record(self, start: int, n: int) -> None:
-        """Metric records of iterations start .. start + n - 1; each sum runs
-        along a contiguous axis, so each is bit for bit that step's mean."""
+        """Metric records of iterations start .. start + n - 1; the sum over
+        M adds rows in order and the sum over N runs along a contiguous axis,
+        so each record is bit for bit that step's mean."""
         N, span, glob = self.cfg.N, slice(start, start + n), self.glob_block[:n]
-        dev = self.w_block[:n, None] - self.stacked[None, :, None]   # (n, model, N, M)
-        dev = np.add.reduce(np.square(dev, out=dev), 3)
+        dev = self.w_block[:n, None] - self.stacked[None, :, :, None]   # (n, model, M, N)
+        dev = np.add.reduce(np.square(dev, out=dev), 2)
         self.sq0[span], self.sq1[span] = sq = np.add.reduce(dev, 2).T / N
         if self.conventional:
             return
@@ -569,7 +575,7 @@ def _replica_fish(cfg, params, models, f, rng):
             adj, A = graph, graph / graph.sum(axis=0)[None, :]
         d, u = measure_target(x, u, z, params.kappa, params.sigma_angle, rng)
         uniforms = rng.random(cfg.N) if cfg.forced_desired is None else None
-        rep.step(i, adj, A, u, d, uniforms)
+        rep.step(i, adj, A, u.T, d, uniforms)
         x, vel = update_motion(x, vel, rep.w, A,
                                cohesion_all(diff, dist, adj, params.d_s), params)
         trajectory[i, :, 0:2] = x

@@ -205,10 +205,12 @@ def sample_data(z: np.ndarray, env: AgentEnvironment, normals: np.ndarray):
     """(d, u) of n iterations from the linear regression model
     d_k = u_k z_k + v_k, for the (N, M) observed models z.  Each row of the
     standard normals (n, N(M + 1)) is one iteration's draw: the regressors
-    u (N, M) first, then the noise v (N).  Returns d (n, N) and u (n, N, M)."""
+    (N, M) first, agent-major, then the noise v (N).  Returns d (n, N) and
+    u component-major, (n, M, N) and C-contiguous: u[i, :, k] is agent k's
+    regressor, and each sum over M adds M rows of length N."""
     n, (N, M) = len(normals), z.shape
-    u = normals[:, :N * M].reshape(n, N, M) @ env.ru_chol.T
-    return (u * z).sum(axis=2) + env.sigma_v * normals[:, N * M:], u
+    u = env.ru_chol @ normals[:, :N * M].reshape(n, N, M).transpose(0, 2, 1)
+    return np.add.reduce(u * z.T, 1) + env.sigma_v * normals[:, N * M:], u
 
 
 def bias_limit(c: np.ndarray, models: ModelPair, f) -> np.ndarray:

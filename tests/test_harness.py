@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 import subprocess
 import time
 import tracemalloc
@@ -287,11 +288,11 @@ def _step_checker(graphs):
         assert np.array_equal(rep.n_k, adj.sum(axis=1))
         # the belief update as a dense masked copyto of the previous beliefs
         prev_b = prev["b"] if prev else np.full_like(rep.b, 0.5)
-        far = (rep.h_hat ** 2).sum(axis=1) > cfg.eta ** 2
+        far = (rep.h_hat ** 2).sum(axis=0) > cfg.eta ** 2
         active = far[:, None] & far[None, :] & rep.links
         expected = prev_b.copy()
         np.copyto(expected, cfg.alpha * prev_b + (1.0 - cfg.alpha)
-                  * (rep.h_hat @ rep.h_hat.T > 0.0), where=active)
+                  * (rep.h_hat.T @ rep.h_hat > 0.0), where=active)
         assert np.array_equal(rep.b, expected)
         assert np.array_equal(rep.active, np.flatnonzero(active))
         if not cfg.oracle_classification:
@@ -429,11 +430,11 @@ def test_beliefs_at_rest_are_dropped_with_their_active_links():
     cfg = small_config(N=4, split=2, replicas=1, iterations=1000, forced_desired=0)
     rep = harness._Replica(cfg, ModelPair(cfg.w0, cfg.w1), np.array([0, 0, 1, 1]))
     adj, A = np.ones((4, 4), dtype=bool), np.full((4, 4), 0.25)
-    u, d = np.zeros((4, cfg.M)), np.zeros(4)    # no update: h is only scaled
+    u, d = np.zeros((cfg.M, 4)), np.zeros(4)    # no update: h is only scaled
 
     def step(i, far):
         rep.h_hat[:] = 0.0
-        rep.h_hat[far] = 10.0 / (1.0 - cfg.nu)
+        rep.h_hat[:, far] = 10.0 / (1.0 - cfg.nu)
         rep.step(i, adj, A, u, d, None)
 
     for i in range(999):
@@ -441,6 +442,30 @@ def test_beliefs_at_rest_are_dropped_with_their_active_links():
     assert rep.rest is not None and rep.b[0, 1] == rep.b[1, 0] > 0.99
     step(999, [2, 3])
     assert rep.b[2, 3] == rep.b[3, 2] == cfg.alpha * 0.5 + (1.0 - cfg.alpha)
+
+
+@pytest.mark.parametrize("moving", [False, True], ids=["static", "school"])
+def test_replica_state_is_component_major(monkeypatch, moving):
+    # h_hat, the step's u and the metric block are (M, N) per iteration,
+    # C-contiguous (the school's u is the transpose of its sensing's (N, M));
+    # w is the (N, M) view of the block row its step wrote
+    cfg = small_school(iterations=70) if moving else small_config(replicas=1, iterations=70)
+    step, steps = harness._Replica.step, []
+
+    def checked(rep, i, adj, A, u, d, uniforms):
+        step(rep, i, adj, A, u, d, uniforms)
+        shape = (rep.cfg.M, rep.cfg.N)
+        assert u.shape == shape and (moving or u.flags.c_contiguous)
+        for state in (rep.h_hat, rep.w.T, rep.w_block[0]):
+            assert state.shape == shape and state.flags.c_contiguous
+        assert rep.w_block.shape == (harness.METRIC_BLOCK, *shape)
+        assert rep.w_block.flags.c_contiguous
+        assert rep.w.T.ctypes.data == rep.w_block[i % harness.METRIC_BLOCK].ctypes.data
+        steps.append(i)
+
+    monkeypatch.setattr(harness._Replica, "step", checked)
+    run_scenario(cfg)
+    assert steps == list(range(70))
 
 
 @pytest.mark.parametrize("iterations", [1, 63, 64, 65, 197])
@@ -466,7 +491,7 @@ def _per_iteration_static(cfg, adj, A, env, models, f, rng):
         draw = rng.standard_normal(z.size + cfg.N)
         u = draw[:z.size].reshape(z.shape) @ env.ru_chol.T
         d = (u * z).sum(axis=1) + env.sigma_v * draw[z.size:]
-        rep.step(i, adj, A, u, d, rng.random(cfg.N) if decides else None)
+        rep.step(i, adj, A, u.T, d, rng.random(cfg.N) if decides else None)
     return rep
 
 
@@ -485,7 +510,7 @@ def _per_step_fish(cfg, params, models, f, rng):
         if not np.array_equal(graph, adj):
             adj, A = graph, graph / graph.sum(axis=0)[None, :]
         d, u = measure_target(x, u, z, params.kappa, params.sigma_angle, rng)
-        rep.step(i, adj, A, u, d,
+        rep.step(i, adj, A, u.T, d,
                  rng.random(cfg.N) if cfg.forced_desired is None else None)
         x, vel = update_motion(x, vel, rep.w, A,
                                cohesion_all(diff, dist, adj, params.d_s), params)
@@ -916,6 +941,26 @@ def test_cli_nan_estimate_diverges(tmp_path):
     assert cli_main(["simulate", "--config", str(cfg_path),
                      "--out", str(out)]) == 3
     assert not (out / "msd.csv").exists()
+
+
+def test_cli_huge_finite_estimate_diverges_without_warnings(tmp_path, capsys):
+    # a finite 1e200 overflows the step's squares before the guard names it;
+    # each replica runs under one errstate, so no RuntimeWarning (an error
+    # in this suite) is printed or raised
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(
+        N=8, M=2, w0=[1e200, 0.0], w1=[0.0, 1.0], split=4, mu=0.02,
+        nu=0.2, alpha=0.9, eta=0.3, K=2, iterations=10, replicas=1, seed=5,
+        mean_degree=4.0)))
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main(["simulate", "--config", str(cfg_path),
+                         "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"simulation diverged: replica 0: agent 0 estimate norm "
+                        r"7\.\d+e\+197 exceeded 1e\+06 at iteration 0\n", captured.err)
+    assert not captured.out and not (out / "msd.csv").exists()
 
 
 def test_git_stamp_survives_timeout(monkeypatch):

@@ -129,10 +129,29 @@ def test_sample_data_statistics():
     z = np.tile([1.0, -1.0], (20000, 1))
     normals = np.random.default_rng(0).standard_normal((1, z.size + len(z)))
     (draws,), (u,) = sample_data(z, env, normals)
-    assert draws.shape == (20000,) and u.shape == (20000, 2)
+    assert draws.shape == (20000,) and u.T.shape == (20000, 2)
     # E[d] = 0, var(d) = z^T Ru z + sigma^2 = 3.04
     assert abs(draws.mean()) < 0.05
     assert abs(draws.var() - 3.04) < 0.12
+
+
+def test_sample_data_matches_per_agent_draws():
+    # u is component-major, (n, M, N) and C-contiguous; agent k's regressor
+    # is its own M normals times chol^T and d is the left-to-right sum
+    # u^T z plus sigma v, bit for bit, for the diagonal Ru the engine builds
+    rng = np.random.default_rng(3)
+    N, M, n = 40, 4, 16
+    env = AgentEnvironment(Ru=np.diag(rng.uniform(1.0, 2.0, M)),
+                           sigma_v2=10.0 ** rng.uniform(-3.5, -0.5, N))
+    z = ModelPair([5.0, -5.0, 5.0, 5.0], [5.0, 5.0, -5.0, 5.0]).observed(np.arange(N) % 2)
+    normals = rng.standard_normal((n, N * (M + 1)))
+    d, u = sample_data(z, env, normals)
+    assert d.shape == (n, N) and u.shape == (n, M, N) and u.flags.c_contiguous
+    for i in range(n):
+        for k in range(N):
+            u_k = normals[i, k * M:(k + 1) * M] @ env.ru_chol.T
+            assert np.array_equal(u[i, :, k], u_k)
+            assert d[i, k] == (u_k * z[k]).sum() + env.sigma_v[k] * normals[i, N * M + k]
 
 
 def test_bias_limit_is_convex_combination():
