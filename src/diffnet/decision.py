@@ -121,8 +121,9 @@ def run_decision_dynamics(topology: Topology, f, K: int,
     adj = topology.adjacency
     table, n_k = quorum_table(topology.N, K, 1.0), adj.sum(axis=1)
     g = np.ones(topology.N, dtype=int) if g_init is None else np.asarray(g_init, dtype=int)
+    flip = 1 - f        # global_desires(g, f) is g ^ flip
     for i in range(AGREEMENT_SWEEP_CAP + 1):
-        glob = global_desires(g, f)
+        glob = g ^ flip
         if (glob == glob[0]).all():
             return int(glob[0]), i, g
         g = decision_sweep(g, keep_probabilities(adj, g, f_rel, table, n_k, 0),

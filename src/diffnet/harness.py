@@ -7,7 +7,9 @@ import dataclasses
 import json
 import math
 import os
+import reprlib
 import subprocess
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,9 +31,7 @@ from .network import AgentEnvironment, ModelPair, Topology, generate_topology, \
 
 MSD_FLOOR_DB = -120.0
 NEVER = math.inf
-METRIC_BLOCK = 64     # iterations whose metric records are computed together
-DRAW_BLOCK = 16       # iterations whose random draws the static engine takes together
-CSV_BLOCK = 256       # rows a CSV writer turns into Python floats together
+BLOCK = 64    # iterations drawn and recorded together; CSV rows converted together
 
 STRATEGIES = ("conventional", "modified")
 RULES = ("uniform", "fast")
@@ -113,7 +113,8 @@ class ScenarioConfig:
             check = {"int": _is_int, "float": _is_real,
                      "bool": lambda v: isinstance(v, bool)}.get(f.type)
             if check and not check(value):
-                raise ConfigError(f"{f.name} must be of type {f.type}, not {value!r}")
+                raise ConfigError(f"{f.name} must be of type {f.type} within float "
+                                  f"range, not {reprlib.repr(value)}")
             # object arrays compare ragged lists too
             if f.name not in reads + ("kind", "seed") and not np.array_equal(
                     np.asarray(value, dtype=object),
@@ -125,14 +126,17 @@ class ScenarioConfig:
                 raise ConfigError("w0 and w1 must be lists of M >= 1 numbers")
             if list(self.w0) == list(self.w1):
                 raise ConfigError("the two models must differ")
-            if not (self.mu > 0 and 0 < self.nu < 1 and self.eta > 0):
-                raise ConfigError("require mu > 0, nu in (0,1) and eta > 0")
+            if not (self.mu > 0 and 0 < self.nu < 1 and self.eta > 0
+                    and math.isfinite(float(self.eta) * self.eta)):
+                raise ConfigError("require mu > 0, nu in (0,1), eta > 0 and eta ** 2 finite")
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative int")
         for name, floor in (("ru_range", 0.0), ("noise_db_range", -math.inf)):
             pair = getattr(self, name)
-            if name in reads and not (_is_vector(pair, 2) and floor < pair[0] <= pair[1]):
-                raise ConfigError(f"{name} must be two numbers above {floor}, low <= high")
+            if name in reads and not (_is_vector(pair, 2) and floor < pair[0] <= pair[1]
+                                      and math.isfinite(float(pair[1]) - pair[0])):
+                raise ConfigError(f"{name} must be two numbers above {floor}, low <= high, "
+                                  "high - low finite")
         if self.kind in ("static_two_model", "fish"):
             if self.N < 2:
                 raise ConfigError("need N >= 2")
@@ -183,12 +187,12 @@ class ScenarioConfig:
         """Bytes of the float64 arrays a run of this (validated) config
         allocates, to within a small factor."""
         if self.kind == "chain_sweep":     # P, its half-height row factors, I - Q, its LU
-            return 8.0 * 5 * (max(self.sweep_N) + 1.0) ** 2
+            rows = max(self.sweep_N) + 1.0   # squared by multiplying: inf, not OverflowError
+            return 8.0 * 5 * rows * rows
         if self.kind == "classify_bench":  # regressor draws and both directions
             return 8.0 * 8 * self.M * max(self.bench_trials, 10_000.0)
         N, iters = float(self.N), float(self.iterations)
-        return 8.0 * (16 * iters + METRIC_BLOCK * (3 * self.M + 3) * N  # records, block
-                      + DRAW_BLOCK * (2 * self.M + 3) * N   # normals, uniforms, u, d
+        return 8.0 * (16 * iters + BLOCK * (5 * self.M + 6) * N  # records, block
                       + (2.0 * self.replicas + 16) * N * N  # beliefs, state, table, links
                       + self.record_beliefs * iters * N * N
                       + (self.mean_error_vs is not None) * 2 * iters * N * self.M
@@ -205,7 +209,7 @@ class ScenarioConfig:
             raise ConfigError("comm_radius must be positive and finite")
         try:
             MotionParams(**self.motion)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad motion parameters: {exc}") from exc
 
     def to_dict(self) -> dict:
@@ -227,13 +231,14 @@ class ScenarioConfig:
         try:
             with open(path) as fh:
                 doc = json.load(fh)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:   # ValueError: bad UTF-8, JSON or int digits
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_dict(doc)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def _is_int(value) -> bool:     # within float range; a Python float compares exactly
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _is_real(value) -> bool:
@@ -347,8 +352,7 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
         check_stepsize_separation(cfg.mu, cfg.nu)
 
     iters, R = cfg.iterations, cfg.replicas
-    keys = ("sq0", "sq1", "sqd", "sqr", "frac") if modified else ("sq0", "sq1")
-    sums = {key: np.zeros(iters) for key in keys}
+    sums = np.zeros((5, iters))     # sq0, sq1, sqd, sqr, frac; NaN rows when conventional
     times, finals_g, finals_b = [], [], []
     w_sum = np.zeros((cfg.N, cfg.M))
     err_sum = np.zeros((iters, cfg.N, cfg.M)) if cfg.mean_error_vs is not None else None
@@ -360,8 +364,7 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
                 rep = replica(np.random.default_rng(ss))
         except DivergenceError as exc:
             raise DivergenceError(f"replica {r}: {exc}") from exc
-        for key in keys:
-            sums[key] += getattr(rep, key)
+        sums += rep.records
         w_sum += rep.w
         if modified:
             times.append(agreement_time(rep.frac == 1.0))
@@ -372,17 +375,15 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
         if r == 0:
             belief_stream, trajectory = rep.stream, rep.trajectory
 
-    def db(key):
-        if key not in sums:
-            return np.full(iters, np.nan)
-        return np.fromiter(map(msd_db, (sums[key] / R).tolist()), float, iters)
+    def db(row):      # msd_db(nan) is nan
+        return np.fromiter(map(msd_db, (sums[row] / R).tolist()), float, iters)
 
     return TraceSet(
-        msd0_db=db("sq0"),
-        msd1_db=db("sq1"),
-        msd_desired_db=db("sqd"),
-        msd_rejected_db=db("sqr"),
-        agreement_fraction=(sums["frac"] / R) if modified else np.full(iters, np.nan),
+        msd0_db=db(0),
+        msd1_db=db(1),
+        msd_desired_db=db(2),
+        msd_rejected_db=db(3),
+        agreement_fraction=sums[4] / R,
         agreement_times=np.array(times) if modified else None,
         final_global_desires=np.array(finals_g) if modified else None,
         final_w_mean=w_sum / R,
@@ -432,64 +433,59 @@ class _Replica:
         self.g = np.ones(N, dtype=int) if forced is None else (f == forced).astype(int)
         self.flip = global_desires(np.zeros(N, dtype=int), f)   # validates f once
         self.glob = self.g ^ self.flip            # global_desires(g, f)
-        self.sq0, self.sq1, self.sqd, self.sqr, self.frac = np.empty((5, iters))
-        self.w_block = np.empty((METRIC_BLOCK, M, N))
-        self.glob_block = np.empty((METRIC_BLOCK, N), dtype=int)
+        self.records = np.full((5, iters), np.nan)   # rows 2-4 stay NaN when conventional
+        self.sq0, self.sq1, self.sqd, self.sqr, self.frac = self.records
+        self.w_block = np.empty((BLOCK, M, N))
+        self.glob_block = np.empty((BLOCK, N), dtype=int)
         self.err = np.empty((iters, N, M)) if cfg.mean_error_vs is not None else None
         self.stream = np.empty((iters, N, N)) if cfg.record_beliefs else None
         self.graph = self.trajectory = None       # graph: the adjacency self.links is for
-        self.A = self.q = self.A1 = None          # A: the matrix the split is of
 
     def step(self, i: int, adj: np.ndarray, A: np.ndarray, u: np.ndarray,
              d: np.ndarray, uniforms: np.ndarray | None) -> None:
         """One network-wide iteration on the graph `adj` with combination
         matrix A, regressors u, measurements d and the N quorum uniforms
         (None when no decision runs); u is (M, N).  Only active links (both
-        ends in the far field) update their beliefs.  q, the fast weights and the A1/A2
-        split are dropped where a new adj or A object arrives, fhat is
-        replaced or g flips, and rebuilt when next used.  While q is all 1
-        no sweep runs: no uniform in [0, 1) can flip an agent."""
+        ends in the far field) update their beliefs.  The engines hand a new
+        A only together with a new adj object, so q, the fast weights and the
+        A1/A2 split are dropped where a new adj arrives, fhat is replaced or
+        g flips, and rebuilt when next used.  While q is all 1 no sweep runs:
+        no uniform in [0, 1) can flip an agent."""
         cfg, w = self.cfg, self.w.T
         update = u * (d - np.add.reduce(u * w, 0))
         psi = w + cfg.mu * update
-        j = i % METRIC_BLOCK
+        j = i % BLOCK
         row = self.w_block[j]           # the combine is written into its metric row
         if self.conventional:
             np.copyto(row, psi @ A)
         else:
             if adj is not self.graph:   # the school brings new adj and A when its graph changes
-                self.graph, self.n_k, self.far, self.A = adj, adj.sum(axis=1), None, None
+                self.graph, self.n_k, self.far = adj, adj.sum(axis=1), None
                 self.links = adj & ~np.eye(cfg.N, dtype=bool)
-            if A is not self.A:
-                self.A, self.q, self.A1 = A, None, None
+                self.q = self.A1 = None
             h = self.h_hat              # (1 - nu) h + nu update, in place
             h *= 1.0 - cfg.nu
             update *= cfg.nu
             h += update
             far = np.add.reduce(h * h, 0) > cfg.eta ** 2
             if far.tobytes() != self.far:     # self.far holds the far set's bytes
-                # flat indices of the active links and the side of 0.5 of each
-                # belief; diagonal beliefs are never active, so they stay 0.5
+                # flat indices of the active links; diagonal beliefs are never
+                # active, so they stay 0.5
                 self.far, self.rest = far.tobytes(), None
                 self.active = np.flatnonzero(far[:, None] & far & self.links)
-                self.side = self.b.take(self.active) >= 0.5
-            if self.active.size:
-                same = (h.T @ h).take(self.active) > 0.0
-                events = same.tobytes()
-                # rest: the events of the last update if it moved no belief;
-                # the same events move none again
-                if events != self.rest:
-                    old = self.b.take(self.active)
-                    new = cfg.alpha * old + (1.0 - cfg.alpha) * same
-                    self.b.put(self.active, new)
-                    self.rest = events if new.tobytes() == old.tobytes() else None
-                    # a belief keeps its side when the event agrees with it,
-                    # so only a disagreeing event can move one across 0.5
-                    if self.oracle_rel is None and events != self.side.tobytes():
-                        side = new >= 0.5
-                        if side.tobytes() != self.side.tobytes():
-                            self.fhat, self.q, self.A1 = f_hat(self.b), None, None
-                        self.side = side
+            same = (h.T @ h).take(self.active) > 0.0
+            events = same.tobytes()
+            # rest: the events of the last update if it moved no belief; the
+            # same events move none again
+            if events != self.rest:
+                old = self.b.take(self.active)
+                new = cfg.alpha * old + (1.0 - cfg.alpha) * same
+                self.b.put(self.active, new)
+                self.rest = events if new.tobytes() == old.tobytes() else None
+                # fhat changes only where a belief crossed 0.5
+                if (self.oracle_rel is None
+                        and (new >= 0.5).tobytes() != (old >= 0.5).tobytes()):
+                    self.fhat, self.q, self.A1 = f_hat(self.b), None, None
             if cfg.forced_desired is None:
                 if self.q is None:
                     self.q = keep_probabilities(adj, self.g, self.fhat, self.table,
@@ -509,7 +505,7 @@ class _Replica:
         self.w = w = row.T
         check_divergence(w, i)
         self.glob_block[j] = self.glob
-        if j == METRIC_BLOCK - 1 or i == cfg.iterations - 1:
+        if j == BLOCK - 1 or i == cfg.iterations - 1:
             self._record(i - j, j + 1)
         if self.err is not None:
             self.err[i] = self.stacked[cfg.mean_error_vs][None, :] - w
@@ -523,12 +519,8 @@ class _Replica:
         N, span, glob = self.cfg.N, slice(start, start + n), self.glob_block[:n]
         dev = self.w_block[:n, None] - self.stacked[None, :, :, None]   # (n, model, M, N)
         dev = np.add.reduce(np.square(dev, out=dev), 2)
-        self.sq0[span], self.sq1[span] = sq = np.add.reduce(dev, 2).T / N
+        self.records[:2, span] = np.add.reduce(dev, 2).T / N
         if self.conventional:
-            return
-        first = glob.flat[0]
-        if (glob == first).all():       # unanimous: what the np.where sums below give
-            self.sqd[span], self.sqr[span], self.frac[span] = sq[first], sq[1 - first], 1.0
             return
         self.sqd[span] = np.add.reduce(np.where(glob == 0, dev[:, 0], dev[:, 1]), 1) / N
         self.sqr[span] = np.add.reduce(np.where(glob == 0, dev[:, 1], dev[:, 0]), 1) / N
@@ -539,14 +531,14 @@ class _Replica:
 def _replica_static(cfg, adj, A, env, models, f, rng):
     """Fixed graph; Gaussian regressors u and measurement noise v per agent.
     Per iteration, N(M + 1) normals (u, then v) and, when decisions run, N
-    quorum uniforms, drawn DRAW_BLOCK iterations ahead in that order."""
+    quorum uniforms, drawn BLOCK iterations ahead in that order."""
     rep = _Replica(cfg, models, f)
     z = models.observed(f)
     decides = cfg.strategy != "conventional" and cfg.forced_desired is None
-    normals = np.empty((DRAW_BLOCK, z.size + cfg.N))
-    uniforms = np.empty((DRAW_BLOCK, cfg.N))
-    for start in range(0, cfg.iterations, DRAW_BLOCK):
-        n = min(DRAW_BLOCK, cfg.iterations - start)
+    normals = np.empty((BLOCK, z.size + cfg.N))
+    uniforms = np.empty((BLOCK, cfg.N))
+    for start in range(0, cfg.iterations, BLOCK):
+        n = min(BLOCK, cfg.iterations - start)
         for j in range(n):
             rng.standard_normal(out=normals[j])
             if decides:
@@ -605,31 +597,34 @@ def run_chain_sweep(cfg: ScenarioConfig) -> list[dict]:
 
 
 def run_classify_bench(cfg: ScenarioConfig) -> dict:
-    """Far/near-field classification benchmark against the analytic bounds."""
-    rng = np.random.default_rng(cfg.seed)
-    models = ModelPair(np.array(cfg.w0), np.array(cfg.w1))
-    ru_diag = rng.uniform(cfg.ru_range[0], cfg.ru_range[1], cfg.M)
-    env = AgentEnvironment(Ru=np.diag(ru_diag), sigma_v2=np.array([1e-2]))
-    tau_hat = estimate_tau(env, models, max(10_000, cfg.bench_trials // 2), rng)
-    pd_lo, pf_hi = pd_pf_bounds(cfg.nu, tau_hat)
-
-    gap = models.w0 - models.w1
-    direction = gap / np.linalg.norm(gap)
-    scale = cfg.bench_distance
-    w_far = models.w0 - scale * direction
-    same = direction_pair_benchmark(models.w0, models.w0, w_far, env,
-                                    cfg.nu, cfg.eta, cfg.bench_trials, rng)
-    mid = 0.5 * (models.w0 + models.w1)
-    different = direction_pair_benchmark(models.w0, models.w1, mid, env,
-                                         cfg.nu, cfg.eta, cfg.bench_trials, rng)
-    return {
-        "tau_hat": tau_hat,
-        "pd_lower_bound": pd_lo,
-        "pf_upper_bound": pf_hi,
-        "empirical_pd": same["p_e1"],
-        "empirical_pf": different["p_e1"],
-        "empirical_far_rate": same["p_far_k"],
-    }
+    """Far/near-field classification benchmark against the analytic bounds;
+    arithmetic that overflows or makes a NaN is refused, not reported from."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            rng = np.random.default_rng(cfg.seed)
+            models = ModelPair(np.array(cfg.w0), np.array(cfg.w1))
+            ru_diag = rng.uniform(cfg.ru_range[0], cfg.ru_range[1], cfg.M)
+            env = AgentEnvironment(Ru=np.diag(ru_diag), sigma_v2=np.array([1e-2]))
+            tau_hat = estimate_tau(env, models, max(10_000, cfg.bench_trials // 2), rng)
+            pd_lo, pf_hi = pd_pf_bounds(cfg.nu, tau_hat)
+            gap = models.w0 - models.w1
+            w_far = models.w0 - cfg.bench_distance * (gap / np.linalg.norm(gap))
+            same = direction_pair_benchmark(models.w0, models.w0, w_far, env,
+                                            cfg.nu, cfg.eta, cfg.bench_trials, rng)
+            mid = 0.5 * (models.w0 + models.w1)
+            different = direction_pair_benchmark(models.w0, models.w1, mid, env,
+                                                 cfg.nu, cfg.eta, cfg.bench_trials, rng)
+            return {
+                "tau_hat": tau_hat,
+                "pd_lower_bound": pd_lo,
+                "pf_upper_bound": pf_hi,
+                "empirical_pd": same["p_e1"],
+                "empirical_pf": different["p_e1"],
+                "empirical_far_rate": same["p_far_k"],
+            }
+    except FloatingPointError as exc:
+        raise ConfigError(f"classify-bench arithmetic failed ({exc}): w0, w1, ru_range "
+                          "and bench_distance are out of a float's range together") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -646,8 +641,8 @@ def write_msd_csv(path: str, trace: TraceSet) -> None:
     columns = trace.msd0_db, trace.msd1_db, trace.msd_desired_db, trace.agreement_fraction
     _write_csv(path, "iteration,msd0_db,msd1_db,msd_desired_db,agreement_fraction",
                (f"{start + j},{a!r},{b!r},{c!r},{e!r}\r\n"
-                for start in range(0, trace.msd0_db.size, CSV_BLOCK)
-                for j, (a, b, c, e) in enumerate(zip(*(col[start:start + CSV_BLOCK].tolist()
+                for start in range(0, trace.msd0_db.size, BLOCK)
+                for j, (a, b, c, e) in enumerate(zip(*(col[start:start + BLOCK].tolist()
                                                      for col in columns)))))
 
 

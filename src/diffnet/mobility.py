@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,6 +25,8 @@ class MotionParams:
         for name in ("lam", "beta", "gamma", "sigma_angle"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be nonnegative and finite")
+        for f in fields(self):   # numpy takes a float of any size, not an int past int64
+            object.__setattr__(self, f.name, float(getattr(self, f.name)))
 
 
 def cohesion_term(k: int, positions: np.ndarray, adjacency: np.ndarray,

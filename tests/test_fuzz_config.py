@@ -9,9 +9,13 @@ the pools hold, (replicas) just past the replicas x iterations cap at one
 iteration, or (nu) just past classify-bench's step cap, so they are refused
 and nothing runs.  The steps x trials cap has no such value: a
 larger nu in the same config would bring it under the cap and run it.
+The pools also hold magnitudes past a float's range, or whose square,
+span or arithmetic overflows (10**400, 1e200, Infinity), which must be
+refused or diverge, never crash.
 """
 import dataclasses
 import json
+import math
 import random
 
 import pytest
@@ -29,43 +33,44 @@ BASES = {
     "analyze-chain": dict(kind="chain_sweep", sweep_N=[4, 6], sweep_K=[1, 2]),
     "classify-bench": dict(kind="classify_bench", bench_trials=200),
 }
-# wrong types, None, booleans, strings, lists, zero and negative values;
-# every number here is small enough to be a safe size
+# wrong types, None, booleans, strings, lists, zero and negative values
 GENERIC = [None, True, False, "x", "3", [], [1.0], [1.0, "a"], {}, 0, 1, 2, -1,
            0.0, 0.5, 1.5, -0.5, 2.0]
 SPECIFIC = {
     "kind": ["fish", "chain_sweep", "classify_bench", "static_two_model", "bogus"],
-    "N": [2, 3, 5, 12, 3849],
+    "N": [2, 3, 5, 12, 3849, 10 ** 400],
     "M": [1, 3, 4],
-    "w0": [[1.0, 1.0], [0.0, 1.0], [1.0, 0.0, 0.0], [5.0, -5.0, 5.0, 5.0], [None, 1.0]],
+    "w0": [[1.0, 1.0], [0.0, 1.0], [1.0, 0.0, 0.0], [5.0, -5.0, 5.0, 5.0], [None, 1.0],
+           [1e200, 0.0]],
     "w1": [[1.0, 0.0], [1e3, -1e3], [5.0, 5.0, -5.0, 5.0], ["a", "b"]],
     "split": [0, 8, 12, 4.0],
     "strategy": ["conventional", "modified", "modified_fast_weights", "quantum"],
     "rule": ["uniform", "fast", "slow"],
-    "mu": [1e-4, 0.3, 10.0],
+    "mu": [1e-4, 0.3, 10.0, 1e200],
     "nu": [0.01, 0.99, 1.0, 7.99e-5],
     "alpha": [0.01, 0.999, 1.0],
-    "eta": [1e-6, 100.0],
-    "K": [1, 7, 50, 200, 1000],
+    "eta": [1e-6, 100.0, 1e200, math.inf],
+    "K": [1, 7, 50, 200, 1000, 10 ** 400],
     "beta": [[1.0, 4.0], [0.1, 1e3], [1.0], [0.0, 1.0], 1e-3, 1e3],
     "iterations": [1, 30, 2 ** 24 + 1],
     "replicas": [2, 2 ** 22 + 1, 2 ** 25],
-    "seed": [0, 7, 2**31, -3],
-    "mean_degree": [2, 11.0, 100.0],
-    "ru_range": [[0.5, 1.0], [2.0, 1.0], [1.0], [0.0, 1.0], ["a", 1.0]],
-    "noise_db_range": [[-20.0, -10.0], [10.0, 20.0], [-5.0]],
+    "seed": [0, 7, 2**31, -3, 10 ** 400],
+    "mean_degree": [2, 11.0, 100.0, 10 ** 400, math.inf],
+    "ru_range": [[0.5, 1.0], [2.0, 1.0], [1.0], [0.0, 1.0], ["a", 1.0], [1.0, math.inf],
+                 [1.0, 1e200]],
+    "noise_db_range": [[-20.0, -10.0], [10.0, 20.0], [-5.0], [-1e308, 1e308]],
     "record_beliefs": [True],
     "oracle_classification": [True],
     "forced_desired": [0, 1, 2],
     "mean_error_vs": [0, 1, 2],
     "motion": [{"dt": -0.1}, {"speed": 1.0}, {"dt": 0.5, "gamma": 0.0},
-               {"kappa": 0.0}, {"d_s": 0.0}],
+               {"kappa": 0.0}, {"d_s": 0.0}, {"kappa": 10 ** 400}, {"kappa": 10 ** 200}],
     "comm_radius": [0.0, 1.0, 100.0],
     "arena": [0.0, 1.0, 1e3],
-    "sweep_N": [[2], [30], [2, 30], [1], [0], [4.0], [[4]], [7327]],
-    "sweep_K": [[1000], [200, 1], [3], [0], [-2], [2.5]],
+    "sweep_N": [[2], [30], [2, 30], [1], [0], [4.0], [[4]], [7327], [10 ** 200]],
+    "sweep_K": [[1000], [200, 1], [3], [0], [-2], [2.5], [10 ** 400]],
     "bench_trials": [1, 500, 8_388_609],
-    "bench_distance": [1e-6, 1e3],
+    "bench_distance": [1e-6, 1e3, 1e200],
 }
 FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig)]
 CASES = 80      # per subcommand

@@ -295,8 +295,6 @@ def _step_checker(graphs):
                   * (rep.h_hat.T @ rep.h_hat > 0.0), where=active)
         assert np.array_equal(rep.b, expected)
         assert np.array_equal(rep.active, np.flatnonzero(active))
-        if not cfg.oracle_classification:
-            assert np.array_equal(rep.side, rep.b.take(rep.active) >= 0.5)
         fresh = rep.oracle_rel if cfg.oracle_classification else f_hat(rep.b)
         assert np.array_equal(rep.fhat, fresh)
 
@@ -458,9 +456,9 @@ def test_replica_state_is_component_major(monkeypatch, moving):
         assert u.shape == shape and (moving or u.flags.c_contiguous)
         for state in (rep.h_hat, rep.w.T, rep.w_block[0]):
             assert state.shape == shape and state.flags.c_contiguous
-        assert rep.w_block.shape == (harness.METRIC_BLOCK, *shape)
+        assert rep.w_block.shape == (harness.BLOCK, *shape)
         assert rep.w_block.flags.c_contiguous
-        assert rep.w.T.ctypes.data == rep.w_block[i % harness.METRIC_BLOCK].ctypes.data
+        assert rep.w.T.ctypes.data == rep.w_block[i % harness.BLOCK].ctypes.data
         steps.append(i)
 
     monkeypatch.setattr(harness._Replica, "step", checked)
@@ -529,15 +527,15 @@ def _per_step_fish(cfg, params, models, f, rng):
     pytest.param(dict(school=True), id="school"),
 ])
 def test_engines_match_the_per_iteration_draw(monkeypatch, overrides):
-    # the static engine draws DRAW_BLOCK iterations ahead and transforms a
+    # the static engine draws BLOCK iterations ahead and transforms a
     # block at once; every TraceSet array equals the one of the former
     # per-iteration draw, at and around the block edges
-    assert harness.DRAW_BLOCK == 16
+    assert harness.BLOCK == 64
     overrides = dict(overrides)
     moving = overrides.pop("school", False)
     engine, oracle = (("_replica_fish", _per_step_fish) if moving
                       else ("_replica_static", _per_iteration_static))
-    for iterations in (1, 15, 16, 17, 197):
+    for iterations in (1, 63, 64, 65, 197):
         cfg = (small_school(iterations=iterations, replicas=2) if moving
                else small_config(replicas=2, iterations=iterations, **overrides))
         ours = _outputs(run_scenario(cfg))
@@ -852,6 +850,8 @@ def test_cli_simulate_and_exit_codes(tmp_path):
     pytest.param("simulate", b"null", id="simulate-document-null"),
     pytest.param("simulate", b'[["N", 8]]', id="simulate-document-list"),
     pytest.param("simulate", b'{"N": 8, "seed": "\xff"}', id="simulate-document-not-utf8"),
+    pytest.param("simulate", b'{"seed": 1' + b"0" * 5000 + b"}",
+                 id="simulate-document-int-digits"),   # past Python's int parsing limit
     # sizes past the memory budget or the benchmark's step caps
     pytest.param("simulate", {"record_beliefs": True, "N": 1000, "iterations": 6000},
                  id="simulate-size-belief-stream"),
@@ -871,6 +871,25 @@ def test_cli_simulate_and_exit_codes(tmp_path):
     pytest.param("fish", {"motion": {"dt": math.nan}}, id="fish-motion-dt-nan"),
     pytest.param("fish", {"motion": {"kappa": math.inf}}, id="fish-motion-kappa-inf"),
     pytest.param("fish", {"motion": {"lam": math.nan}}, id="fish-motion-lam-nan"),
+    # numbers past a float's range: JSON ints of any size, Infinity, and
+    # finite values whose span or square overflows
+    pytest.param("simulate", {"N": 10 ** 400}, id="simulate-N-past-float"),
+    pytest.param("simulate", {"K": 10 ** 400}, id="simulate-K-past-float"),
+    pytest.param("simulate", {"mean_degree": 10 ** 400},
+                 id="simulate-mean_degree-past-float"),
+    pytest.param("simulate", {"seed": 10 ** 400}, id="simulate-seed-past-float"),
+    pytest.param("analyze-chain", {"sweep_K": [10 ** 400]},
+                 id="analyze-chain-sweep_K-past-float"),
+    pytest.param("analyze-chain", {"sweep_N": [10 ** 200]},
+                 id="analyze-chain-size-sweep_N-squared"),
+    pytest.param("simulate", {"ru_range": [1.0, math.inf]}, id="simulate-ru_range-inf"),
+    pytest.param("classify-bench", {"ru_range": [1.0, math.inf]},
+                 id="classify-bench-ru_range-inf"),
+    pytest.param("simulate", {"noise_db_range": [-1e308, 1e308]},
+                 id="simulate-noise_db_range-span"),
+    pytest.param("simulate", {"eta": 1e200}, id="simulate-eta-square"),
+    pytest.param("fish", {"motion": {"kappa": 10 ** 400}}, id="fish-motion-kappa-past-float"),
+    pytest.param("classify-bench", {"eta": 1e200}, id="classify-bench-eta-square"),
 ], ids=lambda v: "-".join(v) if isinstance(v, dict) else v)
 def test_cli_refuses_bad_config(tmp_path, command, overrides):
     # overrides are config fields, "--" CLI flags, or the whole file as bytes;
@@ -913,6 +932,24 @@ def test_cli_classify_bench(tmp_path):
                      "--out", str(out)]) == 0
     report = json.loads((out / "classify_bench.json").read_text())
     assert all(math.isfinite(value) for value in report.values())
+
+
+@pytest.mark.parametrize("overrides", [
+    pytest.param(dict(ru_range=[1, 1e160]), id="ru_range-huge"),      # u @ e overflows
+    pytest.param(dict(ru_range=[1e-300, 1e-300]), id="ru_range-tiny"),  # tau is 0 / 0
+    pytest.param(dict(bench_distance=1e300), id="bench_distance"),   # h ** 2 overflows
+])
+def test_cli_classify_bench_refuses_float_overflow(tmp_path, capsys, overrides):
+    # arithmetic that overflows or makes a NaN is refused, not reported from
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(kind="classify_bench", bench_trials=200,
+                                        **overrides)))
+    out = tmp_path / "bench"
+    assert cli_main(["classify-bench", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: classify-bench arithmetic failed")
+    assert "ru_range and bench_distance" in err
+    assert not out.exists()
 
 
 def test_static_accepts_other_kinds_fields_at_their_defaults():

@@ -19,6 +19,15 @@ def test_motion_params_validation():
         MotionParams(kappa=0.0)
 
 
+def test_motion_params_are_stored_as_floats():
+    # numpy takes a float of any size but not an int past int64
+    params = MotionParams(kappa=10 ** 20, d_s=3)
+    assert type(params.kappa) is float and params.kappa == 1e20
+    assert type(params.d_s) is float and params.d_s == 3.0
+    with pytest.raises(OverflowError):
+        MotionParams(kappa=10 ** 400)
+
+
 def test_cohesion_sign_and_equilibrium():
     d_s = 3.0
     adj = np.ones((2, 2), dtype=bool)
