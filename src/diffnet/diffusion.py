@@ -19,15 +19,20 @@ class DivergenceError(RuntimeError):
 
 def check_divergence(w: np.ndarray, iteration: int) -> None:
     """Raise DivergenceError, naming the first agent whose estimate norm is
-    over DIVERGENCE_LIMIT (or NaN), that norm and the iteration.  The squared
-    total bounds every row, so the rows are tested one by one only when the
-    total is over the limit; NaN and inf fail both tests."""
+    over DIVERGENCE_LIMIT (or NaN), that norm and the iteration.  w is one
+    iteration's (N, M) estimates or a stack (n, N, M) of consecutive ones,
+    the first at `iteration`; the first offending iteration is named.  The
+    squared total bounds every row, so the rows are tested one by one only
+    when the total is over the limit; NaN and inf fail both tests."""
     flat = w.ravel("K")     # memory order: no copy of a transposed w
     if not flat @ flat <= DIVERGENCE_LIMIT ** 2:
-        (over,) = np.nonzero(~(np.add.reduce(w * w, 1) <= DIVERGENCE_LIMIT ** 2))
+        stack = w.reshape(-1, *w.shape[-2:])
+        over = np.argwhere(~(np.add.reduce(stack * stack, 2) <= DIVERGENCE_LIMIT ** 2))
         if over.size:
-            raise DivergenceError(f"agent {over[0]} estimate norm {math.hypot(*w[over[0]])!r} "
-                                  f"exceeded {DIVERGENCE_LIMIT:g} at iteration {iteration}")
+            t, k = over[0]
+            norm = math.hypot(*stack[t, k])
+            raise DivergenceError(f"agent {k} estimate norm {norm!r} exceeded "
+                                  f"{DIVERGENCE_LIMIT:g} at iteration {iteration + t}")
 
 
 def atc_adapt(w: np.ndarray, d: float, u: np.ndarray, mu: float) -> np.ndarray:

@@ -31,7 +31,8 @@ from .network import AgentEnvironment, ModelPair, Topology, generate_topology, \
 
 MSD_FLOOR_DB = -120.0
 NEVER = math.inf
-BLOCK = 64    # iterations drawn and recorded together; CSV rows converted together
+BLOCK = 64    # iterations drawn, advanced and recorded together; CSV rows converted together
+GRAM_BATCH_BYTES = 2 ** 17   # the kernel forms its (N, N) Grams this many bytes at a time
 
 STRATEGIES = ("conventional", "modified")
 RULES = ("uniform", "fast")
@@ -137,6 +138,12 @@ class ScenarioConfig:
                                       and math.isfinite(float(pair[1]) - pair[0])):
                 raise ConfigError(f"{name} must be two numbers above {floor}, low <= high, "
                                   "high - low finite")
+        if "noise_db_range" in reads:
+            try:        # the largest noise variance; float's ** raises where numpy's is inf
+                10.0 ** (self.noise_db_range[1] / 10.0)
+            except OverflowError:
+                raise ConfigError("noise_db_range's high end makes the noise variance "
+                                  "10 ** (high / 10) overflow") from None
         if self.kind in ("static_two_model", "fish"):
             if self.N < 2:
                 raise ConfigError("need N >= 2")
@@ -192,8 +199,9 @@ class ScenarioConfig:
         if self.kind == "classify_bench":  # regressor draws and both directions
             return 8.0 * 8 * self.M * max(self.bench_trials, 10_000.0)
         N, iters = float(self.N), float(self.iterations)
-        return 8.0 * (16 * iters + BLOCK * (5 * self.M + 6) * N  # records, block
+        return 8.0 * (16 * iters + BLOCK * (7 * self.M + 6) * N  # records, blocks, updates
                       + (2.0 * self.replicas + 16) * N * N  # beliefs, state, table, links
+                      + _gram_rows(self.N) * N * N          # the kernel's Gram batch
                       + self.record_beliefs * iters * N * N
                       + (self.mean_error_vs is not None) * 2 * iters * N * self.M
                       + (self.kind == "fish") * 6 * iters * N)   # trajectory
@@ -203,8 +211,9 @@ class ScenarioConfig:
         graph; its graph and sensing come from comm_radius and motion."""
         if self.M != 2:
             raise ConfigError("fish scenario is planar (M = 2)")
-        if not 0 <= self.arena < math.inf:
-            raise ConfigError("arena must be non-negative and finite")
+        if not (0 <= self.arena and math.isfinite(2.0 * self.arena * self.arena)):
+            raise ConfigError("arena must be non-negative, with the largest squared "
+                              "distance in the start square, 2 arena ** 2, finite")
         if not 0 < self.comm_radius < math.inf:
             raise ConfigError("comm_radius must be positive and finite")
         try:
@@ -307,6 +316,12 @@ def agreement_time(all_agree: np.ndarray) -> float:
     return 0.0 if disagree.size == 0 else float(disagree[-1] + 1)
 
 
+def _gram_rows(N: int) -> int:
+    """Rows of (N, N) Grams the kernel forms at once: GRAM_BATCH_BYTES
+    worth, at least one and at most a BLOCK."""
+    return min(BLOCK, max(1, GRAM_BATCH_BYTES // (8 * N * N)))
+
+
 def _fast_weight_matrix(adj: np.ndarray, informed_kl: np.ndarray) -> np.ndarray:
     """The fast combination rule: uniform weight on informed neighbors where
     available, otherwise uniform on the other neighbors (zero self-weight).
@@ -359,6 +374,7 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
     belief_stream = trajectory = None
 
     for r, ss in enumerate(rep_ss):
+        rep = None      # the last replica's arrays go before the next one's come
         try:    # a huge but finite estimate overflows before the guard names it
             with np.errstate(over="ignore", invalid="ignore"):
                 rep = replica(np.random.default_rng(ss))
@@ -411,12 +427,12 @@ def _build_environment(cfg: ScenarioConfig, rng: np.random.Generator):
 
 
 class _Replica:
-    """State and per-iteration metric records of one replica under the
-    adapt -> classify -> decide -> split-combine step shared by the static
-    and fish scenarios.  The state is component-major: h_hat, the step's u
-    and the metric block's rows are C-contiguous (M, N), so each per-agent
-    sum over M adds M rows of length N in the order of a sum along M; w is
-    the (N, M) transpose of the block row the last step wrote."""
+    """State and metric records of one replica under the adapt -> classify
+    -> decide -> split-combine kernel shared by the static and fish
+    scenarios.  The state is component-major: h_hat, the kernel's u rows and
+    the metric block's rows are C-contiguous (M, N), so each per-agent sum
+    over M adds M rows of length N in the order of a sum along M; w is the
+    (N, M) transpose of the block row the last iteration wrote."""
 
     def __init__(self, cfg: ScenarioConfig, models: ModelPair, f: np.ndarray):
         N, M, iters = cfg.N, cfg.M, cfg.iterations
@@ -437,80 +453,171 @@ class _Replica:
         self.sq0, self.sq1, self.sqd, self.sqr, self.frac = self.records
         self.w_block = np.empty((BLOCK, M, N))
         self.glob_block = np.empty((BLOCK, N), dtype=int)
+        # the kernel's chunk buffers, rows numbered as in w_block: the
+        # updates, which the replay turns into the h_hat rows, and the Grams
+        self.updates = np.empty((BLOCK, M, N))
+        self.grams = np.empty((_gram_rows(N), N, N))
         self.err = np.empty((iters, N, M)) if cfg.mean_error_vs is not None else None
         self.stream = np.empty((iters, N, N)) if cfg.record_beliefs else None
+        self.streamed = 0                         # stream rows written
         self.graph = self.trajectory = None       # graph: the adjacency self.links is for
 
-    def step(self, i: int, adj: np.ndarray, A: np.ndarray, u: np.ndarray,
-             d: np.ndarray, uniforms: np.ndarray | None) -> None:
-        """One network-wide iteration on the graph `adj` with combination
-        matrix A, regressors u, measurements d and the N quorum uniforms
-        (None when no decision runs); u is (M, N).  Only active links (both
-        ends in the far field) update their beliefs.  The engines hand a new
-        A only together with a new adj object, so q, the fast weights and the
-        A1/A2 split are dropped where a new adj arrives, fhat is replaced or
-        g flips, and rebuilt when next used.  While q is all 1 no sweep runs:
-        no uniform in [0, 1) can flip an agent."""
-        cfg, w = self.cfg, self.w.T
-        update = u * (d - np.add.reduce(u * w, 0))
-        psi = w + cfg.mu * update
-        j = i % BLOCK
-        row = self.w_block[j]           # the combine is written into its metric row
-        if self.conventional:
-            np.copyto(row, psi @ A)
-        else:
-            if adj is not self.graph:   # the school brings new adj and A when its graph changes
-                self.graph, self.n_k, self.far = adj, adj.sum(axis=1), None
-                self.links = adj & ~np.eye(cfg.N, dtype=bool)
-                self.q = self.A1 = None
-            h = self.h_hat              # (1 - nu) h + nu update, in place
-            h *= 1.0 - cfg.nu
-            update *= cfg.nu
-            h += update
-            far = np.add.reduce(h * h, 0) > cfg.eta ** 2
-            if far.tobytes() != self.far:     # self.far holds the far set's bytes
+    def advance(self, i: int, adj: np.ndarray, A: np.ndarray, u: np.ndarray,
+                d: np.ndarray, uniforms: np.ndarray | None) -> None:
+        """Iterations i .. i + n - 1, within one BLOCK, on the graph `adj`
+        with combination matrix A, regressors u (n, M, N), measurements d
+        (n, N) and quorum uniforms (n, N), None when no decision runs.
+
+        Only active links (both ends in the far field) update their beliefs.
+        The engines hand a new A only with a new adj object, so q, the fast
+        weights and the A1/A2 split are dropped where a new adj arrives,
+        fhat is replaced (a belief crossed 0.5) or g flips, and rebuilt when
+        next used.  While q is all 1 no sweep runs: no uniform in [0, 1) can
+        flip an agent.  While also the split is valid (or the desires are
+        forced) the network is decided, and w's recursion needs nothing from
+        classification until a belief crosses 0.5: a pass runs adapt and
+        combine ahead over the rest of the chunk, then replays classification
+        over those rows, and at the first crossing finishes that row as a
+        lone iteration would and drops the rows after it.  Outside the
+        decided state a pass is one row.  The guard checks each pass."""
+        cfg, n, j = self.cfg, len(d), i % BLOCK
+        self.base = i - j                          # the iteration of block row 0
+        if not self.conventional and adj is not self.graph:
+            # the school brings new adj and A when its graph changes
+            self.graph, self.n_k, self.far = adj, adj.sum(axis=1), None
+            self.links = adj & ~np.eye(cfg.N, dtype=bool)
+            self.q = self.A1 = None
+        t = 0
+        while t < n:
+            stop, split = t + 1, None       # a lone row outside the decided state
+            if self.conventional:
+                stop, split = n, (A, None)
+            elif self.A1 is not None and (cfg.forced_desired is not None or self.sure):
+                stop, split = n, (self.A1, self.A2)
+            w = self.w.T.copy()     # a full-block pass overwrites the row self.w views
+            self._adapt(j + t, j + stop, w, u[t:stop], d[t:stop], split)
+            last = stop - 1 if self.conventional else self._classify(j + t, j + stop) - j
+            self.glob_block[j + t:j + last + 1] = self.glob
+            if not self.conventional and (split is None or self.A1 is None):
+                self._decide(adj, A, None if uniforms is None else uniforms[last])
+                self._adapt(j + last, j + last + 1, self.w_block[j + last - 1] if last > t
+                            else w, u[last:last + 1], d[last:last + 1], (self.A1, self.A2))
+                self.glob_block[j + last] = self.glob     # a sweep may flip it
+            self.w = self.w_block[j + last].T
+            check_divergence(self.w_block[j + t:j + last + 1].transpose(0, 2, 1), i + t)
+            if self.stream is not None:
+                self._stream_to(i + last + 1)
+            t = last + 1
+        if j + n == BLOCK or i + n == cfg.iterations:
+            self._record(i - j, j + n)
+        if self.err is not None:
+            self.err[i:i + n] = (self.stacked[cfg.mean_error_vs]
+                                 - self.w_block[j:j + n].transpose(0, 2, 1))
+
+    def _adapt(self, start: int, stop: int, w: np.ndarray, u: np.ndarray,
+               d: np.ndarray, split) -> None:
+        """The updates of block rows start .. stop - 1 from w, the row
+        before start, and with an (A1, A2) split (A2 None: the conventional
+        A alone) their combines, row by row."""
+        mu = self.cfg.mu
+        for update, row, u_r, d_r in zip(self.updates[start:stop], self.w_block[start:stop],
+                                         u, d):
+            np.multiply(u_r, w, out=update)
+            error = np.add.reduce(update, 0)
+            np.subtract(d_r, error, out=error)
+            np.multiply(u_r, error, out=update)
+            if split is None:       # a lone row, which the decision combines
+                return
+            A1, A2 = split
+            psi = update * mu
+            psi += w
+            if A2 is None:
+                np.matmul(psi, A1, out=row)
+            else:
+                np.add(psi @ A1, w @ A2, out=row)
+            w = row
+
+    def _classify(self, start: int, stop: int) -> int:
+        """Replays classification over block rows start .. stop - 1 and
+        returns the last row it kept: the first at which a belief crossed
+        0.5, else stop - 1.  The Grams are formed a batch of _gram_rows(N) rows
+        at a time."""
+        cfg, h_rows, batch = self.cfg, self.updates, len(self.grams)
+        rows, h, keep = h_rows[start:stop], self.h_hat, 1.0 - cfg.nu
+        rows *= cfg.nu
+        for h_r in rows:          # (1 - nu) h + nu update, in place of the updates
+            h_r += h * keep
+            h = h_r
+        far = np.add.reduce(rows * rows, 1) > cfg.eta ** 2
+        edges = [start, *(np.flatnonzero((far[1:] != far[:-1]).any(1)) + start + 1), stop]
+        for s, e in zip(edges, edges[1:]):     # runs of one far set
+            if far[s - start].tobytes() != self.far:   # self.far holds the far set's bytes
                 # flat indices of the active links; diagonal beliefs are never
                 # active, so they stay 0.5
-                self.far, self.rest = far.tobytes(), None
-                self.active = np.flatnonzero(far[:, None] & far & self.links)
-            same = (h.T @ h).take(self.active) > 0.0
-            events = same.tobytes()
-            # rest: the events of the last update if it moved no belief; the
-            # same events move none again
-            if events != self.rest:
-                old = self.b.take(self.active)
-                new = cfg.alpha * old + (1.0 - cfg.alpha) * same
-                self.b.put(self.active, new)
-                self.rest = events if new.tobytes() == old.tobytes() else None
-                # fhat changes only where a belief crossed 0.5
-                if (self.oracle_rel is None
-                        and (new >= 0.5).tobytes() != (old >= 0.5).tobytes()):
-                    self.fhat, self.q, self.A1 = f_hat(self.b), None, None
-            if cfg.forced_desired is None:
-                if self.q is None:
-                    self.q = keep_probabilities(adj, self.g, self.fhat, self.table,
-                                                self.n_k, self.glob)
-                    self.sure = self.q.min() >= 1.0
-                if not self.sure:
-                    g = decision_sweep(self.g, self.q, uniforms)
-                    if g is not self.g:
-                        self.g, self.glob = g, g ^ self.flip
-                        self.q = self.A1 = None
-            if self.A1 is None:
-                if cfg.rule == "fast":
-                    A = _fast_weight_matrix(adj, self.fhat == self.g[:, None])
-                self.A1, self.A2 = split_matrices(A, self.fhat, self.g)
-            np.add(psi @ self.A1, w @ self.A2, out=row)
+                self.far, self.rest = far[s - start].tobytes(), None
+                self.active = np.flatnonzero(far[s - start, :, None] & far[s - start]
+                                             & self.links)
+            for a in range(s, e, batch):
+                grams = self.grams[:min(batch, e - a)]
+                np.matmul(h_rows[a:a + len(grams)].transpose(0, 2, 1),
+                          h_rows[a:a + len(grams)], out=grams)
+                crossed = self._update_beliefs(
+                    a, grams.reshape(len(grams), -1).take(self.active, 1) > 0.0)
+                if crossed is not None:
+                    np.copyto(self.h_hat, h_rows[crossed])
+                    return crossed
+        np.copyto(self.h_hat, h_rows[stop - 1])
+        return stop - 1
 
-        self.w = w = row.T
-        check_divergence(w, i)
-        self.glob_block[j] = self.glob
-        if j == BLOCK - 1 or i == cfg.iterations - 1:
-            self._record(i - j, j + 1)
-        if self.err is not None:
-            self.err[i] = self.stacked[cfg.mean_error_vs][None, :] - w
-        if self.stream is not None:
-            self.stream[i] = self.b
+    def _update_beliefs(self, start: int, same: np.ndarray) -> int | None:
+        """Belief updates of block rows start .. start + len(same) - 1, the
+        rows of same holding their events on the active links; returns the
+        first row at which a belief crossed 0.5 (fhat replaced, q and the
+        split dropped), else None.  rest: the events of the last update if
+        it moved no belief; a run of rows with the same events is skipped."""
+        cfg, r = self.cfg, 0
+        while r < len(same):
+            if self.rest is not None:
+                moving = np.flatnonzero((same[r:] != self.rest).any(1))
+                if not moving.size:
+                    return None
+                r += moving[0]
+            if self.stream is not None:
+                self._stream_to(self.base + start + r)
+            old = self.b.take(self.active)
+            new = cfg.alpha * old + (1.0 - cfg.alpha) * same[r]
+            self.b.put(self.active, new)
+            self.rest = same[r] if new.tobytes() == old.tobytes() else None
+            # fhat changes only where a belief crossed 0.5
+            if (self.oracle_rel is None
+                    and (new >= 0.5).tobytes() != (old >= 0.5).tobytes()):
+                self.fhat, self.q, self.A1 = f_hat(self.b), None, None
+                return start + r
+            r += 1
+        return None
+
+    def _decide(self, adj: np.ndarray, A: np.ndarray, uniforms: np.ndarray | None) -> None:
+        """The quorum sweep with the N uniforms, then the split if dropped."""
+        cfg = self.cfg
+        if cfg.forced_desired is None:
+            if self.q is None:
+                self.q = keep_probabilities(adj, self.g, self.fhat, self.table,
+                                            self.n_k, self.glob)
+                self.sure = self.q.min() >= 1.0
+            if not self.sure:
+                g = decision_sweep(self.g, self.q, uniforms)
+                if g is not self.g:
+                    self.g, self.glob = g, g ^ self.flip
+                    self.q = self.A1 = None
+        if self.A1 is None:
+            if cfg.rule == "fast":
+                A = _fast_weight_matrix(adj, self.fhat == self.g[:, None])
+            self.A1, self.A2 = split_matrices(A, self.fhat, self.g)
+
+    def _stream_to(self, stop: int) -> None:
+        """Belief-stream rows up to iteration stop - 1 hold the current b."""
+        self.stream[self.streamed:stop] = self.b
+        self.streamed = stop
 
     def _record(self, start: int, n: int) -> None:
         """Metric records of iterations start .. start + n - 1; the sum over
@@ -544,8 +651,7 @@ def _replica_static(cfg, adj, A, env, models, f, rng):
             if decides:
                 rng.random(out=uniforms[j])
         d, u = sample_data(z, env, normals[:n])
-        for j in range(n):
-            rep.step(start + j, adj, A, u[j], d[j], uniforms[j] if decides else None)
+        rep.advance(start, adj, A, u, d, uniforms[:n] if decides else None)
     return rep
 
 
@@ -566,8 +672,8 @@ def _replica_fish(cfg, params, models, f, rng):
         if not np.array_equal(graph, adj):   # same objects while the graph holds
             adj, A = graph, graph / graph.sum(axis=0)[None, :]
         d, u = measure_target(x, u, z, params.kappa, params.sigma_angle, rng)
-        uniforms = rng.random(cfg.N) if cfg.forced_desired is None else None
-        rep.step(i, adj, A, u.T, d, uniforms)
+        uniforms = rng.random((1, cfg.N)) if cfg.forced_desired is None else None
+        rep.advance(i, adj, A, u.T[None], d[None], uniforms)
         x, vel = update_motion(x, vel, rep.w, A,
                                cohesion_all(diff, dist, adj, params.d_s), params)
         trajectory[i, :, 0:2] = x

@@ -180,3 +180,19 @@ def test_divergence_guard_tests_rows_when_the_total_is_over():
             with pytest.raises(DivergenceError, match="at iteration 9$") as caught:
                 check_divergence(w, 9)
             assert str(caught.value).startswith(f"agent 6 estimate norm {bad!r} ")
+
+
+def test_divergence_guard_names_the_first_row_of_a_stack():
+    # a stack (n, N, M) of consecutive iterations, the first at `iteration`:
+    # the error names the first iteration with an offending agent, and its
+    # first such agent, however the stack is strided
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = np.zeros((6, 2, 8)).transpose(0, 2, 1)      # component-major rows
+        check_divergence(w, 100)
+        w[4, 1, 0] = np.inf
+        w[3, 5, 1] = np.nan
+        w[3, 6, 0] = 2 * DIVERGENCE_LIMIT
+        with pytest.raises(DivergenceError, match="at iteration 103$") as caught:
+            check_divergence(w, 100)
+        assert str(caught.value).startswith("agent 5 estimate norm nan ")

@@ -11,7 +11,9 @@ and nothing runs.  The steps x trials cap has no such value: a
 larger nu in the same config would bring it under the cap and run it.
 The pools also hold magnitudes past a float's range, or whose square,
 span or arithmetic overflows (10**400, 1e200, Infinity), which must be
-refused or diverge, never crash.
+refused or diverge, never crash.  A config whose own arithmetic overflows
+(a noise variance of 10 ** 310, squared distances past a float's range) is
+refused, not reported as a divergence.
 """
 import dataclasses
 import json
@@ -58,7 +60,8 @@ SPECIFIC = {
     "mean_degree": [2, 11.0, 100.0, 10 ** 400, math.inf],
     "ru_range": [[0.5, 1.0], [2.0, 1.0], [1.0], [0.0, 1.0], ["a", 1.0], [1.0, math.inf],
                  [1.0, 1e200]],
-    "noise_db_range": [[-20.0, -10.0], [10.0, 20.0], [-5.0], [-1e308, 1e308]],
+    "noise_db_range": [[-20.0, -10.0], [10.0, 20.0], [-5.0], [-1e308, 1e308],
+                       [3000.0, 3100.0]],
     "record_beliefs": [True],
     "oracle_classification": [True],
     "forced_desired": [0, 1, 2],
@@ -66,7 +69,7 @@ SPECIFIC = {
     "motion": [{"dt": -0.1}, {"speed": 1.0}, {"dt": 0.5, "gamma": 0.0},
                {"kappa": 0.0}, {"d_s": 0.0}, {"kappa": 10 ** 400}, {"kappa": 10 ** 200}],
     "comm_radius": [0.0, 1.0, 100.0],
-    "arena": [0.0, 1.0, 1e3],
+    "arena": [0.0, 1.0, 1e3, 1e200],
     "sweep_N": [[2], [30], [2, 30], [1], [0], [4.0], [[4]], [7327], [10 ** 200]],
     "sweep_K": [[1000], [200, 1], [3], [0], [-2], [2.5], [10 ** 400]],
     "bench_trials": [1, 500, 8_388_609],
@@ -105,3 +108,17 @@ def test_random_configs_end_in_documented_exit_codes(tmp_path, command):
         assert code in (0, 2, 3, 4), doc
         codes.append(code)
     assert 0 in codes and 2 in codes   # both valid and refused configs occur
+
+
+@pytest.mark.parametrize("command, overrides", [
+    # 10 ** (3100 / 10), the largest noise variance, overflows
+    pytest.param("simulate", {"noise_db_range": [3000.0, 3100.0]}, id="noise_db_range"),
+    # the squared distances of agents placed in a 1e200-wide square overflow
+    pytest.param("fish", {"arena": 1e200}, id="arena"),
+])
+def test_overflowing_configs_are_refused_not_diverged(tmp_path, capsys, command, overrides):
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps(dict(BASES[command], **overrides)))
+    assert cli_main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not out.exists()

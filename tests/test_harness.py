@@ -223,25 +223,38 @@ def test_step_matches_per_agent_reference(strategy):
     assert np.abs(tr.final_beliefs[0] - b).max() < 1e-10
 
 
+def _one_at_a_time(advance, after=lambda rep, i, adj, A: None):
+    """An _Replica.advance that advances its chunk one iteration at a time,
+    calling after(rep, i, adj, A) after each (the chunked kernel writes the
+    same rows bit for bit: test_engines_match_the_per_iteration_draw)."""
+    def advance_rows(rep, i, adj, A, u, d, uniforms):
+        for t in range(len(d)):
+            advance(rep, i + t, adj, A, u[t:t + 1], d[t:t + 1],
+                    None if uniforms is None else uniforms[t:t + 1])
+            after(rep, i + t, adj, A)
+    return advance_rows
+
+
 def _checked_runs(monkeypatch, cfg, check=lambda rep, i, adj, A, sweeps: None):
-    """Run cfg with check(rep, i, adj, A, sweeps) after every step, where
-    sweeps lists the (g, q) of each quorum sweep of that step; returns, per
-    replica, the replica and copies of its w and glob after each step."""
-    step, sweep, runs, sweeps = harness._Replica.step, harness.decision_sweep, {}, []
+    """Run cfg one iteration at a time with check(rep, i, adj, A, sweeps)
+    after each, where sweeps lists the (g, q) of each quorum sweep of that
+    iteration; returns, per replica, the replica and copies of its w and
+    glob after each iteration."""
+    sweep, runs, sweeps = harness.decision_sweep, {}, []
 
     def recorded(g, q, uniforms):
         sweeps.append((g, q))
         return sweep(g, q, uniforms)
 
-    def checked(rep, i, adj, A, u, d, uniforms):
-        sweeps.clear()
-        step(rep, i, adj, A, u, d, uniforms)
+    def checked(rep, i, adj, A):
         check(rep, i, adj, A, sweeps)
+        sweeps.clear()
         ws, globs = runs.setdefault(id(rep), (rep, [], []))[1:]
         ws.append(rep.w.copy())
         globs.append(rep.glob.copy())
 
-    monkeypatch.setattr(harness._Replica, "step", checked)
+    monkeypatch.setattr(harness._Replica, "advance",
+                        _one_at_a_time(harness._Replica.advance, checked))
     monkeypatch.setattr(harness, "decision_sweep", recorded)
     run_scenario(cfg)
     monkeypatch.undo()
@@ -387,23 +400,28 @@ def test_step_caches_are_reused_and_rebuilt(monkeypatch, cfg):
 
 def test_sweeps_stop_once_every_keep_probability_is_1(monkeypatch):
     # after agreement every agent's neighbourhood agrees, q is all 1 and the
-    # step runs no sweep; the outputs equal those of a step made to sweep on
-    # every iteration, which draws the same uniforms and flips no one
+    # kernel runs no sweep; the outputs equal those of a kernel made to sweep
+    # on every iteration, which draws the same uniforms and flips no one.
+    # The sweeps are dated on a run advanced one iteration at a time, whose
+    # outputs equal the chunked run's
     cfg = small_config(replicas=1, iterations=400)
-    sweep, step, now, swept = harness.decision_sweep, harness._Replica.step, [], []
+    sweep, now, swept = harness.decision_sweep, [0], []
 
     def counted(g, q, uniforms):
         swept.append(now[-1])
         return sweep(g, q, uniforms)
 
-    def tracked(rep, i, adj, A, u, d, uniforms):
-        now.append(i)
-        step(rep, i, adj, A, u, d, uniforms)
+    def tracked(rep, i, adj, A):
+        now.append(i + 1)
 
+    chunked = run_scenario(cfg)
     monkeypatch.setattr(harness, "decision_sweep", counted)
-    monkeypatch.setattr(harness._Replica, "step", tracked)
+    monkeypatch.setattr(harness._Replica, "advance",
+                        _one_at_a_time(harness._Replica.advance, tracked))
     ours = run_scenario(cfg)
     monkeypatch.undo()
+    for a, b in zip(_outputs(chunked), _outputs(ours), strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
     # the sweep of the agreement iteration is the one that brings agreement
     (settled,) = ours.agreement_times
     assert 0 < settled < 400 and swept and max(swept) <= settled
@@ -433,7 +451,7 @@ def test_beliefs_at_rest_are_dropped_with_their_active_links():
     def step(i, far):
         rep.h_hat[:] = 0.0
         rep.h_hat[:, far] = 10.0 / (1.0 - cfg.nu)
-        rep.step(i, adj, A, u, d, None)
+        rep.advance(i, adj, A, u[None], d[None], None)
 
     for i in range(999):
         step(i, [0, 1])
@@ -444,26 +462,27 @@ def test_beliefs_at_rest_are_dropped_with_their_active_links():
 
 @pytest.mark.parametrize("moving", [False, True], ids=["static", "school"])
 def test_replica_state_is_component_major(monkeypatch, moving):
-    # h_hat, the step's u and the metric block are (M, N) per iteration,
+    # h_hat, each iteration's u and the metric block's rows are (M, N),
     # C-contiguous (the school's u is the transpose of its sensing's (N, M));
-    # w is the (N, M) view of the block row its step wrote
+    # w is the (N, M) view of the block row the last iteration wrote.  The
+    # static engine advances a BLOCK of iterations at a time, the school one
     cfg = small_school(iterations=70) if moving else small_config(replicas=1, iterations=70)
-    step, steps = harness._Replica.step, []
+    advance, chunks = harness._Replica.advance, []
 
     def checked(rep, i, adj, A, u, d, uniforms):
-        step(rep, i, adj, A, u, d, uniforms)
-        shape = (rep.cfg.M, rep.cfg.N)
-        assert u.shape == shape and (moving or u.flags.c_contiguous)
+        advance(rep, i, adj, A, u, d, uniforms)
+        n, shape = len(d), (rep.cfg.M, rep.cfg.N)
+        assert u.shape == (n, *shape) and (moving or u.flags.c_contiguous)
         for state in (rep.h_hat, rep.w.T, rep.w_block[0]):
             assert state.shape == shape and state.flags.c_contiguous
-        assert rep.w_block.shape == (harness.BLOCK, *shape)
-        assert rep.w_block.flags.c_contiguous
-        assert rep.w.T.ctypes.data == rep.w_block[i % harness.BLOCK].ctypes.data
-        steps.append(i)
+        for block in (rep.w_block, rep.updates):
+            assert block.shape == (harness.BLOCK, *shape) and block.flags.c_contiguous
+        assert rep.w.T.ctypes.data == rep.w_block[(i + n - 1) % harness.BLOCK].ctypes.data
+        chunks.append((i, n))
 
-    monkeypatch.setattr(harness._Replica, "step", checked)
+    monkeypatch.setattr(harness._Replica, "advance", checked)
     run_scenario(cfg)
-    assert steps == list(range(70))
+    assert chunks == ([(i, 1) for i in range(70)] if moving else [(0, 64), (64, 6)])
 
 
 @pytest.mark.parametrize("iterations", [1, 63, 64, 65, 197])
@@ -481,7 +500,8 @@ def test_metric_blocks_match_per_step_records(monkeypatch, iterations):
 def _per_iteration_static(cfg, adj, A, env, models, f, rng):
     """The static engine as it drew before its draws were taken a block
     ahead: on every iteration N(M + 1) normals turned into u and d, then
-    (when decisions run) N quorum uniforms."""
+    (when decisions run) N quorum uniforms, advanced one iteration at a
+    time."""
     rep = harness._Replica(cfg, models, f)
     z = models.observed(f)
     decides = cfg.strategy != "conventional" and cfg.forced_desired is None
@@ -489,7 +509,8 @@ def _per_iteration_static(cfg, adj, A, env, models, f, rng):
         draw = rng.standard_normal(z.size + cfg.N)
         u = draw[:z.size].reshape(z.shape) @ env.ru_chol.T
         d = (u * z).sum(axis=1) + env.sigma_v * draw[z.size:]
-        rep.step(i, adj, A, u.T, d, rng.random(cfg.N) if decides else None)
+        rep.advance(i, adj, A, u.T[None], d[None],
+                    rng.random((1, cfg.N)) if decides else None)
     return rep
 
 
@@ -508,8 +529,8 @@ def _per_step_fish(cfg, params, models, f, rng):
         if not np.array_equal(graph, adj):
             adj, A = graph, graph / graph.sum(axis=0)[None, :]
         d, u = measure_target(x, u, z, params.kappa, params.sigma_angle, rng)
-        rep.step(i, adj, A, u.T, d,
-                 rng.random(cfg.N) if cfg.forced_desired is None else None)
+        rep.advance(i, adj, A, u.T[None], d[None],
+                    rng.random((1, cfg.N)) if cfg.forced_desired is None else None)
         x, vel = update_motion(x, vel, rep.w, A,
                                cohesion_all(diff, dist, adj, params.d_s), params)
         rep.trajectory[i] = np.column_stack(
@@ -527,18 +548,33 @@ def _per_step_fish(cfg, params, models, f, rng):
     pytest.param(dict(school=True), id="school"),
 ])
 def test_engines_match_the_per_iteration_draw(monkeypatch, overrides):
-    # the static engine draws BLOCK iterations ahead and transforms a
-    # block at once; every TraceSet array equals the one of the former
-    # per-iteration draw, at and around the block edges
+    # the static engine draws BLOCK iterations ahead, transforms a block at
+    # once and advances it as one chunk; every TraceSet array equals the one
+    # of the former per-iteration draw advanced one iteration at a time, at
+    # and around the block edges.  The guard sees each pass of the kernel:
+    # the passes tile the iterations, and a decided network runs ahead
     assert harness.BLOCK == 64
     overrides = dict(overrides)
     moving = overrides.pop("school", False)
     engine, oracle = (("_replica_fish", _per_step_fish) if moving
                       else ("_replica_static", _per_iteration_static))
+    guard = harness.check_divergence
     for iterations in (1, 63, 64, 65, 197):
         cfg = (small_school(iterations=iterations, replicas=2) if moving
                else small_config(replicas=2, iterations=iterations, **overrides))
+        passes = []
+
+        def tiled(w, i):
+            passes.append((i, len(w)))
+            guard(w, i)
+
+        monkeypatch.setattr(harness, "check_divergence", tiled)
         ours = _outputs(run_scenario(cfg))
+        monkeypatch.undo()
+        covered = [i + t for i, n in passes for t in range(n)]
+        assert covered == 2 * list(range(iterations))
+        longest = max(n for _, n in passes)
+        assert longest == 1 if moving or iterations == 1 else longest > 1
         monkeypatch.setattr(harness, engine, oracle)
         expected = _outputs(run_scenario(cfg))
         monkeypatch.undo()
@@ -548,36 +584,116 @@ def test_engines_match_the_per_iteration_draw(monkeypatch, overrides):
 
 
 def test_divergence_mid_block_names_its_iteration(monkeypatch):
-    step = harness._Replica.step
+    # a NaN measurement turns iteration 40's estimates to NaN in the middle
+    # of a decided chunk, which the kernel runs ahead in one pass; the error
+    # still names the iteration.  Forced and oracle, the split is built on
+    # iteration 0 and never dropped
+    advance, guard, poisoned_at = harness._Replica.advance, harness.check_divergence, 40
 
     def poisoned(rep, i, adj, A, u, d, uniforms):
-        if i == 40:
-            rep.w[:] = np.nan
-        step(rep, i, adj, A, u, d, uniforms)
+        if i <= poisoned_at < i + len(d):
+            d = d.copy()
+            d[poisoned_at - i] = np.nan
+        advance(rep, i, adj, A, u, d, uniforms)
 
-    monkeypatch.setattr(harness._Replica, "step", poisoned)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DivergenceError, match="at iteration 40$"):
-            run_scenario(small_config(replicas=1, iterations=100))
+    def recorded(w, i):
+        passes.append((i, len(w)))
+        guard(w, i)
+
+    for overrides in (dict(), dict(forced_desired=0, oracle_classification=True)):
+        passes = []
+        monkeypatch.setattr(harness._Replica, "advance", poisoned)
+        monkeypatch.setattr(harness, "check_divergence", recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match=f"at iteration {poisoned_at}$"):
+                run_scenario(small_config(replicas=1, iterations=100, **overrides))
+        monkeypatch.undo()
+        first, rows = passes[-1]
+        assert first < poisoned_at < first + rows - 1
+
+
+@pytest.mark.parametrize("crossing, uniform", [
+    # the run ahead overwrites the row before the chunk, which the crossing
+    # row's combine reads
+    pytest.param(64, 0.0, id="chunk-first-row"),
+    # agents 0 and 2 (q = 0.9) flip at the crossing, and only there
+    pytest.param(10, 0.95, id="sweep-flips"),
+])
+def test_crossing_in_a_decided_chunk_matches_single_iterations(monkeypatch, crossing,
+                                                               uniform):
+    # four agents agree from the start (every belief >= 0.5, q all 1); at one
+    # iteration agents 0 and 2 alone reach the far field in opposite
+    # directions and their belief of 0.52 drops below 0.5.  A replica
+    # advanced a BLOCK at a time replays the crossing after running ahead
+    # past it and equals one advanced an iteration at a time
+    cfg = small_config(N=4, split=2, replicas=1, iterations=128, eta=1.0)
+    adj, A = np.ones((4, 4), dtype=bool), np.full((4, 4), 0.25)
+    rng = np.random.default_rng(5)
+    u = 0.1 * rng.standard_normal((cfg.iterations, cfg.M, 4))
+    d = 0.1 * rng.standard_normal((cfg.iterations, 4))
+    u[crossing, :, [0, 2]] = [1.0, 0.0]
+    d[crossing, [0, 2]] = [50.0, -50.0]
+    uniforms = np.zeros((cfg.iterations, 4))
+    uniforms[crossing] = uniform
+    classify, replays, reps = harness._Replica._classify, [], []
+
+    def replay(rep, start, stop):
+        replays.append((start, stop, classify(rep, start, stop)))
+        return replays[-1][2]
+
+    monkeypatch.setattr(harness._Replica, "_classify", replay)
+    for chunk in (harness.BLOCK, 1):
+        rep = harness._Replica(cfg, ModelPair(cfg.w0, cfg.w1), np.array([0, 0, 1, 1]))
+        rep.b[0, 2] = rep.b[2, 0] = 0.52
+        for i in range(0, cfg.iterations, chunk):
+            rep.advance(i, adj, A, u[i:i + chunk], d[i:i + chunk], uniforms[i:i + chunk])
+        reps.append(rep)
+    ours, expected = reps
+    # the replay that met the crossing ran ahead to the end of the block
+    assert (harness.BLOCK, crossing % harness.BLOCK) in [r[1:] for r in replays]
+    changed = np.flatnonzero(ours.b != 0.5)
+    assert changed.tolist() == [2, 8] and ours.b[0, 2] == ours.b[2, 0] < 0.5
+    assert ours.g.tolist() == ([0, 1, 0, 1] if uniform else [1, 1, 1, 1])
+    for name in ("records", "w_block", "glob_block", "b", "h_hat", "g", "A1"):
+        assert np.array_equal(getattr(ours, name), getattr(expected, name), equal_nan=True)
 
 
 def test_divergence_names_replica_agent_and_norm(monkeypatch):
     # agent 7 of the second replica turns NaN at iteration 40, after the
-    # combine (which would spread it to every agent) and before the guard
+    # combine (which would spread it to every agent) and before the guard,
+    # which checks the rows of each pass of the kernel
     guard, replicas = harness.check_divergence, []
 
     def poisoned(w, i):
-        if i == 0:          # a replica's first step
+        if i == 0:          # a replica's first pass
             replicas.append(w)
-        if len(replicas) == 2 and i == 40:
-            w[7] = np.nan
+        if len(replicas) == 2 and i <= 40 < i + len(w):
+            w[40 - i, 7] = np.nan
         guard(w, i)
 
     monkeypatch.setattr(harness, "check_divergence", poisoned)
     with pytest.raises(DivergenceError, match=r"^replica 1: agent 7 estimate norm nan "
                                               r"exceeded 1e\+06 at iteration 40$"):
         run_scenario(small_config(replicas=2, iterations=100))
+
+
+@pytest.mark.parametrize("cfg", [
+    pytest.param(lambda: small_config(N=200, split=100, mean_degree=16.0, iterations=130),
+                 id="static-N200"),
+    pytest.param(lambda: small_school(iterations=130), id="school"),
+])
+def test_memory_estimate_bounds_the_traced_peak(cfg):
+    # the size refusal rests on _estimated_bytes; it counts the kernel's
+    # chunk buffers and Gram batch, and bounds what a run allocates
+    cfg = cfg()
+    tracemalloc.start()
+    try:
+        run_scenario(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cfg._estimated_bytes()
 
 
 def test_determinism_and_seed_sensitivity():
