@@ -88,9 +88,10 @@ def _run_simulation(args: argparse.Namespace, kind: str) -> int:
         mean = float(finite.mean()) if finite.size else float("nan")
         print(f"agreement in {rate:.0%} of replicas "
               f"(mean settle iteration {mean:.1f})")
+    desired = ("" if trace.agreement_times is None   # conventional: no desired model
+               else f", {trace.msd_desired_db[-1]:.2f} dB vs desired")
     print(f"final MSD: {trace.msd0_db[-1]:.2f} dB vs model 0, "
-          f"{trace.msd1_db[-1]:.2f} dB vs model 1, "
-          f"{trace.msd_desired_db[-1]:.2f} dB vs desired")
+          f"{trace.msd1_db[-1]:.2f} dB vs model 1{desired}")
     print(f"wrote msd.csv and meta.json to {out}")
     return EXIT_OK
 

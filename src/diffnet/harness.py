@@ -199,7 +199,8 @@ class ScenarioConfig:
         if self.kind == "classify_bench":  # regressor draws and both directions
             return 8.0 * 8 * self.M * max(self.bench_trials, 10_000.0)
         N, iters = float(self.N), float(self.iterations)
-        return 8.0 * (16 * iters + BLOCK * (7 * self.M + 6) * N  # records, blocks, updates
+        return 8.0 * (16 * iters  # records; blocks, updates and the kernel's row buffers
+                      + (BLOCK * (7 * self.M + 6) + 2 * self.M + 1) * N
                       + (2.0 * self.replicas + 16) * N * N  # beliefs, state, table, links
                       + _gram_rows(self.N) * N * N          # the kernel's Gram batch
                       + self.record_beliefs * iters * N * N
@@ -306,6 +307,15 @@ def msd_db(mean_square: float) -> float:
     return 10.0 * math.log10(mean_square)
 
 
+def _db(mean_square: np.ndarray) -> np.ndarray:
+    """msd_db of each value, bit for bit: math.log10 where numpy's log10
+    can differ in the last bit, and NaN stays NaN."""
+    out = np.full(mean_square.shape, MSD_FLOOR_DB)
+    above = ~(mean_square <= 10 ** (MSD_FLOOR_DB / 10.0))
+    out[above] = np.fromiter(map(math.log10, mean_square[above].tolist()), float) * 10.0
+    return out
+
+
 def agreement_time(all_agree: np.ndarray) -> float:
     """First iteration after which global agreement holds to the end of the
     trace; inf when it never settles, 0 when it always held."""
@@ -391,14 +401,11 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
         if r == 0:
             belief_stream, trajectory = rep.stream, rep.trajectory
 
-    def db(row):      # msd_db(nan) is nan
-        return np.fromiter(map(msd_db, (sums[row] / R).tolist()), float, iters)
-
     return TraceSet(
-        msd0_db=db(0),
-        msd1_db=db(1),
-        msd_desired_db=db(2),
-        msd_rejected_db=db(3),
+        msd0_db=_db(sums[0] / R),
+        msd1_db=_db(sums[1] / R),
+        msd_desired_db=_db(sums[2] / R),
+        msd_rejected_db=_db(sums[3] / R),
         agreement_fraction=sums[4] / R,
         agreement_times=np.array(times) if modified else None,
         final_global_desires=np.array(finals_g) if modified else None,
@@ -456,6 +463,8 @@ class _Replica:
         # the kernel's chunk buffers, rows numbered as in w_block: the
         # updates, which the replay turns into the h_hat rows, and the Grams
         self.updates = np.empty((BLOCK, M, N))
+        # the row loops' buffers: the errors, psi and w @ A2 (or h * keep)
+        self.error, self.psi, self.tmp = np.empty(N), np.empty((M, N)), np.empty((M, N))
         self.grams = np.empty((_gram_rows(N), N, N))
         self.err = np.empty((iters, N, M)) if cfg.mean_error_vs is not None else None
         self.stream = np.empty((iters, N, N)) if cfg.record_beliefs else None
@@ -519,22 +528,24 @@ class _Replica:
         """The updates of block rows start .. stop - 1 from w, the row
         before start, and with an (A1, A2) split (A2 None: the conventional
         A alone) their combines, row by row."""
-        mu = self.cfg.mu
+        # mu as a 0-d array: a ufunc converts a Python float on every call
+        mu, error, psi, tmp = np.array(self.cfg.mu), self.error, self.psi, self.tmp
+        multiply, add, subtract, reduce, dot = np.multiply, np.add, np.subtract, \
+            np.add.reduce, np.dot
         for update, row, u_r, d_r in zip(self.updates[start:stop], self.w_block[start:stop],
                                          u, d):
-            np.multiply(u_r, w, out=update)
-            error = np.add.reduce(update, 0)
-            np.subtract(d_r, error, out=error)
-            np.multiply(u_r, error, out=update)
+            multiply(u_r, w, update)
+            reduce(update, 0, None, error)
+            subtract(d_r, error, error)
+            multiply(u_r, error, update)
             if split is None:       # a lone row, which the decision combines
                 return
             A1, A2 = split
-            psi = update * mu
-            psi += w
-            if A2 is None:
-                np.matmul(psi, A1, out=row)
-            else:
-                np.add(psi @ A1, w @ A2, out=row)
+            multiply(update, mu, psi)
+            add(psi, w, psi)
+            dot(psi, A1, row)       # np.dot makes matmul's BLAS call into a given out
+            if A2 is not None:
+                add(row, dot(w, A2, tmp), row)
             w = row
 
     def _classify(self, start: int, stop: int) -> int:
@@ -543,10 +554,11 @@ class _Replica:
         0.5, else stop - 1.  The Grams are formed a batch of _gram_rows(N) rows
         at a time."""
         cfg, h_rows, batch = self.cfg, self.updates, len(self.grams)
-        rows, h, keep = h_rows[start:stop], self.h_hat, 1.0 - cfg.nu
+        rows, h, keep = h_rows[start:stop], self.h_hat, np.array(1.0 - cfg.nu)
         rows *= cfg.nu
+        add, multiply, tmp = np.add, np.multiply, self.tmp
         for h_r in rows:          # (1 - nu) h + nu update, in place of the updates
-            h_r += h * keep
+            add(h_r, multiply(h, keep, tmp), h_r)
             h = h_r
         far = np.add.reduce(rows * rows, 1) > cfg.eta ** 2
         edges = [start, *(np.flatnonzero((far[1:] != far[:-1]).any(1)) + start + 1), stop]
@@ -644,12 +656,13 @@ def _replica_static(cfg, adj, A, env, models, f, rng):
     decides = cfg.strategy != "conventional" and cfg.forced_desired is None
     normals = np.empty((BLOCK, z.size + cfg.N))
     uniforms = np.empty((BLOCK, cfg.N))
+    normal, uniform = rng.standard_normal, rng.random
     for start in range(0, cfg.iterations, BLOCK):
         n = min(BLOCK, cfg.iterations - start)
-        for j in range(n):
-            rng.standard_normal(out=normals[j])
+        for normals_j, uniforms_j in zip(normals[:n], uniforms[:n]):
+            normal(out=normals_j)
             if decides:
-                rng.random(out=uniforms[j])
+                uniform(out=uniforms_j)
         d, u = sample_data(z, env, normals[:n])
         rep.advance(start, adj, A, u, d, uniforms[:n] if decides else None)
     return rep

@@ -90,6 +90,20 @@ def test_msd_values():
     assert msd_db(np.mean([1.0, 3.0])) == pytest.approx(10 * math.log10(2.0))
 
 
+def test_db_conversion_matches_msd_db_bit_for_bit():
+    # run_scenario converts whole records at once; each value equals
+    # msd_db's, at the floor, on either side of it and for NaN too
+    floor = 10 ** (harness.MSD_FLOOR_DB / 10.0)
+    rng = np.random.default_rng(15)
+    values = np.concatenate([
+        10.0 ** rng.uniform(-14, 6, 5000), rng.random(1000),
+        [0.0, np.nan, floor, np.nextafter(floor, 0.0), np.nextafter(floor, 1.0)]])
+    out = harness._db(values)
+    expected = np.array([msd_db(v) for v in values.tolist()])
+    assert out.dtype == float and out.tobytes() == expected.tobytes()
+    assert out[[-5, -3, -2]].tolist() == [-120.0] * 3 and np.isnan(out[-4])
+
+
 def test_agreement_time_cases():
     assert agreement_time(np.array([True, True, True])) == 0.0
     assert agreement_time(np.array([False, True, True])) == 1.0
@@ -678,6 +692,36 @@ def test_divergence_names_replica_agent_and_norm(monkeypatch):
         run_scenario(small_config(replicas=2, iterations=100))
 
 
+@pytest.mark.parametrize("M", [1, 2, 4])
+@pytest.mark.parametrize("N", [2, 13, 40])
+def test_adapt_rows_match_the_matmul_formula(M, N):
+    # the row loop writes through np.dot and ufunc outs into buffers; each
+    # row's update and estimate equal the per-row formula's bit for bit, for
+    # the A1/A2 split and the conventional A alone.  numpy hands a one-row
+    # (M = 1) operand to BLAS as a vector, which must give the same bits too
+    cfg = small_config(N=N, M=M, w0=[1.0] * M, w1=[-1.0] * M, split=N // 2)
+    rng = np.random.default_rng(100 * M + N)
+    A = rng.random((N, N)) + np.eye(N)
+    A /= A.sum(axis=0)
+    fhat, g = rng.integers(0, 2, (N, N)), rng.integers(0, 2, N)
+    start, n = 5, 40
+    u, d = rng.standard_normal((n, M, N)), rng.standard_normal((n, N))
+    for split in (split_matrices(A, fhat, g), (A, None)):
+        rep = harness._Replica(cfg, ModelPair(cfg.w0, cfg.w1), np.arange(N) >= N // 2)
+        w = w0 = rng.standard_normal((M, N))
+        rep._adapt(start, start + n, w0, u, d, split)
+        A1, A2 = split
+        for t in range(n):
+            update = u[t] * w
+            error = np.add.reduce(update, 0)
+            update = u[t] * (d[t] - error)
+            psi = update * cfg.mu
+            psi += w
+            w = psi @ A1 if A2 is None else psi @ A1 + w @ A2
+            assert rep.updates[start + t].tobytes() == update.tobytes()
+            assert rep.w_block[start + t].tobytes() == w.tobytes()
+
+
 @pytest.mark.parametrize("cfg", [
     pytest.param(lambda: small_config(N=200, split=100, mean_degree=16.0, iterations=130),
                  id="static-N200"),
@@ -784,6 +828,21 @@ def test_cli_fish_rejects_conventional_flag(tmp_path):
     assert cli_main(["fish", "--preset", "school", "--strategy",
                      "conventional", "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "msd.csv").exists()
+
+
+def test_cli_conventional_simulate_prints_no_desired_figure(tmp_path, capsys):
+    # conventional diffusion has no desired model: its msd_desired_db column
+    # is NaN, so the summary names models 0 and 1 only
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(N=8, M=2, w0=[1.0, 0.0], w1=[0.0, 1.0], split=4,
+                                        mu=0.005, iterations=50, replicas=1, seed=5,
+                                        mean_degree=4.0)))
+    for strategy, desired in (("conventional", False), ("modified", True)):
+        assert cli_main(["simulate", "--config", str(cfg_path), "--strategy", strategy,
+                         "--out", str(tmp_path / strategy)]) == 0
+        summary, = [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("final MSD: ")]
+        assert "nan" not in summary and summary.endswith("dB vs desired") == desired
 
 
 def test_chain_sweep_report():
