@@ -84,10 +84,8 @@ def _run_simulation(args: argparse.Namespace, kind: str) -> int:
     write_meta(os.path.join(out, "meta.json"), cfg)
     if trace.agreement_times is not None:
         finite = trace.agreement_times[np.isfinite(trace.agreement_times)]
-        rate = finite.size / trace.agreement_times.size
-        mean = float(finite.mean()) if finite.size else float("nan")
-        print(f"agreement in {rate:.0%} of replicas "
-              f"(mean settle iteration {mean:.1f})")
+        settle = f" (mean settle iteration {finite.mean():.1f})" if finite.size else ""
+        print(f"agreement in {finite.size / len(trace.agreement_times):.0%} of replicas{settle}")
     desired = ("" if trace.agreement_times is None   # conventional: no desired model
                else f", {trace.msd_desired_db[-1]:.2f} dB vs desired")
     print(f"final MSD: {trace.msd0_db[-1]:.2f} dB vs model 0, "
@@ -120,7 +118,8 @@ def _run_bench(args: argparse.Namespace) -> int:
           f"P_d >= {report['pd_lower_bound']:.3f} "
           f"(empirical {report['empirical_pd']:.3f})  "
           f"P_f <= {report['pf_upper_bound']:.3f} "
-          f"(empirical {report['empirical_pf']:.4f})")
+          f"(empirical {report['empirical_pf']:.4f})"
+          + ("  (vacuous: 16 nu tau_hat >= pi^2)" if report["pf_upper_bound"] >= 1 else ""))
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -470,6 +470,7 @@ class _Replica:
         self.stream = np.empty((iters, N, N)) if cfg.record_beliefs else None
         self.streamed = 0                         # stream rows written
         self.graph = self.trajectory = None       # graph: the adjacency self.links is for
+        self.reach = 1      # a pass's most rows; beliefs start at 0.5, where one event crosses
 
     def advance(self, i: int, adj: np.ndarray, A: np.ndarray, u: np.ndarray,
                 d: np.ndarray, uniforms: np.ndarray | None) -> None:
@@ -478,17 +479,16 @@ class _Replica:
         (n, N) and quorum uniforms (n, N), None when no decision runs.
 
         Only active links (both ends in the far field) update their beliefs.
-        The engines hand a new A only with a new adj object, so q, the fast
-        weights and the A1/A2 split are dropped where a new adj arrives,
-        fhat is replaced (a belief crossed 0.5) or g flips, and rebuilt when
-        next used.  While q is all 1 no sweep runs: no uniform in [0, 1) can
-        flip an agent.  While also the split is valid (or the desires are
-        forced) the network is decided, and w's recursion needs nothing from
-        classification until a belief crosses 0.5: a pass runs adapt and
-        combine ahead over the rest of the chunk, then replays classification
-        over those rows, and at the first crossing finishes that row as a
-        lone iteration would and drops the rows after it.  Outside the
-        decided state a pass is one row.  The guard checks each pass."""
+        q, the fast weights and the A1/A2 split are dropped where a new adj
+        (the engines hand a new A only with it) arrives, fhat is replaced or
+        g flips, and rebuilt where next used.  Until a uniform reaches its q
+        (never while q is all 1 or the desires are forced) or a belief
+        crosses 0.5, w's recursion needs no sweep or classification: a pass
+        runs adapt and combine ahead to the first row that can flip, replays
+        classification, finishes its last row (sweep, split, combine) where
+        it can flip or a belief crossed, and drops the rows after a crossing.
+        It runs self.reach rows at most: 1 at first and after a crossing, a
+        BLOCK after a row with no active link, else twice as many."""
         cfg, n, j = self.cfg, len(d), i % BLOCK
         self.base = i - j                          # the iteration of block row 0
         if not self.conventional and adj is not self.graph:
@@ -498,20 +498,25 @@ class _Replica:
             self.q = self.A1 = None
         t = 0
         while t < n:
-            stop, split = t + 1, None       # a lone row outside the decided state
-            if self.conventional:
-                stop, split = n, (A, None)
-            elif self.A1 is not None and (cfg.forced_desired is not None or self.sure):
-                stop, split = n, (self.A1, self.A2)
+            stop, split = n, (A, None)
+            if not self.conventional:
+                self._decide(adj, A, None)
+                stop, split = min(n, t + self.reach), (self.A1, self.A2)
+                if uniforms is not None and stop > t + 1:   # to the first row that can flip
+                    flips = self._can_flip(uniforms[t:stop])
+                    stop = t + 1 + int(flips.argmax()) if flips.any() else stop
             w = self.w.T.copy()     # a full-block pass overwrites the row self.w views
             self._adapt(j + t, j + stop, w, u[t:stop], d[t:stop], split)
             last = stop - 1 if self.conventional else self._classify(j + t, j + stop) - j
             self.glob_block[j + t:j + last + 1] = self.glob
-            if not self.conventional and (split is None or self.A1 is None):
+            if not self.conventional:
+                self.reach = (1 if self.A1 is None else BLOCK if not self.active.size
+                              else min(2 * self.reach, BLOCK))
                 self._decide(adj, A, None if uniforms is None else uniforms[last])
-                self._adapt(j + last, j + last + 1, self.w_block[j + last - 1] if last > t
-                            else w, u[last:last + 1], d[last:last + 1], (self.A1, self.A2))
-                self.glob_block[j + last] = self.glob     # a sweep may flip it
+                if self.A1 is not split[0]:      # a crossing or a flip replaced the split
+                    self._adapt(j + last, j + last + 1, self.w_block[j + last - 1] if last > t
+                                else w, u[last:last + 1], d[last:last + 1], (self.A1, self.A2))
+                    self.glob_block[j + last] = self.glob
             self.w = self.w_block[j + last].T
             check_divergence(self.w_block[j + t:j + last + 1].transpose(0, 2, 1), i + t)
             if self.stream is not None:
@@ -525,22 +530,19 @@ class _Replica:
 
     def _adapt(self, start: int, stop: int, w: np.ndarray, u: np.ndarray,
                d: np.ndarray, split) -> None:
-        """The updates of block rows start .. stop - 1 from w, the row
-        before start, and with an (A1, A2) split (A2 None: the conventional
-        A alone) their combines, row by row."""
+        """Updates and combines of block rows start .. stop - 1 from w (the row
+        before start) under the split (A1, A2), A2 None for A alone."""
         # mu as a 0-d array: a ufunc converts a Python float on every call
         mu, error, psi, tmp = np.array(self.cfg.mu), self.error, self.psi, self.tmp
         multiply, add, subtract, reduce, dot = np.multiply, np.add, np.subtract, \
             np.add.reduce, np.dot
+        A1, A2 = split
         for update, row, u_r, d_r in zip(self.updates[start:stop], self.w_block[start:stop],
                                          u, d):
             multiply(u_r, w, update)
             reduce(update, 0, None, error)
             subtract(d_r, error, error)
             multiply(u_r, error, update)
-            if split is None:       # a lone row, which the decision combines
-                return
-            A1, A2 = split
             multiply(update, mu, psi)
             add(psi, w, psi)
             dot(psi, A1, row)       # np.dot makes matmul's BLAS call into a given out
@@ -609,22 +611,21 @@ class _Replica:
         return None
 
     def _decide(self, adj: np.ndarray, A: np.ndarray, uniforms: np.ndarray | None) -> None:
-        """The quorum sweep with the N uniforms, then the split if dropped."""
+        """A row's sweep where its uniforms can flip an agent, then the split where dropped."""
         cfg = self.cfg
-        if cfg.forced_desired is None:
-            if self.q is None:
-                self.q = keep_probabilities(adj, self.g, self.fhat, self.table,
-                                            self.n_k, self.glob)
-                self.sure = self.q.min() >= 1.0
-            if not self.sure:
-                g = decision_sweep(self.g, self.q, uniforms)
-                if g is not self.g:
-                    self.g, self.glob = g, g ^ self.flip
-                    self.q = self.A1 = None
+        if uniforms is not None and self._can_flip(uniforms):   # then an agent flips
+            self.g = decision_sweep(self.g, self.q, uniforms)
+            self.glob, self.q, self.A1 = self.g ^ self.flip, None, None
         if self.A1 is None:
             if cfg.rule == "fast":
                 A = _fast_weight_matrix(adj, self.fhat == self.g[:, None])
             self.A1, self.A2 = split_matrices(A, self.fhat, self.g)
+
+    def _can_flip(self, uniforms: np.ndarray) -> np.ndarray:   # per row, under q
+        if self.q is None:
+            self.q = keep_probabilities(self.graph, self.g, self.fhat, self.table,
+                                        self.n_k, self.glob)
+        return (uniforms >= self.q).any(-1)
 
     def _stream_to(self, stop: int) -> None:
         """Belief-stream rows up to iteration stop - 1 hold the current b."""

@@ -237,31 +237,33 @@ def test_step_matches_per_agent_reference(strategy):
     assert np.abs(tr.final_beliefs[0] - b).max() < 1e-10
 
 
-def _one_at_a_time(advance, after=lambda rep, i, adj, A: None):
+def _one_at_a_time(advance, after=lambda rep, i, adj, A, uniforms: None):
     """An _Replica.advance that advances its chunk one iteration at a time,
-    calling after(rep, i, adj, A) after each (the chunked kernel writes the
-    same rows bit for bit: test_engines_match_the_per_iteration_draw)."""
+    calling after(rep, i, adj, A, uniforms) after each, with that iteration's
+    (N,) uniforms or None (the chunked kernel writes the same rows bit for
+    bit: test_engines_match_the_per_iteration_draw)."""
     def advance_rows(rep, i, adj, A, u, d, uniforms):
         for t in range(len(d)):
-            advance(rep, i + t, adj, A, u[t:t + 1], d[t:t + 1],
-                    None if uniforms is None else uniforms[t:t + 1])
-            after(rep, i + t, adj, A)
+            row = None if uniforms is None else uniforms[t:t + 1]
+            advance(rep, i + t, adj, A, u[t:t + 1], d[t:t + 1], row)
+            after(rep, i + t, adj, A, None if row is None else row[0])
     return advance_rows
 
 
-def _checked_runs(monkeypatch, cfg, check=lambda rep, i, adj, A, sweeps: None):
-    """Run cfg one iteration at a time with check(rep, i, adj, A, sweeps)
-    after each, where sweeps lists the (g, q) of each quorum sweep of that
-    iteration; returns, per replica, the replica and copies of its w and
-    glob after each iteration."""
+def _checked_runs(monkeypatch, cfg, check=lambda rep, i, adj, A, sweeps, uniforms: None):
+    """Run cfg one iteration at a time with check(rep, i, adj, A, sweeps,
+    uniforms) after each, where sweeps lists the (g, q) of each quorum sweep
+    of that iteration and uniforms are its quorum uniforms (None when no
+    decision runs); returns, per replica, the replica and copies of its w
+    and glob after each iteration."""
     sweep, runs, sweeps = harness.decision_sweep, {}, []
 
     def recorded(g, q, uniforms):
         sweeps.append((g, q))
         return sweep(g, q, uniforms)
 
-    def checked(rep, i, adj, A):
-        check(rep, i, adj, A, sweeps)
+    def checked(rep, i, adj, A, uniforms):
+        check(rep, i, adj, A, sweeps, uniforms)
         sweeps.clear()
         ws, globs = runs.setdefault(id(rep), (rep, [], []))[1:]
         ws.append(rep.w.copy())
@@ -289,8 +291,8 @@ def _assert_records_match_steps(rep, ws, globs):
 
 
 def _step_checker(graphs):
-    """check(rep, i, adj, A, sweeps) for after every step, and the counts it
-    keeps.
+    """check(rep, i, adj, A, sweeps, uniforms) for after every step, and the
+    counts it keeps.
 
     It asserts that the desires match the library projection, diagonal
     beliefs never move, the graph masks belong to the adjacency of that step
@@ -298,15 +300,16 @@ def _step_checker(graphs):
     previous b on the far-field links, and the active links, fhat, the q
     each sweep used, the cached q (unless a flip dropped it), and the A1/A2
     split and the combination matrix it splits equal fresh ones.  A step
-    runs one sweep, or none while the cached q is all 1 and g stays the same
-    object.  counts[name, True] counts the steps that kept the object of the
-    step before and counts[name, False] those that replaced it;
+    runs one sweep, or none when every uniform lies below the cached q it
+    would have used, and then g stays the same object.  counts[name, True]
+    counts the steps that kept the object of the step before and
+    counts[name, False] those that replaced it;
     counts["skipped"] counts the steps that ran no sweep and counts["beliefs
     at rest"] those after which the next step with the same events skips the
     belief update."""
     counts, last = collections.Counter(), {}
 
-    def check(rep, i, adj, A, sweeps):
+    def check(rep, i, adj, A, sweeps, uniforms):
         cfg, prev = rep.cfg, last.get(id(rep))
         assert np.array_equal(rep.glob, global_desires(rep.g, rep.f))
         assert (np.diag(rep.b) == 0.5).all()
@@ -333,15 +336,14 @@ def _step_checker(graphs):
 
         if cfg.forced_desired is not None:
             assert not sweeps and rep.q is None
-        elif not sweeps:    # no uniform in [0, 1) can flip an agent whose q is 1
-            assert rep.sure and rep.q.min() >= 1.0
+        elif not sweeps:    # no agent whose uniform lies below its q can flip
+            assert (uniforms < rep.q).all()
             assert prev is None or rep.g is prev["g"]
             counts["skipped"] += 1
         else:
             assert len(sweeps) == 1 and np.array_equal(sweeps[0][1], fresh_q(sweeps[0][0]))
         if rep.q is not None:
             assert np.array_equal(rep.q, fresh_q(rep.g))
-            assert rep.sure == (rep.q.min() >= 1.0)
         elif cfg.forced_desired is None:   # the sweep flipped g; q is rebuilt when next used
             assert sweeps[0][0] is not rep.g
         if cfg.rule == "fast":
@@ -425,7 +427,7 @@ def test_sweeps_stop_once_every_keep_probability_is_1(monkeypatch):
         swept.append(now[-1])
         return sweep(g, q, uniforms)
 
-    def tracked(rep, i, adj, A):
+    def tracked(rep, i, adj, A, uniforms):
         now.append(i + 1)
 
     chunked = run_scenario(cfg)
@@ -440,10 +442,11 @@ def test_sweeps_stop_once_every_keep_probability_is_1(monkeypatch):
     (settled,) = ours.agreement_times
     assert 0 < settled < 400 and swept and max(swept) <= settled
 
-    # a class property shadows the step's `sure`, which then always reads False
-    monkeypatch.setattr(harness._Replica, "sure", property(lambda rep: False,
-                                                          lambda rep, value: None),
-                        raising=False)
+    # the kernel, told that every row of uniforms can flip an agent, then
+    # runs each iteration as its own pass and sweeps on every one
+    can_flip = harness._Replica._can_flip
+    monkeypatch.setattr(harness._Replica, "_can_flip",
+                        lambda rep, uniforms: np.ones_like(can_flip(rep, uniforms)))
     monkeypatch.setattr(harness, "decision_sweep", counted)
     swept.clear()
     expected = run_scenario(cfg)
@@ -673,6 +676,64 @@ def test_crossing_in_a_decided_chunk_matches_single_iterations(monkeypatch, cros
         assert np.array_equal(getattr(ours, name), getattr(expected, name), equal_nan=True)
 
 
+@pytest.mark.parametrize("beliefs, far, uniform, passes, g", [
+    # agents 0 and 2 believe they observe different models (q = 0.9) and
+    # flip at row 10.  The first pass is one row; no link is active after
+    # it, so the next runs ahead and ends at the flip
+    pytest.param({(0, 2): 0.4}, {}, 0.95, [(0, 1, 0), (1, 11, 10), (11, 64, 63)],
+                 [0, 1, 0, 1], id="interior-flip"),
+    # row 10 can flip agents 0 and 2, and there the belief of 1 and 3 drops
+    # below 0.5: the sweep runs under the rebuilt q, which flips all four.
+    # The pass after a crossing is one row, and while links stay active
+    # each later one is twice as long
+    pytest.param({(0, 2): 0.4, (1, 3): 0.52}, {10: [1, 3]}, 0.95,
+                 [(0, 1, 0), (1, 11, 10), (11, 12, 11), (12, 14, 13)], [0, 0, 0, 0],
+                 id="flip-and-crossing"),
+    # the one-row pass after row 10's crossing meets the crossing of row 11
+    pytest.param({(0, 2): 0.52, (1, 3): 0.52}, {10: [0, 2], 11: [1, 3]}, 0.0,
+                 [(0, 1, 0), (1, 64, 10), (11, 12, 11), (12, 13, 12), (13, 15, 14)],
+                 [1, 1, 1, 1], id="crossing-after-crossing"),
+])
+def test_pass_rule_matches_single_iterations(monkeypatch, beliefs, far, uniform, passes, g):
+    # four agents on a complete graph, with some beliefs set at the start.
+    # On the rows of `far` a pair reaches the far field in opposite
+    # directions, and row 10's uniforms are `uniform`.  A replica advanced a
+    # BLOCK at a time makes the passes `passes` (start, stop, last row kept)
+    # and equals one advanced an iteration at a time
+    cfg = small_config(N=4, split=2, replicas=1, iterations=128, eta=1.0)
+    adj, A = np.ones((4, 4), dtype=bool), np.full((4, 4), 0.25)
+    rng = np.random.default_rng(5)
+    u = 0.1 * rng.standard_normal((cfg.iterations, cfg.M, 4))
+    d = 0.1 * rng.standard_normal((cfg.iterations, 4))
+    for row, pair in far.items():
+        u[row, :, pair] = [1.0, 0.0]
+        d[row, pair] = [50.0, -50.0]
+    uniforms = np.zeros((cfg.iterations, 4))
+    uniforms[10] = uniform
+    classify, replays, reps = harness._Replica._classify, [], []
+
+    def replay(rep, start, stop):
+        replays.append((start, stop, classify(rep, start, stop)))
+        return replays[-1][2]
+
+    monkeypatch.setattr(harness._Replica, "_classify", replay)
+    for chunk in (harness.BLOCK, 1):
+        rep = harness._Replica(cfg, ModelPair(cfg.w0, cfg.w1), np.array([0, 0, 1, 1]))
+        for (k, l), belief in beliefs.items():
+            rep.b[k, l] = rep.b[l, k] = belief
+        rep.fhat = f_hat(rep.b)
+        for i in range(0, cfg.iterations, chunk):
+            rep.advance(i, adj, A, u[i:i + chunk], d[i:i + chunk], uniforms[i:i + chunk])
+        reps.append(rep)
+    ours, expected = reps
+    assert replays[:len(passes)] == passes
+    assert ours.g.tolist() == g
+    for pair in far.values():       # each far pair's belief crossed below 0.5
+        assert ours.b[tuple(pair)] == ours.b[tuple(pair[::-1])] < 0.5
+    for name in ("records", "w_block", "glob_block", "b", "h_hat", "g", "A1"):
+        assert np.array_equal(getattr(ours, name), getattr(expected, name), equal_nan=True)
+
+
 def test_divergence_names_replica_agent_and_norm(monkeypatch):
     # agent 7 of the second replica turns NaN at iteration 40, after the
     # combine (which would spread it to every agent) and before the guard,
@@ -832,7 +893,8 @@ def test_cli_fish_rejects_conventional_flag(tmp_path):
 
 def test_cli_conventional_simulate_prints_no_desired_figure(tmp_path, capsys):
     # conventional diffusion has no desired model: its msd_desired_db column
-    # is NaN, so the summary names models 0 and 1 only
+    # is NaN, so the summary names models 0 and 1 only.  No modified replica
+    # agrees within 50 iterations, and no mean settle iteration is printed
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(dict(N=8, M=2, w0=[1.0, 0.0], w1=[0.0, 1.0], split=4,
                                         mu=0.005, iterations=50, replicas=1, seed=5,
@@ -840,9 +902,11 @@ def test_cli_conventional_simulate_prints_no_desired_figure(tmp_path, capsys):
     for strategy, desired in (("conventional", False), ("modified", True)):
         assert cli_main(["simulate", "--config", str(cfg_path), "--strategy", strategy,
                          "--out", str(tmp_path / strategy)]) == 0
-        summary, = [line for line in capsys.readouterr().out.splitlines()
-                    if line.startswith("final MSD: ")]
-        assert "nan" not in summary and summary.endswith("dB vs desired") == desired
+        lines = capsys.readouterr().out.splitlines()
+        summary, = [line for line in lines if line.startswith("final MSD: ")]
+        assert summary.endswith("dB vs desired") == desired
+        assert not any("nan" in line for line in lines)
+    assert lines[0] == "agreement in 0% of replicas"
 
 
 def test_chain_sweep_report():
@@ -1107,6 +1171,20 @@ def test_cli_classify_bench(tmp_path):
                      "--out", str(out)]) == 0
     report = json.loads((out / "classify_bench.json").read_text())
     assert all(math.isfinite(value) for value in report.values())
+
+
+@pytest.mark.parametrize("nu, vacuous", [(0.05, False), (0.2, True)])
+def test_cli_classify_bench_says_when_its_bounds_are_vacuous(tmp_path, capsys, nu, vacuous):
+    # P_d >= 1 - x and P_f <= x with x = 16 nu tau_hat / pi^2 say nothing
+    # once x >= 1 (tau_hat is about 6 here, so at nu = 0.2)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(kind="classify_bench", bench_trials=200, nu=nu)))
+    out = tmp_path / "bench"
+    assert cli_main(["classify-bench", "--config", str(cfg_path), "--out", str(out)]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    report = json.loads((out / "classify_bench.json").read_text())
+    assert (report["pf_upper_bound"] >= 1.0) == vacuous
+    assert line.endswith("(vacuous: 16 nu tau_hat >= pi^2)") == vacuous
 
 
 @pytest.mark.parametrize("overrides", [

@@ -6,6 +6,7 @@ import pytest
 
 from diffnet.decision import global_desires, quorum_prob, run_decision_dynamics
 from diffnet.diffusion import spectral_radius
+from diffnet.harness import ScenarioConfig, run_scenario
 from diffnet.markov import (
     ChainSizeError, DecisionChain, absorption_time_distribution,
     boundary_mass_closed_form, build_exact_chain, build_meanfield_chain,
@@ -156,6 +157,28 @@ def test_exact_chain_predicts_simulated_absorption():
     emp = hits / trials
     sigma = np.sqrt(p_all_zero * (1 - p_all_zero) / trials)
     assert abs(emp - p_all_zero) <= 3 * sigma + 1e-9
+
+
+@pytest.mark.parametrize("K", [1, 4])
+def test_engine_agreement_matches_the_exact_chain(K):
+    # with oracle classification on a static graph nothing the estimates do
+    # reaches the decisions: the engine's global desires walk the exact chain
+    # from g = f, one sweep per iteration.  agreement_time counts rows from 0
+    # and the chain counts sweeps, hence the + 1.  The replicas are
+    # independent, so each sample mean lies within 4 sample standard errors
+    # of the chain's value unless the engine's decision path is wrong
+    cfg = ScenarioConfig(N=8, split=4, mean_degree=4.0, oracle_classification=True, K=K,
+                         iterations=200, replicas=400, seed=3).validate()
+    trace = run_scenario(cfg)
+    steps = trace.agreement_times + 1.0
+    assert np.isfinite(steps).all()                 # every replica agrees
+    on_model0 = trace.final_global_desires[:, 0] == 0
+    start = int((trace.f << np.arange(cfg.N)).sum())
+    stats = absorption_time_distribution(build_exact_chain(trace.topology, K), start=start)
+    sem = 4.0 / np.sqrt(cfg.replicas)
+    assert abs(steps.mean() - stats["expected_from_start"]) < sem * steps.std(ddof=1)
+    assert abs(on_model0.mean() - stats["absorb_prob"][start - 1, 0]) \
+        < sem * on_model0.std(ddof=1)
 
 
 def _log_space_rows(N, K):
