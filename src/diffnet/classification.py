@@ -1,5 +1,6 @@
-"""Neighbor-model classification: smoothed update directions, far-field
-detection, belief dynamics, and the detection/false-alarm error bounds."""
+"""Neighbor-model classification: same-model decisions from beliefs, the
+far/near-field pair benchmark, and the detection/false-alarm and belief
+error bounds."""
 from __future__ import annotations
 
 import math
@@ -8,10 +9,6 @@ import warnings
 import numpy as np
 
 from .network import AgentEnvironment, ModelPair
-
-E1 = "E1"
-E1C = "E1c"
-NO_UPDATE = "no_update"
 
 # mu should be well below nu for the direction estimate to track; warn past this.
 STEPSIZE_RATIO_WARN = 5.0
@@ -29,34 +26,9 @@ def check_stepsize_separation(mu: float, nu: float) -> bool:
     return ok
 
 
-def update_direction(h_hat_prev, psi, w_prev, mu: float, nu: float):
-    """First-order smoothing of the normalized update (psi - w_prev)/mu."""
-    return (1.0 - nu) * np.asarray(h_hat_prev) + nu * (np.asarray(psi) - np.asarray(w_prev)) / mu
-
-
-def classify_event(h_hat_k, h_hat_l, eta: float) -> str:
-    """E1 / E1c when both directions clear the far-field threshold, split by
-    the sign of their inner product; no_update otherwise."""
-    h_hat_k = np.asarray(h_hat_k, dtype=float)
-    h_hat_l = np.asarray(h_hat_l, dtype=float)
-    if np.linalg.norm(h_hat_k) <= eta or np.linalg.norm(h_hat_l) <= eta:
-        return NO_UPDATE
-    return E1 if float(h_hat_k @ h_hat_l) > 0.0 else E1C
-
-
-def update_belief(b_prev: float, event: str, alpha: float) -> float:
-    if event == E1:
-        return alpha * b_prev + (1.0 - alpha)
-    if event == E1C:
-        return alpha * b_prev
-    if event == NO_UPDATE:
-        return b_prev
-    raise ValueError(f"unknown event {event!r}")
-
-
-def f_hat(b: float):
-    """Same-model decision from a belief value; the 0.5 boundary maps to 1."""
-    return (np.asarray(b) >= 0.5).astype(int) if np.ndim(b) else int(b >= 0.5)
+def f_hat(b: np.ndarray) -> np.ndarray:
+    """Same-model decisions from belief values; the 0.5 boundary maps to 1."""
+    return (np.asarray(b) >= 0.5).astype(int)
 
 
 def estimate_tau(env: AgentEnvironment, models: ModelPair, sample_count: int,

@@ -76,11 +76,13 @@ def _run_simulation(args: argparse.Namespace, kind: str) -> int:
     trace = run_scenario(cfg)
     out = args.out
     os.makedirs(out, exist_ok=True)
+    written = ["msd.csv"]
     write_msd_csv(os.path.join(out, "msd.csv"), trace)
-    if trace.belief_stream is not None:
-        write_beliefs_csv(os.path.join(out, "beliefs.csv"), trace)
-    if trace.trajectory is not None:
-        write_trajectory_csv(os.path.join(out, "trajectory.csv"), trace)
+    for name, data, writer in (("beliefs.csv", trace.belief_stream, write_beliefs_csv),
+                               ("trajectory.csv", trace.trajectory, write_trajectory_csv)):
+        if data is not None:
+            writer(os.path.join(out, name), trace)
+            written.append(name)
     write_meta(os.path.join(out, "meta.json"), cfg)
     if trace.agreement_times is not None:
         finite = trace.agreement_times[np.isfinite(trace.agreement_times)]
@@ -90,7 +92,7 @@ def _run_simulation(args: argparse.Namespace, kind: str) -> int:
                else f", {trace.msd_desired_db[-1]:.2f} dB vs desired")
     print(f"final MSD: {trace.msd0_db[-1]:.2f} dB vs model 0, "
           f"{trace.msd1_db[-1]:.2f} dB vs model 1{desired}")
-    print(f"wrote msd.csv and meta.json to {out}")
+    print(f"wrote {', '.join(written)} and meta.json to {out}")
     return EXIT_OK
 
 

@@ -10,24 +10,6 @@ from .network import Topology, check_assignment
 AGREEMENT_SWEEP_CAP = 50_000    # quorum sweeps before run_decision_dynamics gives up
 
 
-def translate_neighbor_g(g_l_self: int, f_hat_k_l: int) -> int:
-    """Map neighbor l's own-frame desired model into agent k's frame.
-
-    When k believes l observes the same model (f_hat = 1) the value carries
-    over; otherwise the index flips.
-    """
-    return g_l_self if f_hat_k_l == 1 else 1 - g_l_self
-
-
-def quorum_set_size(g_neighbors, g_self: int) -> int:
-    """Number of neighborhood members (self included in g_neighbors) whose
-    desired model matches agent k's."""
-    n_g = int(np.sum(np.asarray(g_neighbors) == g_self))
-    if n_g < 1:
-        raise ValueError("quorum set must include the agent itself")
-    return n_g
-
-
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def quorum_prob(n_g, n_k, K: int, beta: float = 1.0):
     """Probability of keeping the current desired model:
@@ -50,11 +32,6 @@ def quorum_prob(n_g, n_k, K: int, beta: float = 1.0):
     return q
 
 
-def decide(g_self_prev: int, q: float, rng: np.random.Generator) -> int:
-    """Keep the previous desired model with probability q, else flip."""
-    return g_self_prev if rng.random() < q else 1 - g_self_prev
-
-
 def oracle_relative_f(f) -> np.ndarray:
     """Ground-truth relative tables: entry [k, l] is 1 iff l observes the
     same model as k (so the diagonal is 1)."""
@@ -73,17 +50,6 @@ def global_desires(g_local: np.ndarray, f) -> np.ndarray:
     return np.where(g_local == 1, f, 1 - f)
 
 
-def local_agreement_predicate(g_local: np.ndarray, f_rel: np.ndarray,
-                              adjacency: np.ndarray) -> bool:
-    """Agreement check using only local frames: along every edge (k, l) the
-    XOR identity g(l) ^ g(k) == g_k(l) ^ g_k(k) must vanish for a connected
-    graph to be unanimous."""
-    g_local = np.asarray(g_local, dtype=int)
-    g_trans = np.where(np.asarray(f_rel) == 1, g_local[None, :], 1 - g_local[None, :])
-    diff = (g_trans ^ g_local[:, None]) & np.asarray(adjacency, dtype=bool)
-    return not diff.any()
-
-
 def quorum_table(N: int, K: int, beta) -> np.ndarray:
     """quorum_prob at [model b, n_k, n_g], counts 0..N; beta one value or a pair."""
     counts = np.arange(N + 1.0)
@@ -95,17 +61,15 @@ def keep_probabilities(adjacency: np.ndarray, g_local: np.ndarray, f_rel: np.nda
     """Agent k's probability of keeping its desire, table[plane[k], n_k[k],
     n_g[k]], with n_g[k] the neighbours (k included) whose desire agrees."""
     # k's translation of g(l) equals g(k) iff "g(l) differs from g(k)" is the
-    # opposite of f_rel[k, l] (0/1 entries; same counts as translate_neighbor_g)
+    # opposite of f_rel[k, l] (0/1 entries)
     agree = ((g_local[None, :] ^ g_local[:, None]) != f_rel) & adjacency
     return table[plane, n_k, np.add.reduce(agree, axis=1)]
 
 
 def decision_sweep(g_local: np.ndarray, q: np.ndarray, uniforms: np.ndarray):
     """One synchronous quorum-response sweep: agent k keeps its desire when
-    its uniform draw uniforms[k] falls below q[k]; g_local itself if none
-    flips."""
-    keep = uniforms < q
-    return g_local if keep.all() else np.where(keep, g_local, 1 - g_local)
+    its uniform draw uniforms[k] falls below q[k]."""
+    return np.where(uniforms < q, g_local, 1 - g_local)
 
 
 def run_decision_dynamics(topology: Topology, f, K: int,

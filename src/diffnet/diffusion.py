@@ -1,5 +1,5 @@
-"""ATC diffusion steps, the two-matrix modified combination, and the
-mean-error linear system used for stability/bias analysis."""
+"""The divergence guard, the two-matrix split of the modified combination,
+and the mean-error linear system used for stability/bias analysis."""
 from __future__ import annotations
 
 import math
@@ -33,35 +33,6 @@ def check_divergence(w: np.ndarray, iteration: int) -> None:
             norm = math.hypot(*stack[t, k])
             raise DivergenceError(f"agent {k} estimate norm {norm!r} exceeded "
                                   f"{DIVERGENCE_LIMIT:g} at iteration {iteration + t}")
-
-
-def atc_adapt(w: np.ndarray, d: float, u: np.ndarray, mu: float) -> np.ndarray:
-    """Adaptation step: psi = w + mu u^T (d - u w)."""
-    return w + mu * u * (d - u @ w)
-
-
-def atc_combine(psis: np.ndarray, a_col: np.ndarray) -> np.ndarray:
-    """Combination step: convex mix of neighbor intermediates."""
-    return np.asarray(a_col) @ np.asarray(psis)
-
-
-def split_weights(a_col: np.ndarray, f_hat_k: np.ndarray, g_k: int):
-    """Split agent k's combination column into reinforce/de-emphasize parts.
-
-    Neighbors whose (estimated) observed model matches k's desired model keep
-    their weight in the first column; the rest move to the second.  The two
-    columns sum back to a_col entrywise with disjoint support.
-    """
-    a_col = np.asarray(a_col, dtype=float)
-    match = np.asarray(f_hat_k) == g_k
-    a1 = np.where(match, a_col, 0.0)
-    return a1, a_col - a1
-
-
-def modified_combine(psis, w_prevs, a1_col, a2_col) -> np.ndarray:
-    """Combination mixing intermediates (reinforced neighbors) with previous
-    estimates (de-emphasized neighbors)."""
-    return np.asarray(a1_col) @ np.asarray(psis) + np.asarray(a2_col) @ np.asarray(w_prevs)
 
 
 def split_matrices(A: np.ndarray, f_hat: np.ndarray, g: np.ndarray):

@@ -301,15 +301,9 @@ class TraceSet:
     trajectory: np.ndarray | None = None      # fish: (steps, N, 6)
 
 
-def msd_db(mean_square: float) -> float:
-    if mean_square <= 10 ** (MSD_FLOOR_DB / 10.0):
-        return MSD_FLOOR_DB
-    return 10.0 * math.log10(mean_square)
-
-
 def _db(mean_square: np.ndarray) -> np.ndarray:
-    """msd_db of each value, bit for bit: math.log10 where numpy's log10
-    can differ in the last bit, and NaN stays NaN."""
+    """10 log10 of each mean square, floored at MSD_FLOOR_DB: math.log10,
+    as numpy's log10 can differ in the last bit; NaN stays NaN."""
     out = np.full(mean_square.shape, MSD_FLOOR_DB)
     above = ~(mean_square <= 10 ** (MSD_FLOOR_DB / 10.0))
     out[above] = np.fromiter(map(math.log10, mean_square[above].tolist()), float) * 10.0
@@ -734,6 +728,14 @@ def run_classify_bench(cfg: ScenarioConfig) -> dict:
             mid = 0.5 * (models.w0 + models.w1)
             different = direction_pair_benchmark(models.w0, models.w1, mid, env,
                                                  cfg.nu, cfg.eta, cfg.bench_trials, rng)
+            # P_d and P_f are rates given that both agents are in the far field
+            for rate, pair in (("P_d", same), ("P_f", different)):
+                if pair["p_e1"] + pair["p_e1c"] == 0.0:
+                    raise ConfigError(
+                        f"no trial of the {rate} pair put both agents in the far field "
+                        f"(eta = {cfg.eta:g}), so its empirical {rate} is undefined: the "
+                        f"P_d pair's estimate sits bench_distance = {cfg.bench_distance:g} "
+                        "from its model, the P_f pair's midway between w0 and w1")
             return {
                 "tau_hat": tau_hat,
                 "pd_lower_bound": pd_lo,

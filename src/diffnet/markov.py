@@ -18,7 +18,6 @@ from .network import Topology
 # the np.where factor are S^2 float64 (134 MB each), the `same` mask S^2 bool
 # (17 MB).  At 14 the same arrays would take 2 x 2.1 GB.
 EXACT_STATE_CAP = 12
-MC_STEP_CAP = 1_000_000   # a Monte Carlo walk stops here even if not absorbed
 
 
 class ChainSizeError(ValueError):
@@ -184,13 +183,9 @@ def verify_K_monotonicity(N: int, K_max: int) -> dict:
     }
 
 
-def absorption_time_distribution(chain: DecisionChain,
-                                 start: int | None = None,
-                                 trials: int = 0,
-                                 rng: np.random.Generator | None = None) -> dict:
+def absorption_time_distribution(chain: DecisionChain) -> dict:
     """Expected steps to absorption from each transient state, (I - Q)^{-1} 1,
-    and the absorption probabilities (I - Q)^{-1} [b c], from one solve;
-    with an optional Monte Carlo check."""
+    and the absorption probabilities (I - Q)^{-1} [b c], from one solve."""
     Q = chain.Q
     n_t = Q.shape[0]
     rhs = np.column_stack([np.ones(n_t), chain.absorption_columns])
@@ -198,28 +193,4 @@ def absorption_time_distribution(chain: DecisionChain,
         solved = np.linalg.solve(np.eye(n_t) - Q, rhs)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError("(I - Q) is singular; chain is not absorbing") from exc
-    expected, absorb_prob = solved[:, 0], solved[:, 1:]
-
-    out = {"expected_steps": expected, "absorb_prob": absorb_prob}
-    if start is not None:
-        out["expected_from_start"] = (float(expected[start - 1])
-                                      if 0 < start < len(chain.P) - 1 else 0.0)
-    if trials > 0:
-        out["mc_mean_steps"] = _mc_absorption(chain, start, trials, rng)
-    return out
-
-
-def _mc_absorption(chain: DecisionChain, start: int | None, trials: int,
-                   rng: np.random.Generator) -> float:
-    last = len(chain.P) - 1       # states 0 and last absorb
-    s0 = 1 if start is None else start
-    if not 0 < s0 < last:
-        return 0.0
-    totals = 0
-    for _ in range(trials):
-        s, steps = s0, 0
-        while 0 < s < last and steps < MC_STEP_CAP:
-            s = rng.choice(last + 1, p=chain.P[s])
-            steps += 1
-        totals += steps
-    return totals / trials
+    return {"expected_steps": solved[:, 0], "absorb_prob": solved[:, 1:]}

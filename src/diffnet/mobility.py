@@ -29,27 +29,6 @@ class MotionParams:
             object.__setattr__(self, f.name, float(getattr(self, f.name)))
 
 
-def cohesion_term(k: int, positions: np.ndarray, adjacency: np.ndarray,
-                  d_s: float) -> np.ndarray:
-    """Spacing term for one agent: attraction beyond d_s, repulsion inside.
-
-    Coincident neighbors contribute zero; a lone agent gets a zero vector.
-    """
-    positions = np.asarray(positions, dtype=float)
-    neigh = np.flatnonzero(np.asarray(adjacency, dtype=bool)[:, k])
-    neigh = neigh[neigh != k]
-    if neigh.size == 0:
-        return np.zeros(positions.shape[1])
-    diff = positions[neigh] - positions[k]
-    dist = np.linalg.norm(diff, axis=1)
-    ok = dist > 0
-    out = np.zeros(positions.shape[1])
-    if ok.any():
-        out = ((dist[ok] - d_s) / dist[ok])[:, None] * diff[ok]
-        out = out.sum(axis=0)
-    return out / neigh.size
-
-
 def pairwise_offsets(positions: np.ndarray):
     """Offsets diff[l, k, :] = x_l - x_k, (N, N, 2), and their norms dist,
     (N, N): the one distance table a school step shares between

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from diffnet.classification import (
-    E1, E1C, NO_UPDATE, belief_error_oracle,
-    check_stepsize_separation, classify_event, direction_pair_benchmark,
+    belief_error_oracle, check_stepsize_separation, direction_pair_benchmark,
     error_bound_Pu, estimate_tau, f_hat, markov_tail_bound, pd_pf_bounds,
-    update_belief, update_direction,
 )
 from diffnet.network import AgentEnvironment, ModelPair
+from oracle import E1, E1C, NO_UPDATE, classify_event, update_belief, update_direction
 
 
 def test_stepsize_separation_warns():

@@ -13,16 +13,13 @@ import numpy as np
 import pytest
 
 from diffnet import harness
-from diffnet.classification import classify_event, f_hat, update_belief, \
-    update_direction
+from diffnet.classification import f_hat
 from diffnet.cli import main as cli_main
-from diffnet.decision import decide, global_desires, quorum_prob, \
-    quorum_set_size, translate_neighbor_g
-from diffnet.diffusion import DivergenceError, atc_adapt, atc_combine, \
-    modified_combine, split_matrices, split_weights
+from diffnet.decision import global_desires, quorum_prob
+from diffnet.diffusion import DivergenceError, split_matrices
 from diffnet.harness import (
     KIND_FIELDS, ConfigError, ScenarioConfig, _fast_weight_matrix, _git_stamp,
-    agreement_time, msd_db, preset, run_chain_sweep, run_classify_bench,
+    agreement_time, preset, run_chain_sweep, run_classify_bench,
     run_scenario, write_beliefs_csv, write_chain_sweep_csv, write_meta,
     write_msd_csv, write_trajectory_csv,
 )
@@ -30,6 +27,9 @@ from diffnet.mobility import cohesion_all, measure_target, pairwise_offsets, \
     radius_adjacency, update_motion
 from diffnet.network import ModelPair, Topology, complete_topology, \
     uniform_weights
+from oracle import atc_adapt, atc_combine, classify_event, decide, modified_combine, \
+    msd_db, quorum_set_size, split_weights, translate_neighbor_g, update_belief, \
+    update_direction
 
 
 # a conventional run refuses the decision layer's fields unless at their defaults
@@ -181,7 +181,7 @@ def test_golden_school_and_analyses():
 
 @pytest.mark.parametrize("strategy", ["modified", "conventional"])
 def test_step_matches_per_agent_reference(strategy):
-    # one replica rebuilt agent by agent from the library's scalar functions,
+    # one replica rebuilt agent by agent from the per-agent oracle's functions,
     # drawing from the replica generator in the engine's order: u, v, then
     # (modified only) one quorum uniform per agent
     cfg = small_config(replicas=1, iterations=20,
@@ -909,6 +909,20 @@ def test_cli_conventional_simulate_prints_no_desired_figure(tmp_path, capsys):
     assert lines[0] == "agreement in 0% of replicas"
 
 
+@pytest.mark.parametrize("command, preset_name, files", [
+    ("simulate", "beliefs", ["msd.csv", "beliefs.csv"]),
+    ("fish", "school", ["msd.csv", "trajectory.csv"]),
+    ("simulate", "bifurcation", ["msd.csv"]),
+], ids=["beliefs", "school", "bifurcation"])
+def test_cli_names_every_file_it_writes(tmp_path, capsys, command, preset_name, files):
+    out = tmp_path / "run"
+    assert cli_main([command, "--preset", preset_name, "--iterations", "20",
+                     "--replicas", "1", "--out", str(out)]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == f"wrote {', '.join(files)} and meta.json to {out}"
+    assert sorted(p.name for p in out.iterdir()) == sorted(files + ["meta.json"])
+
+
 def test_chain_sweep_report():
     cfg = ScenarioConfig(kind="chain_sweep", sweep_N=[4, 6], sweep_K=[1, 2, 3])
     rows = run_chain_sweep(cfg)
@@ -1185,6 +1199,27 @@ def test_cli_classify_bench_says_when_its_bounds_are_vacuous(tmp_path, capsys, n
     report = json.loads((out / "classify_bench.json").read_text())
     assert (report["pf_upper_bound"] >= 1.0) == vacuous
     assert line.endswith("(vacuous: 16 nu tau_hat >= pi^2)") == vacuous
+
+
+@pytest.mark.parametrize("rate, overrides", [
+    # the same-model pair's estimate 0.3 from its model: both agents stay near
+    pytest.param("P_d", dict(bench_distance=0.3), id="P_d-bench_distance"),
+    # the models 0.2 apart: the different-model pair's midpoint is near both
+    pytest.param("P_f", dict(w1=[5.0, -5.0, 5.0, 5.2]), id="P_f-close-models"),
+])
+def test_cli_classify_bench_refuses_an_undefined_rate(tmp_path, capsys, rate, overrides):
+    # P_d and P_f are rates given that both agents are in the far field; with
+    # no such trial they are undefined, and the run exits 2 writing nothing
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(kind="classify_bench", bench_trials=2000, seed=7,
+                                        **overrides)))
+    out = tmp_path / "bench"
+    assert cli_main(["classify-bench", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: no trial of the {rate} pair put both "
+                          "agents in the far field")
+    assert "bench_distance" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("overrides", [

@@ -1,12 +1,43 @@
-"""Every top-level import of the package and of its tests is referenced."""
+"""Every top-level import of the package and of its tests is referenced, and
+every public function of the package has a caller in the package or
+reproduces one of the paper's results."""
 import ast
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted([*(ROOT / "src" / "diffnet").glob("*.py"),
-                  *(ROOT / "tests").glob("*.py")])
+PACKAGE = ROOT / "src" / "diffnet"
+SOURCES = sorted([*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py")])
+
+# Public functions that no code in the package calls, each with the result of
+# the paper it reproduces (the criteria are tests/test_acceptance.py's).
+# Per-agent reference code lives in tests/oracle.py.
+ANALYSIS_FUNCTIONS = {
+    "network.bias_limit": "conventional diffusion's limit, the Perron-weighted "
+                          "mix of the two models (criterion 2)",
+    "network.perron_vector": "the Perron vector of A that weights that limit (criterion 2)",
+    "network.complete_topology": "the complete graph, on which the mean-field chain "
+                                 "is exact (criterion 4's absorption check)",
+    "network.is_left_stochastic": "A1 + A2 stays left-stochastic (criterion 11)",
+    "diffusion.build_mean_error_system": "the mean-error recursion of the modified "
+                                         "strategy: stable and unbiased (criterion 3)",
+    "diffusion.convergence_rate": "the mean-square convergence rate rho(B)^2",
+    "diffusion.rate_lower_bound": "the fastest rate (1 - mu lambda_min(Ru))^2, which "
+                                  "a single agent meets",
+    "classification.error_bound_Pu": "the bound on the misclassification probabilities "
+                                     "P_e,1 and P_e,0",
+    "classification.belief_error_oracle": "the belief's random geometric series, "
+                                          "the Monte Carlo check of that bound",
+    "decision.run_decision_dynamics": "quorum decisions reach agreement (criterion 4)",
+    "markov.build_exact_chain": "the exact 2^N absorbing chain of the decisions "
+                                "(criterion 4)",
+    "markov.boundary_mass_closed_form": "the closed form of the mean-field chain's "
+                                        "absorbing mass (criterion 5)",
+    "markov.rate_identity_residual": "rho(Q) = 1 - y^T (b + c) (criterion 5)",
+    "markov.verify_K_monotonicity": "rho(Q) falls as the quorum exponent K grows "
+                                    "(criteria 5 and 6)",
+}
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -31,3 +62,31 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_top_level_import(path):
     assert unused_imports(path) == []
+
+
+def uncalled_functions() -> set[str]:
+    """`module.function` of each public top-level function in the package
+    that no other module imports and its own module names nowhere outside
+    its definition."""
+    defined, named = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            own = None
+            if isinstance(node, ast.FunctionDef):
+                own = node.name
+                if not own.startswith("_"):
+                    defined.add(f"{path.stem}.{own}")
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                named.update(f"{node.module}.{alias.name}" for alias in node.names)
+            named.update(f"{path.stem}.{n.id}" for n in ast.walk(node)
+                         if isinstance(n, ast.Name) and n.id != own)
+    return defined - named
+
+
+def test_every_library_function_is_called_or_reproduces_a_result():
+    uncalled = uncalled_functions()
+    # test-only code belongs beside the tests (tests/oracle.py)
+    assert sorted(uncalled - ANALYSIS_FUNCTIONS.keys()) == []
+    # a listed function that is gone, or now has a caller, leaves the list
+    assert sorted(ANALYSIS_FUNCTIONS.keys() - uncalled) == []

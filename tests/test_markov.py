@@ -14,6 +14,7 @@ from diffnet.markov import (
     verify_K_monotonicity,
 )
 from diffnet.network import complete_topology, generate_topology
+from oracle import mc_absorption
 
 
 def test_exact_chain_stochastic_and_absorbing():
@@ -128,10 +129,9 @@ def test_k_monotonicity():
 
 def test_absorption_time_n2():
     chain = build_meanfield_chain(2, 1)
-    stats = absorption_time_distribution(chain, start=1, trials=4000,
-                                         rng=np.random.default_rng(0))
-    assert stats["expected_from_start"] == pytest.approx(2.0)
-    assert abs(stats["mc_mean_steps"] - 2.0) < 0.12
+    stats = absorption_time_distribution(chain)
+    assert stats["expected_steps"][0] == pytest.approx(2.0)     # from state 1
+    assert abs(mc_absorption(chain, 1, 4000, np.random.default_rng(0)) - 2.0) < 0.12
     assert np.allclose(stats["absorb_prob"].sum(axis=1), 1.0)
 
 
@@ -174,9 +174,9 @@ def test_engine_agreement_matches_the_exact_chain(K):
     assert np.isfinite(steps).all()                 # every replica agrees
     on_model0 = trace.final_global_desires[:, 0] == 0
     start = int((trace.f << np.arange(cfg.N)).sum())
-    stats = absorption_time_distribution(build_exact_chain(trace.topology, K), start=start)
+    stats = absorption_time_distribution(build_exact_chain(trace.topology, K))
     sem = 4.0 / np.sqrt(cfg.replicas)
-    assert abs(steps.mean() - stats["expected_from_start"]) < sem * steps.std(ddof=1)
+    assert abs(steps.mean() - stats["expected_steps"][start - 1]) < sem * steps.std(ddof=1)
     assert abs(on_model0.mean() - stats["absorb_prob"][start - 1, 0]) \
         < sem * on_model0.std(ddof=1)
 

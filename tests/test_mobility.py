@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from diffnet.mobility import (
-    MotionParams, cohesion_all, cohesion_term, measure_target,
-    pairwise_offsets, radius_adjacency, update_motion,
+    MotionParams, cohesion_all, measure_target, pairwise_offsets,
+    radius_adjacency, update_motion,
 )
+from oracle import cohesion_term
 
 
 def test_motion_params_validation():

@@ -1,15 +1,15 @@
 """Randomized invariant checks, >= 1000 cases per property."""
 import numpy as np
 
-from diffnet.classification import E1, E1C, NO_UPDATE, update_belief
-from diffnet.decision import (
-    global_desires, local_agreement_predicate, oracle_relative_f,
-    translate_neighbor_g,
-)
+from diffnet.decision import global_desires, oracle_relative_f
 from diffnet.diffusion import split_matrices
 from diffnet.markov import build_meanfield_chain
 from diffnet.network import (
     generate_topology, is_left_stochastic, perron_vector, uniform_weights,
+)
+from oracle import (
+    E1, E1C, NO_UPDATE, local_agreement_predicate, translate_neighbor_g,
+    update_belief,
 )
 
 CASES = 1000
