@@ -193,9 +193,9 @@ class ScenarioConfig:
     def _estimated_bytes(self) -> float:
         """Bytes of the float64 arrays a run of this (validated) config
         allocates, to within a small factor."""
-        if self.kind == "chain_sweep":     # P, its half-height row factors, I - Q, its LU
+        if self.kind == "chain_sweep":     # P, its two folded halves, LAPACK's copies of them
             rows = max(self.sweep_N) + 1.0   # squared by multiplying: inf, not OverflowError
-            return 8.0 * 5 * rows * rows
+            return 8.0 * 2 * rows * rows
         if self.kind == "classify_bench":  # regressor draws and both directions
             return 8.0 * 8 * self.M * max(self.bench_trials, 10_000.0)
         N, iters = float(self.N), float(self.iterations)
@@ -707,6 +707,7 @@ def run_chain_sweep(cfg: ScenarioConfig) -> list[dict]:
                 "N": N, "K": K, "rho_Q": rho,
                 "mean_absorption": float(stats["expected_steps"].mean()),
             })
+            del chain                   # P is freed before the next one is built
     return rows
 
 

@@ -16,7 +16,9 @@ from .network import Topology
 
 # 2^N states.  At N = 12 (S = 4096) build_exact_chain peaks near 290 MB: P and
 # the np.where factor are S^2 float64 (134 MB each), the `same` mask S^2 bool
-# (17 MB).  At 14 the same arrays would take 2 x 2.1 GB.
+# (17 MB).  absorption_time_distribution stays below that: beside P it holds
+# the two folded halves of Q and LAPACK's copy of one, S^2/4 float64 (34 MB)
+# each.  At 14, P and the np.where factor would take 2 x 2.1 GB.
 EXACT_STATE_CAP = 12
 
 
@@ -100,13 +102,17 @@ def build_meanfield_chain(N: int, K: int) -> DecisionChain:
     q = quorum_prob(m[1:h + 1], N, K)[:, None]
     P = np.zeros((N + 1, N + 1))
     P[0, 0] = 1.0
-    # a zero exponent contributes 0, also where q rounds to 1 and log1p(-q) is -inf
-    shape = (h, N + 1)
+    rows = P[1:h + 1]
+    # log C(N, m) + m log q + (N - m) log(1 - q), added in that order in one
+    # buffer and exponentiated in place; a zero exponent contributes 0, also
+    # where q rounds to 1 and log1p(-q) is -inf (rows is still 0 at m = N)
     with np.errstate(divide="ignore"):
         log_q, log_1mq = np.log(q), np.log1p(-q)
-    log_hits = np.multiply(m, log_q, out=np.zeros(shape), where=m > 0)
-    log_misses = np.multiply(N - m, log_1mq, out=np.zeros(shape), where=m < N)
-    P[1:h + 1] = np.exp(log_binom + log_hits + log_misses)
+    log_rows = np.multiply(m, log_q, out=np.zeros(rows.shape), where=m > 0)
+    np.add(log_binom, log_rows, out=log_rows)
+    np.multiply(N - m, log_1mq, out=rows, where=m < N)
+    np.add(log_rows, rows, out=rows)
+    np.exp(rows, out=rows)
     if N % 2 == 0:             # the centre row (q = 1/2) equals its reverse
         P[h] = (P[h] + P[h, ::-1]) / 2
     P[N:h:-1] = P[:N - h, ::-1]   # rows N, N-1, .., h+1 from rows 0, 1, ..
@@ -125,25 +131,40 @@ def count_ratio(a: float, b: float, N: int, x: float) -> float:
     return (a ** (N * x) + b ** (N * x)) / (a ** x + b ** x) ** N
 
 
-def transient_spectral_radius(chain: DecisionChain) -> float:
-    """rho(Q) from Q folded onto the reversal-symmetric vectors.
+def _swap_folds(Q: np.ndarray, antisymmetric: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Q restricted to the swap-symmetric vectors, and with
+    ``antisymmetric`` also to the antisymmetric ones.
 
-    Q commutes with the reversal J, and for a Perron vector x of the
-    nonnegative Q so is Jx, so x + Jx is a symmetric one: rho(Q) is the
-    radius of Q restricted to v = Jv, the half-size matrix that keeps the
-    first ceil(n/2) rows and adds column n-1-j into column j.  A Q that is
+    Q commutes with the reversal J that swaps the two models, so it maps
+    v = Jv and v = -Jv into themselves.  A symmetric v is fixed by its first
+    ceil(n/2) entries and an antisymmetric one by its first floor(n/2) (the
+    middle entry of an odd n is 0).  On those, Q acts as its leading block
+    with column n-1-j added into, or subtracted from, column j.  A Q that is
     not symmetric is refused.
     """
-    Q = chain.Q
     n = len(Q)
     if n == 0:
         raise ValueError("chain has no transient states")
     if not np.array_equal(Q, Q[::-1, ::-1]):
         raise ValueError("Q is not symmetric under swapping the two models")
     c, f = (n + 1) // 2, n // 2
-    fold = Q[:c, :c].copy()
-    fold[:, :f] += Q[:c, ::-1][:, :f]
-    return spectral_radius(fold)
+    mirror = Q[:, ::-1][:, :f]            # column n-1-j at j
+    symmetric = Q[:c, :c].copy()
+    symmetric[:, :f] += mirror[:c]
+    if not antisymmetric:
+        return symmetric, None
+    return symmetric, np.subtract(Q[:f, :f], mirror[:f])
+
+
+def transient_spectral_radius(chain: DecisionChain) -> float:
+    """rho(Q) from Q folded onto the swap-symmetric vectors.
+
+    For a Perron vector x of the nonnegative Q so is Jx, so x + Jx is a
+    symmetric one: rho(Q) is the radius of the half-size symmetric fold.
+    A Q that is not symmetric is refused with ValueError.
+    """
+    symmetric, _ = _swap_folds(chain.Q, antisymmetric=False)
+    return spectral_radius(symmetric)
 
 
 def rate_identity_residual(chain: DecisionChain) -> float:
@@ -185,12 +206,31 @@ def verify_K_monotonicity(N: int, K_max: int) -> dict:
 
 def absorption_time_distribution(chain: DecisionChain) -> dict:
     """Expected steps to absorption from each transient state, (I - Q)^{-1} 1,
-    and the absorption probabilities (I - Q)^{-1} [b c], from one solve."""
+    and the absorption probabilities (I - Q)^{-1} [b c].
+
+    Swapping the models reverses the states and maps b to c, so 1 and
+    (b + c)/2 are swap-symmetric and (b - c)/2 antisymmetric: the solve
+    splits into one LU solve on each half-size fold of Q, mirrored back to
+    full length.  Together the two take 1/4 of the full solve's flops and
+    half its matrix memory.  A Q that is not symmetric is refused with
+    ValueError.
+    """
     Q = chain.Q
-    n_t = Q.shape[0]
-    rhs = np.column_stack([np.ones(n_t), chain.absorption_columns])
+    n, f = len(Q), len(Q) // 2
+    halves = _swap_folds(Q, antisymmetric=True)
+    for half in halves:                   # I - fold, in place
+        half *= -1.0
+        half.flat[::len(half) + 1] += 1.0
+    b, c = chain.absorption_columns.T
     try:
-        solved = np.linalg.solve(np.eye(n_t) - Q, rhs)
+        steps, even = np.linalg.solve(
+            halves[0], np.column_stack([np.ones(n - f), (b + c)[:n - f] / 2])).T
+        odd = np.linalg.solve(halves[1], (b - c)[:f] / 2)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError("(I - Q) is singular; chain is not absorbing") from exc
-    return {"expected_steps": solved[:, 0], "absorb_prob": solved[:, 1:]}
+
+    def unfold(v, sign=1.0):              # ceil(n/2) leading entries to all n
+        return np.concatenate([v, sign * v[:f][::-1]])
+    hit_first = unfold(even) + unfold(np.pad(odd, (0, n - 2 * f)), -1.0)
+    return {"expected_steps": unfold(steps),
+            "absorb_prob": np.column_stack([hit_first, hit_first[::-1]])}

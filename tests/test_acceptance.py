@@ -254,7 +254,7 @@ def test_criterion_10_fish():
 
 
 def test_criterion_11_property_suite():
-    from tests import test_properties as props
+    import test_properties as props
     props.test_split_exactness_and_disjoint_support()
     props.test_split_preserves_left_stochasticity()
     props.test_belief_range_closure()

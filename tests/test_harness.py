@@ -787,14 +787,17 @@ def test_adapt_rows_match_the_matmul_formula(M, N):
     pytest.param(lambda: small_config(N=200, split=100, mean_degree=16.0, iterations=130),
                  id="static-N200"),
     pytest.param(lambda: small_school(iterations=130), id="school"),
+    pytest.param(lambda: ScenarioConfig(kind="chain_sweep", sweep_N=[150, 300],
+                                        sweep_K=[1, 2]).validate(), id="chain_sweep"),
 ])
 def test_memory_estimate_bounds_the_traced_peak(cfg):
     # the size refusal rests on _estimated_bytes; it counts the kernel's
-    # chunk buffers and Gram batch, and bounds what a run allocates
+    # chunk buffers and Gram batch, the chain and its folded halves, and
+    # bounds what a run allocates
     cfg = cfg()
     tracemalloc.start()
     try:
-        run_scenario(cfg)
+        (run_chain_sweep if cfg.kind == "chain_sweep" else run_scenario)(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
