@@ -14,7 +14,8 @@ import numpy as np
 from .diffusion import DivergenceError
 from .harness import PRESETS, STRATEGIES, ConfigError, ScenarioConfig, preset, \
     run_chain_sweep, run_classify_bench, run_scenario, write_beliefs_csv, \
-    write_chain_sweep_csv, write_meta, write_msd_csv, write_trajectory_csv
+    write_chain_sweep_csv, write_mean_error_csv, write_meta, write_msd_csv, \
+    write_trajectory_csv
 from .network import TopologyError
 
 EXIT_OK = 0
@@ -79,7 +80,9 @@ def _run_simulation(args: argparse.Namespace, kind: str) -> int:
     written = ["msd.csv"]
     write_msd_csv(os.path.join(out, "msd.csv"), trace)
     for name, data, writer in (("beliefs.csv", trace.belief_stream, write_beliefs_csv),
-                               ("trajectory.csv", trace.trajectory, write_trajectory_csv)):
+                               ("trajectory.csv", trace.trajectory, write_trajectory_csv),
+                               ("mean_error.csv", trace.mean_error_norm,
+                                write_mean_error_csv)):
         if data is not None:
             writer(os.path.join(out, name), trace)
             written.append(name)

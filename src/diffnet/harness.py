@@ -362,7 +362,7 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
     else:
         topology = generate_topology(cfg.N, cfg.mean_degree, env_rng)
         env = _build_environment(cfg, env_rng)
-        A = uniform_weights(topology)
+        A = uniform_weights(topology.adjacency)
 
         def replica(rng):
             return _replica_static(cfg, topology.adjacency, A, env, models, f, rng)
@@ -678,7 +678,7 @@ def _replica_fish(cfg, params, models, f, rng):
         diff, dist = pairwise_offsets(x)     # x moves only after cohesion_all
         graph = radius_adjacency(dist, cfg.comm_radius)
         if not np.array_equal(graph, adj):   # same objects while the graph holds
-            adj, A = graph, graph / graph.sum(axis=0)[None, :]
+            adj, A = graph, uniform_weights(graph)
         d, u = measure_target(x, u, z, params.kappa, params.sigma_angle, rng)
         uniforms = rng.random((1, cfg.N)) if cfg.forced_desired is None else None
         rep.advance(i, adj, A, u.T[None], d[None], uniforms)
@@ -789,6 +789,13 @@ def write_trajectory_csv(path: str, trace: TraceSet) -> None:
                (f"{i},{k},{x1!r},{x2!r},{v1!r},{v2!r},{int(g)},{msd!r}\r\n"
                 for i, step in enumerate(trace.trajectory)
                 for k, (x1, x2, v1, v2, g, msd) in enumerate(step.tolist())))
+
+
+def write_mean_error_csv(path: str, trace: TraceSet) -> None:
+    if trace.mean_error_norm is None:
+        raise ValueError("trace has no mean error (mean_error_vs unset)")
+    _write_csv(path, "iteration,mean_error_norm",
+               (f"{i},{v!r}\r\n" for i, v in enumerate(trace.mean_error_norm.tolist())))
 
 
 def write_chain_sweep_csv(path: str, rows: list[dict]) -> None:

@@ -121,9 +121,9 @@ def complete_topology(N: int) -> Topology:
     return Topology(np.ones((N, N), dtype=bool))
 
 
-def uniform_weights(topology: Topology) -> np.ndarray:
-    """Left-stochastic combination matrix with a_{l,k} = 1/n_k on edges."""
-    adj = topology.adjacency
+def uniform_weights(adj: np.ndarray) -> np.ndarray:
+    """Left-stochastic combination matrix with a_{l,k} = 1/n_k on the edges
+    of the adjacency `adj` (self-loops included; it need not be connected)."""
     return adj / adj.sum(axis=0, keepdims=True)
 
 

@@ -45,7 +45,7 @@ def test_modified_combine_numeric():
 def test_split_matrices_matches_columnwise():
     rng = np.random.default_rng(2)
     topo = generate_topology(7, 4.0, rng)
-    A = uniform_weights(topo)
+    A = uniform_weights(topo.adjacency)
     f_hat = rng.integers(0, 2, (7, 7))
     g = rng.integers(0, 2, 7)
     A1, A2 = split_matrices(A, f_hat, g)
@@ -72,7 +72,7 @@ def test_modified_system_unbiased_under_oracle_agreement():
     # driving term vanishes exactly.
     rng = np.random.default_rng(4)
     topo = generate_topology(10, 4.0, rng)
-    A = uniform_weights(topo)
+    A = uniform_weights(topo.adjacency)
     f = rng.integers(0, 2, 10)
     f[0], f[1] = 0, 1  # both models present
     q = 1
@@ -89,7 +89,7 @@ def test_modified_system_unbiased_under_oracle_agreement():
 def test_conventional_system_biased_under_two_models():
     rng = np.random.default_rng(4)
     topo = generate_topology(6, 4.0, rng)
-    A = uniform_weights(topo)
+    A = uniform_weights(topo.adjacency)
     f = np.array([0, 0, 0, 1, 1, 1])
     env = _env(6, 2)
     models = ModelPair([1.0, 0.0], [0.0, 1.0])
@@ -103,7 +103,7 @@ def test_mean_recursion_predicts_ensemble_average():
     rng = np.random.default_rng(9)
     N, reps, iters, mu = 3, 40000, 60, 0.05
     topo = complete_topology(N)
-    A = uniform_weights(topo)
+    A = uniform_weights(topo.adjacency)
     f = np.array([0, 0, 1])
     models = ModelPair([1.0], [-1.0])
     env = AgentEnvironment(Ru=np.eye(1), sigma_v2=np.full(N, 0.01))

@@ -20,8 +20,8 @@ from diffnet.diffusion import DivergenceError, split_matrices
 from diffnet.harness import (
     KIND_FIELDS, ConfigError, ScenarioConfig, _fast_weight_matrix, _git_stamp,
     agreement_time, preset, run_chain_sweep, run_classify_bench,
-    run_scenario, write_beliefs_csv, write_chain_sweep_csv, write_meta,
-    write_msd_csv, write_trajectory_csv,
+    run_scenario, write_beliefs_csv, write_chain_sweep_csv, write_mean_error_csv,
+    write_meta, write_msd_csv, write_trajectory_csv,
 )
 from diffnet.mobility import cohesion_all, measure_target, pairwise_offsets, \
     radius_adjacency, update_motion
@@ -189,7 +189,7 @@ def test_step_matches_per_agent_reference(strategy):
     tr = run_scenario(cfg)
     N, M = cfg.N, cfg.M
     adj = tr.topology.adjacency
-    A = uniform_weights(tr.topology)
+    A = uniform_weights(tr.topology.adjacency)
     z = ModelPair(cfg.w0, cfg.w1).observed(tr.f)
     chol_t = tr.env.ru_chol.T
     sigma_v = np.sqrt(tr.env.sigma_v2)
@@ -912,14 +912,22 @@ def test_cli_conventional_simulate_prints_no_desired_figure(tmp_path, capsys):
     assert lines[0] == "agreement in 0% of replicas"
 
 
-@pytest.mark.parametrize("command, preset_name, files", [
+@pytest.mark.parametrize("command, source, files", [
     ("simulate", "beliefs", ["msd.csv", "beliefs.csv"]),
     ("fish", "school", ["msd.csv", "trajectory.csv"]),
     ("simulate", "bifurcation", ["msd.csv"]),
-], ids=["beliefs", "school", "bifurcation"])
-def test_cli_names_every_file_it_writes(tmp_path, capsys, command, preset_name, files):
+    ("simulate", dict(N=8, split=4, mean_degree=4.0, mean_error_vs=1),
+     ["msd.csv", "mean_error.csv"]),
+], ids=["beliefs", "school", "bifurcation", "mean_error"])
+def test_cli_names_every_file_it_writes(tmp_path, capsys, command, source, files):
+    # a preset by name, or a config (no preset sets mean_error_vs)
+    args = ["--preset", source]
+    if isinstance(source, dict):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(source))
+        args = ["--config", str(config)]
     out = tmp_path / "run"
-    assert cli_main([command, "--preset", preset_name, "--iterations", "20",
+    assert cli_main([command, *args, "--iterations", "20",
                      "--replicas", "1", "--out", str(out)]) == 0
     last = capsys.readouterr().out.splitlines()[-1]
     assert last == f"wrote {', '.join(files)} and meta.json to {out}"
@@ -997,6 +1005,9 @@ def test_writers_match_the_csv_module(tmp_path):
                                     "msd_to_target"],
          ([i, k, *(repr(float(v)) for v in row[:4]), int(row[4]), repr(float(row[5]))]
           for i, step in enumerate(tr.trajectory) for k, row in enumerate(step)))
+    tr = run_scenario(small_config(mean_error_vs=1, iterations=30))
+    same(write_mean_error_csv, tr, ["iteration", "mean_error_norm"],
+         ([i, repr(float(v))] for i, v in enumerate(tr.mean_error_norm)))
     rows = run_chain_sweep(ScenarioConfig(kind="chain_sweep", sweep_N=[4, 6]))
     same(write_chain_sweep_csv, rows, ["N", "K", "rho_Q", "mean_absorption"],
          ([r["N"], r["K"], repr(r["rho_Q"]), repr(r["mean_absorption"])] for r in rows))

@@ -1,7 +1,9 @@
-"""Every top-level import of the package and of its tests is referenced, and
+"""Every top-level import of the package and of its tests is referenced,
 every public function of the package has a caller in the package or
-reproduces one of the paper's results."""
+reproduces one of the paper's results, and every public method and property
+of a public class is read in the package."""
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -32,8 +34,8 @@ ANALYSIS_FUNCTIONS = {
     "decision.run_decision_dynamics": "quorum decisions reach agreement (criterion 4)",
     "markov.build_exact_chain": "the exact 2^N absorbing chain of the decisions "
                                 "(criterion 4)",
-    "markov.boundary_mass_closed_form": "the closed form of the mean-field chain's "
-                                        "absorbing mass (criterion 5)",
+    "markov.count_ratio": "the closed form of the mean-field chain's absorbing "
+                          "mass, (n^NK + (N-n)^NK) / (n^K + (N-n)^K)^N (criterion 5)",
     "markov.rate_identity_residual": "rho(Q) = 1 - y^T (b + c) (criterion 5)",
     "markov.verify_K_monotonicity": "rho(Q) falls as the quorum exponent K grows "
                                     "(criteria 5 and 6)",
@@ -90,3 +92,30 @@ def test_every_library_function_is_called_or_reproduces_a_result():
     assert sorted(uncalled - ANALYSIS_FUNCTIONS.keys()) == []
     # a listed function that is gone, or now has a caller, leaves the list
     assert sorted(ANALYSIS_FUNCTIONS.keys() - uncalled) == []
+
+
+def unread_members() -> set[str]:
+    """`Class.member` of each public method and property of a public class
+    in the package whose name the package reads as an attribute nowhere
+    outside the member's own definition."""
+    trees = [ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")]
+    reads = Counter(node.attr for tree in trees for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    unread = set()
+    for tree in trees:
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for member in cls.body:
+                if not isinstance(member, ast.FunctionDef) or member.name.startswith("_"):
+                    continue
+                own = sum(isinstance(node, ast.Attribute) and node.attr == member.name
+                          and isinstance(node.ctx, ast.Load) for node in ast.walk(member))
+                if reads[member.name] == own:
+                    unread.add(f"{cls.name}.{member.name}")
+    return unread
+
+
+def test_every_library_member_is_read_in_the_package():
+    # a method or property only tests read belongs beside the tests
+    assert sorted(unread_members()) == []

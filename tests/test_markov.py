@@ -8,10 +8,9 @@ from diffnet.decision import global_desires, quorum_prob, run_decision_dynamics
 from diffnet.diffusion import spectral_radius
 from diffnet.harness import ScenarioConfig, run_scenario
 from diffnet.markov import (
-    ChainSizeError, DecisionChain, absorption_time_distribution,
-    boundary_mass_closed_form, build_exact_chain, build_meanfield_chain,
-    count_ratio, rate_identity_residual, transient_spectral_radius,
-    verify_K_monotonicity,
+    ChainSizeError, DecisionChain, absorption_time_distribution, build_exact_chain,
+    build_meanfield_chain, count_ratio, rate_identity_residual,
+    transient_spectral_radius, verify_K_monotonicity,
 )
 from diffnet.network import complete_topology, generate_topology
 from oracle import mc_absorption
@@ -22,10 +21,9 @@ def test_exact_chain_stochastic_and_absorbing():
     chain = build_exact_chain(topo, K=2)
     assert chain.P.shape == (64, 64)
     assert np.allclose(chain.P.sum(axis=1), 1.0)
-    assert chain.absorbing.tolist() == [0, 63]
-    for s in chain.absorbing:
-        assert chain.P[s, s] == 1.0
-    assert len(chain.transient) == 62
+    # the first and last states absorb and no other state keeps all its mass
+    assert chain.P[0, 0] == chain.P[-1, -1] == 1.0
+    assert (np.diag(chain.Q) < 1).all()
 
 
 def test_exact_chain_size_cap():
@@ -91,13 +89,14 @@ def test_exact_complete_graph_lumps_to_meanfield():
 
 
 def test_boundary_mass_closed_form():
-    assert boundary_mass_closed_form(4, 1, 1) == pytest.approx(82 / 256)
+    # p_{n,0} + p_{n,N} = (n^{NK} + (N-n)^{NK}) / (n^K + (N-n)^K)^N
+    assert count_ratio(1.0, 3.0, 4, 1) == pytest.approx(82 / 256)
     for N in (4, 6, 8):
         for K in (1, 2, 3):
             chain = build_meanfield_chain(N, K)
             for n in range(1, N):
                 direct = chain.P[n, 0] + chain.P[n, N]
-                assert abs(direct - boundary_mass_closed_form(N, K, n)) < 1e-12
+                assert abs(direct - count_ratio(float(n), float(N - n), N, K)) < 1e-12
 
 
 def test_count_ratio_monotone_and_equal_case():
@@ -120,11 +119,18 @@ def test_rate_identity():
 
 
 def test_k_monotonicity():
-    report = verify_K_monotonicity(10, 6)
+    N = 10
+    report = verify_K_monotonicity(N, 6)
     assert report["strictly_decreasing"]
-    assert report["scalar_monotone"]
     with pytest.raises(ValueError):
         verify_K_monotonicity(2, 4)
+    # the scalar count ratio is non-decreasing in x, and constant at a = b
+    grid = np.linspace(0.5, 6.0, 23)
+    for a, b in [(1.0, 3.0), (2.0, 5.0), (0.3, 0.7)]:
+        vals = [count_ratio(a, b, N, x) for x in grid]
+        assert all(v2 >= v1 - 1e-15 for v1, v2 in zip(vals, vals[1:]))
+    equal_case = [count_ratio(2.0, 2.0, N, x) for x in grid]
+    assert np.allclose(equal_case, 2.0 ** (1 - N) * np.ones(grid.size))
 
 
 def test_absorption_time_n2():
@@ -147,9 +153,9 @@ def test_exact_chain_predicts_simulated_absorption():
     # exact chain states are global desire configurations; convert local g
     glob0 = global_desires(g0, f)
     start = int((glob0 * (1 << np.arange(N))).sum())
-    pos = np.where(chain.transient == start)[0][0]
+    assert 0 < start < len(chain.P) - 1          # a transient state
     stats = absorption_time_distribution(chain)
-    p_all_zero = stats["absorb_prob"][pos, 0]
+    p_all_zero = stats["absorb_prob"][start - 1, 0]
 
     trials = 600
     hits = sum(run_decision_dynamics(topo, f, K, np.random.default_rng(1000 + t),
@@ -264,6 +270,24 @@ def test_radius_k1_closed_form(N):
     # K = 1 is the neutral Wright-Fisher chain: rho(Q) = 1 - 1/N
     rho = transient_spectral_radius(build_meanfield_chain(N, 1))
     assert abs(rho - (1.0 - 1.0 / N)) <= 1e-11
+
+
+def test_k1_transient_spectrum_closed_form():
+    # the Wright-Fisher chain's transient eigenvalues are
+    # lambda_j = prod_{i<j} (1 - i/N) for j = 2..N
+    N = 200
+    eigenvalues = np.linalg.eigvals(build_meanfield_chain(N, 1).Q)
+    assert np.abs(eigenvalues.imag).max() <= 1e-13
+    closed_form = np.cumprod(1.0 - np.arange(1, N) / N)
+    assert np.abs(np.sort(eigenvalues.real) - np.sort(closed_form)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("K", [2, 3, 4, 6])
+def test_radius_tends_to_1_over_K(K):
+    # a large-N regression check, not a derived bound: at N = 400,
+    # K rho(Q) is 1 to within 2.3e-14 for these K
+    rho = transient_spectral_radius(build_meanfield_chain(400, K))
+    assert abs(K * rho - 1.0) <= 1e-12
 
 
 def test_absorption_solve_matches_inverse():

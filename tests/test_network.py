@@ -62,16 +62,24 @@ def test_generate_topology_rejects_tiny():
 
 def test_uniform_weights_left_stochastic():
     topo = generate_topology(15, 4.0, np.random.default_rng(1))
-    A = uniform_weights(topo)
+    A = uniform_weights(topo.adjacency)
     assert is_left_stochastic(A, topo)
     k = 3
     n_k = topo.adjacency[:, k].sum()
     assert np.allclose(A[topo.adjacency[:, k], k], 1.0 / n_k)
 
 
+def test_uniform_weights_of_a_disconnected_graph():
+    # the school's radius graph may fall apart; each column still sums to 1
+    adj = np.kron(np.eye(2, dtype=bool), np.ones((2, 2), dtype=bool))
+    A = uniform_weights(adj)
+    assert np.array_equal(A, adj / 2.0)
+    assert np.array_equal(A.sum(axis=0), np.ones(4))
+
+
 def test_is_primitive():
     topo = complete_topology(4)
-    assert is_primitive(uniform_weights(topo))
+    assert is_primitive(uniform_weights(topo.adjacency))
     # pure 2-cycle: irreducible but periodic
     perm = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert not is_primitive(perm)
@@ -96,7 +104,7 @@ def test_perron_vector_matches_dense_eig():
     rng = np.random.default_rng(11)
     for _ in range(20):
         topo = generate_topology(8, 4.0, rng)
-        A = uniform_weights(topo)
+        A = uniform_weights(topo.adjacency)
         c = perron_vector(A)
         assert np.abs(A @ c - c).max() < 1e-10
         assert (c > 0).all() and abs(c.sum() - 1.0) < 1e-12

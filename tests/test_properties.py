@@ -93,7 +93,7 @@ def test_perron_residuals():
         n = int(rng.integers(3, 9))
         topo = generate_topology(n, 3.0, rng)
         A = _random_left_stochastic(rng, topo) if rng.random() < 0.5 \
-            else uniform_weights(topo)
+            else uniform_weights(topo.adjacency)
         c = perron_vector(A)
         assert np.abs(A @ c - c).max() <= 1e-11
         assert (c > 0).all()
