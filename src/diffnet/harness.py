@@ -193,9 +193,9 @@ class ScenarioConfig:
     def _estimated_bytes(self) -> float:
         """Bytes of the float64 arrays a run of this (validated) config
         allocates, to within a small factor."""
-        if self.kind == "chain_sweep":     # P, its two folded halves, LAPACK's copies of them
+        if self.kind == "chain_sweep":     # P; F+, I - F+, G, LAPACK's 2 copies: P/4 each
             rows = max(self.sweep_N) + 1.0   # squared by multiplying: inf, not OverflowError
-            return 8.0 * 2 * rows * rows
+            return 8.0 * 2.25 * rows * rows
         if self.kind == "classify_bench":  # regressor draws and both directions
             return 8.0 * 8 * self.M * max(self.bench_trials, 10_000.0)
         N, iters = float(self.N), float(self.iterations)

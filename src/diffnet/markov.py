@@ -7,6 +7,7 @@ Two chain flavors: the exact chain over all 2^N desired-model configurations
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -16,9 +17,9 @@ from .network import Topology
 
 # 2^N states.  At N = 12 (S = 4096) build_exact_chain peaks near 290 MB: P and
 # the np.where factor are S^2 float64 (134 MB each), the `same` mask S^2 bool
-# (17 MB).  absorption_time_distribution stays below that: beside P it holds
-# the two folded halves of Q and LAPACK's copy of one, S^2/4 float64 (34 MB)
-# each.  At 14, P and the np.where factor would take 2 x 2.1 GB.
+# (17 MB).  The analyses peak about as high: P, then F+, I - F+, G and LAPACK's
+# two copies in the inverse, S^2/4 float64 (34 MB) each; a whole run's peak RSS
+# is 340 MB.  At 14, P and the np.where factor would take 2 x 2.1 GB.
 EXACT_STATE_CAP = 12
 
 
@@ -33,7 +34,8 @@ class DecisionChain:
 
     Both builders order the states so that swapping the two models reverses
     them (count n <-> N - n, configuration s <-> its bit complement), and P
-    equals P[::-1, ::-1] bit for bit; transient_spectral_radius relies on it.
+    equals P[::-1, ::-1] bit for bit; the analyses rely on it.  They share Q's
+    swap-symmetric fold and its one inverse, kept on the chain from first use.
     """
 
     P: np.ndarray
@@ -48,6 +50,30 @@ class DecisionChain:
         """Transitions from transient states into the absorbing ones,
         one column per absorbing state (the b and c vectors)."""
         return self.P[1:-1, [0, -1]]
+
+    @cached_property
+    def _symmetric_fold(self) -> tuple[np.ndarray, np.ndarray]:
+        """F+, Q restricted to the swap-symmetric vectors, and G = (I - F+)^{-1}.
+
+        Q commutes with the reversal J that swaps the two models, so it maps
+        v = Jv and v = -Jv into themselves.  A symmetric v is fixed by its
+        first ceil(n/2) entries and an antisymmetric one by its first
+        floor(n/2) (the middle entry of an odd n is 0).  On those, Q acts as
+        its leading block with column n-1-j added into, or subtracted from,
+        column j.  A Q that is not symmetric is refused.
+        """
+        Q = self.Q
+        n, f = len(Q), len(Q) // 2
+        if n == 0:
+            raise ValueError("chain has no transient states")
+        if not np.array_equal(Q, Q[::-1, ::-1]):
+            raise ValueError("Q is not symmetric under swapping the two models")
+        F = Q[:n - f, :n - f].copy()
+        F[:, :f] += Q[:n - f, ::-1][:, :f]         # column n-1-j at j
+        try:
+            return F, np.linalg.inv(np.eye(len(F)) - F)
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError("(I - Q) is singular; chain is not absorbing") from exc
 
 
 def build_exact_chain(topology: Topology, K: int) -> DecisionChain:
@@ -117,40 +143,39 @@ def count_ratio(a: float, b: float, N: int, x: float) -> float:
     return (a ** (N * x) + b ** (N * x)) / (a ** x + b ** x) ** N
 
 
-def _swap_folds(Q: np.ndarray, antisymmetric: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Q restricted to the swap-symmetric vectors, and with
-    ``antisymmetric`` also to the antisymmetric ones.
-
-    Q commutes with the reversal J that swaps the two models, so it maps
-    v = Jv and v = -Jv into themselves.  A symmetric v is fixed by its first
-    ceil(n/2) entries and an antisymmetric one by its first floor(n/2) (the
-    middle entry of an odd n is 0).  On those, Q acts as its leading block
-    with column n-1-j added into, or subtracted from, column j.  A Q that is
-    not symmetric is refused.
-    """
-    n = len(Q)
-    if n == 0:
-        raise ValueError("chain has no transient states")
-    if not np.array_equal(Q, Q[::-1, ::-1]):
-        raise ValueError("Q is not symmetric under swapping the two models")
-    c, f = (n + 1) // 2, n // 2
-    mirror = Q[:, ::-1][:, :f]            # column n-1-j at j
-    symmetric = Q[:c, :c].copy()
-    symmetric[:, :f] += mirror[:c]
-    if not antisymmetric:
-        return symmetric, None
-    return symmetric, np.subtract(Q[:f, :f], mirror[:f])
+def _perron_bounds(F: np.ndarray, G: np.ndarray) -> tuple[float, float]:
+    """Collatz-Wielandt bounds min and max of (y F)_i / y_i on rho(F), F >= 0,
+    for y > 0 stepped y <- y F G (F G = G - I has eigenvalues
+    lambda / (1 - lambda), so the Perron root leads by far) until their
+    spread stops shrinking, or for 100 sweeps.  The ratios sum nonnegative
+    terms of F, not of G, so they keep their relative accuracy at any rho."""
+    y, lo, hi = np.ones(len(F)), 0.0, np.inf
+    for _ in range(100):
+        z = y @ F
+        ratios = z / y
+        if not ratios.max() - ratios.min() < hi - lo:
+            break
+        lo, hi = float(ratios.min()), float(ratios.max())
+        y = z @ G
+        if not y.min() > 0:
+            break
+        y /= y.max()
+    return lo, hi
 
 
 def transient_spectral_radius(chain: DecisionChain) -> float:
-    """rho(Q) from Q folded onto the swap-symmetric vectors.
+    """rho(Q), certified by Collatz-Wielandt bounds on Q's symmetric fold.
 
     For a Perron vector x of the nonnegative Q so is Jx, so x + Jx is a
-    symmetric one: rho(Q) is the radius of the half-size symmetric fold.
-    A Q that is not symmetric is refused with ValueError.
+    symmetric one: rho(Q) is the radius of the half-size symmetric fold F+.
+    Its left Perron vector, iterated through G = (I - F+)^{-1}, brackets
+    rho(F+); bounds that agree to 1e-13 relative give their midpoint, others
+    the dense eigensolver's radius of F+.  A Q that is not symmetric is
+    refused with ValueError, a singular I - Q with RuntimeError.
     """
-    symmetric, _ = _swap_folds(chain.Q, antisymmetric=False)
-    return spectral_radius(symmetric)
+    F, G = chain._symmetric_fold
+    lo, hi = _perron_bounds(F, G)
+    return (lo + hi) / 2 if hi - lo <= 1e-13 * hi else spectral_radius(F)
 
 
 def rate_identity_residual(chain: DecisionChain) -> float:
@@ -181,27 +206,30 @@ def absorption_time_distribution(chain: DecisionChain) -> dict:
     and the absorption probabilities (I - Q)^{-1} [b c].
 
     Swapping the models reverses the states and maps b to c, so 1 and
-    (b + c)/2 are swap-symmetric and (b - c)/2 antisymmetric: the solve
-    splits into one LU solve on each half-size fold of Q, mirrored back to
-    full length.  Together the two take 1/4 of the full solve's flops and
-    half its matrix memory.  A Q that is not symmetric is refused with
-    ValueError.
+    (b + c)/2 are swap-symmetric and (b - c)/2 antisymmetric.  The symmetric
+    pair is read off the chain's G = (I - F+)^{-1}, which also certifies
+    rho(Q), with one step of iterative refinement x += G (r - (I - F+) x); the
+    antisymmetric half is one LU solve on the antisymmetric fold.  Both are
+    mirrored back to full length.  A Q that is not symmetric is refused with
+    ValueError, a singular I - Q with RuntimeError.
 
-    (b + c)/2 is solved for, not set to its exact-arithmetic value 1/2: the
+    (b + c)/2 is computed, not set to its exact-arithmetic value 1/2: the
     built rows of P sum to 1 only within 5e-14 (N <= 400), and a 1/2 would
     put that defect on the small probabilities (2e-10 relative, K = 2).
     """
+    F, G = chain._symmetric_fold
     Q = chain.Q
     n, f = len(Q), len(Q) // 2
-    halves = _swap_folds(Q, antisymmetric=True)
-    for half in halves:                   # I - fold, in place
-        half *= -1.0
-        half.flat[::len(half) + 1] += 1.0
     b, c = chain.absorption_columns.T
+    rhs = np.column_stack([np.ones(n - f), (b + c)[:n - f] / 2])
+    x = G @ rhs
+    x += G @ (rhs - x + F @ x)
+    steps, even = x.T
+    odd_fold = -Q[:f, :f]                 # I - the antisymmetric fold
+    odd_fold += Q[:f, ::-1][:, :f]
+    odd_fold.flat[::f + 1] += 1.0
     try:
-        steps, even = np.linalg.solve(
-            halves[0], np.column_stack([np.ones(n - f), (b + c)[:n - f] / 2])).T
-        odd = np.linalg.solve(halves[1], (b - c)[:f] / 2)
+        odd = np.linalg.solve(odd_fold, (b - c)[:f] / 2)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError("(I - Q) is singular; chain is not absorbing") from exc
 

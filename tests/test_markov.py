@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from math import exp, lgamma, log
 
 import numpy as np
@@ -8,8 +9,8 @@ from diffnet.decision import global_desires, quorum_prob, run_decision_dynamics
 from diffnet.diffusion import spectral_radius
 from diffnet.harness import ScenarioConfig, run_scenario
 from diffnet.markov import (
-    ChainSizeError, DecisionChain, absorption_time_distribution, build_exact_chain,
-    build_meanfield_chain, count_ratio, rate_identity_residual,
+    ChainSizeError, DecisionChain, _perron_bounds, absorption_time_distribution,
+    build_exact_chain, build_meanfield_chain, count_ratio, rate_identity_residual,
     transient_spectral_radius, verify_K_monotonicity,
 )
 from diffnet.network import complete_topology, generate_topology
@@ -257,6 +258,51 @@ def test_folded_radius_matches_dense_exact(N):
                        - spectral_radius(chain.Q)) <= 1e-12
 
 
+def test_certificate_brackets_the_dense_radius():
+    # the Collatz-Wielandt interval of every chain on the two grids above,
+    # and of the analysis grid's N = 200, holds the dense radius of the full
+    # Q, up to that radius's own rounding (measured up to 4.2e-15 relative);
+    # every mean-field interval is within the 1e-13 that certifies it
+    meanfield = [build_meanfield_chain(N, K) for N in (2, 3, 4, 5, 7, 100, 101, 200, 400)
+                 for K in range(1, 6)] + [build_meanfield_chain(100, 200)]
+    exact = [build_exact_chain(topo, K) for N in range(3, 9)
+             for topo in (complete_topology(N),
+                          generate_topology(N, 2.5, np.random.default_rng(N)))
+             for K in (1, 2, 4)]
+    for chain, certified in [*((c, True) for c in meanfield), *((c, False) for c in exact)]:
+        lo, hi = _perron_bounds(*chain._symmetric_fold)
+        dense = spectral_radius(chain.Q)
+        assert lo * (1 - 1e-14) <= dense <= hi * (1 + 1e-14)
+        assert hi - lo <= 1e-13 * hi or not certified
+
+
+@pytest.mark.parametrize("N, K, rho", [(101, 200, 3.01e-58), (5, 200, 3.66e-70),
+                                       (9, 30, 2.930e-10), (11, 20, 4.312e-6)])
+def test_tiny_radius_keeps_its_relative_accuracy(N, K, rho):
+    # from dense eigenvalues, 1 - 1/lambda_max(G) reads 0, 0 and 1.47e-10 on
+    # the first three, 1 - min Re lambda(I - F+) 0, 0 and 2.706e-10; the
+    # ratios on F+ keep every digit
+    chain = build_meanfield_chain(N, K)
+    dense = spectral_radius(chain.Q)
+    assert dense == pytest.approx(rho, rel=1e-3)
+    assert abs(transient_spectral_radius(chain) - dense) <= 1e-12 * dense
+
+
+def test_uncertified_radius_falls_back_without_warnings():
+    # a sparse exact chain with rho near 1 stops with bounds 1.7e-10 apart and
+    # takes the dense eigensolver; N = 100, K = 200, whose left vector spans
+    # 17 decades, certifies.  None of them may warn (at N = 5, K = 200 the
+    # entries of G - I are exactly 0)
+    sparse = build_exact_chain(generate_topology(7, 2.5, np.random.default_rng(7)), 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lo, hi = _perron_bounds(*sparse._symmetric_fold)
+        assert hi - lo > 1e-13 * hi
+        for chain in (sparse, build_meanfield_chain(100, 200), build_meanfield_chain(5, 200)):
+            dense = spectral_radius(chain.Q)
+            assert abs(transient_spectral_radius(chain) - dense) <= 1e-12 * dense
+
+
 def test_radius_refuses_asymmetric_chain():
     P = build_meanfield_chain(5, 2).P.copy()
     P[1, 1:3] += [1e-3, -1e-3]        # still stochastic, no longer mirrored
@@ -291,11 +337,12 @@ def test_radius_tends_to_1_over_K(K):
 
 
 def test_absorption_solve_matches_inverse():
-    chains = [build_meanfield_chain(N, K) for N, K in [(2, 1), (7, 3), (100, 1),
-                                                       (101, 4), (400, 2)]]
-    chains.append(build_exact_chain(
-        generate_topology(6, 3.0, np.random.default_rng(4)), 2))
-    for chain in chains:
+    # five chosen cells, then the analysis grid's cells at N = 200 and 400
+    cells = [(2, 1), (7, 3), (100, 1), (101, 4), (400, 2),
+             *((N, K) for N in (200, 400) for K in range(1, 5))]
+    chains = {cell: build_meanfield_chain(*cell) for cell in cells}
+    chains["exact"] = build_exact_chain(generate_topology(6, 3.0, np.random.default_rng(4)), 2)
+    for cell, chain in chains.items():
         n_t = len(chain.Q)
         fundamental = np.linalg.inv(np.eye(n_t) - chain.Q)
         oracle = fundamental @ np.column_stack([np.ones(n_t), chain.absorption_columns])
@@ -303,10 +350,15 @@ def test_absorption_solve_matches_inverse():
         np.testing.assert_allclose(stats["expected_steps"], oracle[:, 0], rtol=1e-12)
         np.testing.assert_allclose(stats["absorb_prob"], oracle[:, 1:],
                                    rtol=1e-12, atol=1e-15)
-        assert np.abs(stats["absorb_prob"].sum(axis=1) - 1.0).max() < 1e-12
+        # at K = 1 from N = 200 the built rows' sums (off 1 by up to 2e-14)
+        # grow about N-fold over the expected steps, to 7e-12 at N = 400, in
+        # the oracle as much as here
+        if cell not in ((200, 1), (400, 1)):
+            assert np.abs(stats["absorb_prob"].sum(axis=1) - 1.0).max() < 1e-12
 
 
 def test_absorption_refuses_singular_chain():
     P = np.eye(4)                     # no transient state ever leaves
-    with pytest.raises(RuntimeError, match="singular"):
-        absorption_time_distribution(DecisionChain(P, np.arange(4)))
+    for analysis in (transient_spectral_radius, absorption_time_distribution):
+        with pytest.raises(RuntimeError, match="singular"):
+            analysis(DecisionChain(P, np.arange(4)))
