@@ -34,17 +34,17 @@ def f_hat(b: np.ndarray) -> np.ndarray:
 def estimate_tau(env: AgentEnvironment, models: ModelPair, sample_count: int,
                  rng: np.random.Generator) -> float:
     """Monte Carlo bound estimate for the fourth-moment randomness ratio
-    E||u^T u e - Ru e||^2 / ||Ru e||^2, maximized over probe directions
-    (model difference plus the eigenvectors of Ru)."""
+    E||u^T u e - Ru e||^2 / ||Ru e||^2, maximized over probe directions:
+    the model difference and the unit vectors, which are the eigenvectors of
+    the diagonal Ru = diag(ru).  The regressors u are standard normals
+    scaled by ru_sd."""
     if sample_count < 10_000:
         raise ValueError("sample_count must be at least 1e4")
-    probes = [models.w0 - models.w1]
-    probes.extend(np.linalg.eigh(env.Ru)[1].T)
-    u = rng.standard_normal((sample_count, env.M)) @ env.ru_chol.T
+    u = rng.standard_normal((sample_count, env.M)) * env.ru_sd
     tau = 0.0
-    for e in probes:
+    for e in [models.w0 - models.w1, *np.eye(env.M)]:
         e = e / np.linalg.norm(e)
-        ref = env.Ru @ e
+        ref = env.ru * e
         samples = u * (u @ e)[:, None] - ref
         tau = max(tau, float((samples ** 2).sum(axis=1).mean() / (ref @ ref)))
     return tau
@@ -101,12 +101,11 @@ def direction_pair_benchmark(z_k, z_l, w, env: AgentEnvironment, nu: float,
     z_l = np.asarray(z_l, dtype=float)
     w = np.asarray(w, dtype=float)
     (sig,) = env.sigma_v
-    chol = env.ru_chol.T
 
     h = [np.zeros((trials, env.M)), np.zeros((trials, env.M))]
     for _ in range(math.ceil(8.0 / nu)):
         for idx, z in enumerate((z_k, z_l)):
-            u = rng.standard_normal((trials, env.M)) @ chol
+            u = rng.standard_normal((trials, env.M)) * env.ru_sd
             resid = u @ (z - w) + sig * rng.standard_normal(trials)
             u *= nu                   # (1 - nu) h + nu u resid, in place
             u *= resid[:, None]

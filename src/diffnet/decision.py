@@ -5,9 +5,7 @@ import math
 
 import numpy as np
 
-from .network import Topology, check_assignment
-
-AGREEMENT_SWEEP_CAP = 50_000    # quorum sweeps before run_decision_dynamics gives up
+from .network import check_assignment
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -71,25 +69,3 @@ def decision_sweep(g_local: np.ndarray, q: np.ndarray, uniforms: np.ndarray):
     its uniform draw uniforms[k] falls below q[k]."""
     return np.where(uniforms < q, g_local, 1 - g_local)
 
-
-def run_decision_dynamics(topology: Topology, f, K: int,
-                          rng: np.random.Generator,
-                          g_init: np.ndarray | None = None):
-    """Iterate quorum sweeps (with oracle neighbor classification) until the
-    network is unanimous in the global frame.
-
-    Returns (agreed_model or None, sweeps_used, final local desires).
-    """
-    f = check_assignment(f)
-    f_rel = oracle_relative_f(f)
-    adj = topology.adjacency
-    table, n_k = quorum_table(topology.N, K, 1.0), adj.sum(axis=1)
-    g = np.ones(topology.N, dtype=int) if g_init is None else np.asarray(g_init, dtype=int)
-    flip = 1 - f        # global_desires(g, f) is g ^ flip
-    for i in range(AGREEMENT_SWEEP_CAP + 1):
-        glob = g ^ flip
-        if (glob == glob[0]).all():
-            return int(glob[0]), i, g
-        g = decision_sweep(g, keep_probabilities(adj, g, f_rel, table, n_k, 0),
-                           rng.random(g.size))
-    return None, AGREEMENT_SWEEP_CAP, g

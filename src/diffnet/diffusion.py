@@ -69,7 +69,7 @@ def build_mean_error_system(env: AgentEnvironment, mu, models: ModelPair, f,
     M = env.M
     eye = np.eye(M)
     mu = np.broadcast_to(mu, (N,))
-    MR = np.kron(np.diag(mu), env.Ru)      # blockdiag(mu_k Ru)
+    MR = np.diag(np.kron(mu, env.ru))      # blockdiag(mu_k Ru)
     ztilde = (models.stacked()[q][None, :] - models.observed(f)).reshape(-1)
     A1cal_T = np.kron(A1, eye).T
     B = A1cal_T @ (np.eye(N * M) - MR)
@@ -78,10 +78,10 @@ def build_mean_error_system(env: AgentEnvironment, mu, models: ModelPair, f,
     return MeanErrorSystem(B=B, y=A1cal_T @ (MR @ ztilde))
 
 
-def check_stepsize_stability(mu: float, Ru: np.ndarray) -> bool:
-    """Sufficient mean-stability condition 0 < mu < 2 / rho(Ru)."""
-    rho = float(np.max(np.abs(np.linalg.eigvalsh(np.atleast_2d(Ru)))))
-    return 0.0 < mu < 2.0 / rho
+def check_stepsize_stability(mu: float, ru: np.ndarray) -> bool:
+    """Sufficient mean-stability condition 0 < mu < 2 / rho(Ru), where
+    rho(Ru) is the largest regressor variance of Ru = diag(ru)."""
+    return 0.0 < mu < 2.0 / float(np.max(ru))
 
 
 def spectral_radius(B: np.ndarray) -> float:
@@ -94,7 +94,7 @@ def convergence_rate(B: np.ndarray) -> float:
     return spectral_radius(B) ** 2
 
 
-def rate_lower_bound(mu: float, Ru: np.ndarray) -> float:
-    """Fastest achievable rate (1 - mu lambda_min(Ru))^2."""
-    lmin = float(np.linalg.eigvalsh(np.atleast_2d(Ru)).min())
-    return (1.0 - mu * lmin) ** 2
+def rate_lower_bound(mu: float, ru: np.ndarray) -> float:
+    """Fastest achievable rate (1 - mu lambda_min(Ru))^2, where
+    lambda_min(Ru) is the smallest regressor variance of Ru = diag(ru)."""
+    return (1.0 - mu * float(np.min(ru))) ** 2

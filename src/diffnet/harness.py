@@ -106,7 +106,7 @@ class ScenarioConfig:
         if self.rule not in RULES:
             raise ConfigError(f"unknown combination rule {self.rule!r}")
         reads, scope = KIND_FIELDS[self.kind], self.kind
-        if self.strategy == "conventional":
+        if self.strategy == "conventional" and "strategy" in reads:
             reads, scope = tuple(set(reads) - DECISION_FIELDS), f"conventional {self.kind}"
         default = ScenarioConfig()
         for f in dataclasses.fields(self):     # f.type is the annotation's text
@@ -123,8 +123,9 @@ class ScenarioConfig:
                 raise ConfigError(f"{f.name} does not apply to {scope} scenarios")
         if "w0" in reads:
             if not (self.M >= 1 and _is_vector(self.w0, self.M)
-                    and _is_vector(self.w1, self.M)):
-                raise ConfigError("w0 and w1 must be lists of M >= 1 numbers")
+                    and _is_vector(self.w1, self.M)
+                    and all(map(math.isfinite, [*self.w0, *self.w1]))):
+                raise ConfigError("w0 and w1 must be lists of M >= 1 finite numbers")
             if list(self.w0) == list(self.w1):
                 raise ConfigError("the two models must differ")
             if not (self.mu > 0 and 0 < self.nu < 1 and self.eta > 0
@@ -418,8 +419,8 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
 def _build_environment(cfg: ScenarioConfig, rng: np.random.Generator):
     ru_diag = rng.uniform(cfg.ru_range[0], cfg.ru_range[1], cfg.M)
     noise_db = rng.uniform(cfg.noise_db_range[0], cfg.noise_db_range[1], cfg.N)
-    env = AgentEnvironment(Ru=np.diag(ru_diag), sigma_v2=10.0 ** (noise_db / 10.0))
-    if not check_stepsize_stability(cfg.mu, env.Ru):
+    env = AgentEnvironment(ru_diag, sigma_v2=10.0 ** (noise_db / 10.0))
+    if not check_stepsize_stability(cfg.mu, ru_diag):
         raise ConfigError(
             f"step-size mu={cfg.mu} violates the stability bound "
             f"2/rho(Ru) = {2.0 / ru_diag.max():.4g}"
@@ -719,7 +720,7 @@ def run_classify_bench(cfg: ScenarioConfig) -> dict:
             rng = np.random.default_rng(cfg.seed)
             models = ModelPair(np.array(cfg.w0), np.array(cfg.w1))
             ru_diag = rng.uniform(cfg.ru_range[0], cfg.ru_range[1], cfg.M)
-            env = AgentEnvironment(Ru=np.diag(ru_diag), sigma_v2=np.array([1e-2]))
+            env = AgentEnvironment(ru_diag, sigma_v2=np.array([1e-2]))
             tau_hat = estimate_tau(env, models, max(10_000, cfg.bench_trials // 2), rng)
             pd_lo, pf_hi = pd_pf_bounds(cfg.nu, tau_hat)
             gap = models.w0 - models.w1

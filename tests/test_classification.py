@@ -49,17 +49,44 @@ def test_update_belief_and_decision():
 def test_estimate_tau_gaussian_values():
     rng = np.random.default_rng(0)
     # scalar Gaussian: E(u^2 - 1)^2 = 2
-    env1 = AgentEnvironment(Ru=np.eye(1), sigma_v2=[0.01])
+    env1 = AgentEnvironment(ru=np.ones(1), sigma_v2=[0.01])
     m1 = ModelPair([1.0], [-1.0])
     assert abs(estimate_tau(env1, m1, 200_000, rng) - 2.0) < 0.15
     # M-dimensional identity Ru: tau = M + 1
-    env4 = AgentEnvironment(Ru=np.eye(4), sigma_v2=[0.01])
+    env4 = AgentEnvironment(ru=np.ones(4), sigma_v2=[0.01])
     m4 = ModelPair([5.0, -5.0, 5.0, 5.0], [5.0, 5.0, -5.0, 5.0])
     assert abs(estimate_tau(env4, m4, 200_000, rng) - 5.0) < 0.3
 
 
+def _estimate_tau_from_the_covariance(Ru, models, sample_count, rng):
+    """estimate_tau's former formula on the full covariance Ru: probes from
+    eigh, regressors from the Cholesky factor, references Ru @ e."""
+    probes = [models.w0 - models.w1, *np.linalg.eigh(Ru)[1].T]
+    u = rng.standard_normal((sample_count, len(Ru))) @ np.linalg.cholesky(Ru).T
+    tau = 0.0
+    for e in probes:
+        e = e / np.linalg.norm(e)
+        ref = Ru @ e
+        samples = u * (u @ e)[:, None] - ref
+        tau = max(tau, float((samples ** 2).sum(axis=1).mean() / (ref @ ref)))
+    return tau
+
+
+def test_estimate_tau_matches_the_covariance_formula():
+    # on a diagonal Ru the unit-vector probes, the ru_sd scaling and ru * e
+    # give the dense formula's bits
+    rng = np.random.default_rng(4)
+    for M in (2, 4, 5):
+        env = AgentEnvironment(rng.uniform(0.5, 3.0, M), sigma_v2=[0.01])
+        models = ModelPair(rng.standard_normal(M), rng.standard_normal(M))
+        got = estimate_tau(env, models, 10_000, np.random.default_rng(M))
+        want = _estimate_tau_from_the_covariance(np.diag(env.ru), models, 10_000,
+                                                 np.random.default_rng(M))
+        assert got == want
+
+
 def test_estimate_tau_rejects_small_sample():
-    env = AgentEnvironment(Ru=np.eye(1), sigma_v2=[0.01])
+    env = AgentEnvironment(ru=np.ones(1), sigma_v2=[0.01])
     with pytest.raises(ValueError):
         estimate_tau(env, ModelPair([1.0], [-1.0]), 100,
                      np.random.default_rng(0))
@@ -94,7 +121,7 @@ def test_belief_error_oracle_within_markov_bound():
 
 def test_direction_benchmark_far_vs_near():
     rng = np.random.default_rng(2)
-    env = AgentEnvironment(Ru=np.eye(2), sigma_v2=[0.01])
+    env = AgentEnvironment(ru=np.ones(2), sigma_v2=[0.01])
     z = np.array([5.0, 5.0])
     far = direction_pair_benchmark(z, z, np.zeros(2), env, nu=0.05, eta=1.0,
                                    trials=4000, rng=rng)
@@ -107,14 +134,14 @@ def test_direction_benchmark_far_vs_near():
                                         eta=1.0, trials=4000, rng=rng)
     assert opposite["p_e1c"] > 0.9      # anti-aligned far-field pair
     with pytest.raises(ValueError):     # the pair shares one noise variance
-        direction_pair_benchmark(z, z, z, AgentEnvironment(np.eye(2), [0.01, 0.02]),
+        direction_pair_benchmark(z, z, z, AgentEnvironment(np.ones(2), [0.01, 0.02]),
                                  nu=0.05, eta=1.0, trials=10, rng=rng)
 
 
 def _out_of_place_benchmark(z_k, z_l, w, env, nu, eta, trials, rng):
     """direction_pair_benchmark with its former out-of-place update."""
     (sig,) = env.sigma_v
-    chol = env.ru_chol.T
+    chol = np.linalg.cholesky(np.diag(env.ru)).T
     h = [np.zeros((trials, env.M)), np.zeros((trials, env.M))]
     for _ in range(math.ceil(8.0 / nu)):
         for idx, z in enumerate((z_k, z_l)):
@@ -131,7 +158,7 @@ def _out_of_place_benchmark(z_k, z_l, w, env, nu, eta, trials, rng):
 
 
 def test_direction_benchmark_in_place_update_is_bit_identical():
-    env = AgentEnvironment(Ru=np.diag([1.0, 1.5, 2.0]), sigma_v2=[0.05])
+    env = AgentEnvironment(ru=[1.0, 1.5, 2.0], sigma_v2=[0.05])
     z_k, z_l = np.array([1.0, -0.5, 0.3]), np.array([-0.2, 0.4, 0.1])
     w = np.array([0.3, 0.1, -0.2])
     args = (z_k, z_l, w, env, 0.07, 0.9, 3000)

@@ -3,11 +3,11 @@ import pytest
 
 from diffnet.decision import (
     decision_sweep, global_desires, keep_probabilities, oracle_relative_f,
-    quorum_prob, quorum_table, run_decision_dynamics,
+    quorum_prob, quorum_table,
 )
 from diffnet.network import complete_topology, generate_topology
-from oracle import decide, local_agreement_predicate, quorum_set_size, \
-    translate_neighbor_g
+from oracle import AGREEMENT_SWEEP_CAP, decide, local_agreement_predicate, \
+    quorum_set_size, run_decision_dynamics, translate_neighbor_g
 
 
 def test_translate_neighbor_g():
@@ -154,7 +154,7 @@ def test_run_decision_dynamics_reaches_agreement():
     topo = generate_topology(10, 4.0, rng)
     f = rng.integers(0, 2, 10)
     model, sweeps, g = run_decision_dynamics(topo, f, K=4, rng=rng)
-    assert model in (0, 1)
+    assert model in (0, 1) and 0 < sweeps < AGREEMENT_SWEEP_CAP
     glob = global_desires(g, f)
     assert (glob == model).all()
     # starting from unanimity: zero sweeps

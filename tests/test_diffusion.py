@@ -56,14 +56,14 @@ def test_split_matrices_matches_columnwise():
 
 
 def _env(N, M, sig2=0.01):
-    return AgentEnvironment(Ru=np.eye(M), sigma_v2=np.full(N, sig2))
+    return AgentEnvironment(ru=np.ones(M), sigma_v2=np.full(N, sig2))
 
 
 def test_mean_error_single_agent_reduces_to_lms():
-    env = AgentEnvironment(Ru=np.diag([1.0, 2.0]), sigma_v2=[0.01])
+    env = AgentEnvironment(ru=[1.0, 2.0], sigma_v2=[0.01])
     models = ModelPair([1.0, 0.0], [0.0, 1.0])
     sys = build_mean_error_system(env, 0.05, models, [0], 0, np.array([[1.0]]))
-    assert np.allclose(sys.B, np.eye(2) - 0.05 * env.Ru)
+    assert np.allclose(sys.B, np.eye(2) - 0.05 * np.diag(env.ru))
     assert np.allclose(sys.y, 0.0)  # observes the reference model
 
 
@@ -106,7 +106,7 @@ def test_mean_recursion_predicts_ensemble_average():
     A = uniform_weights(topo.adjacency)
     f = np.array([0, 0, 1])
     models = ModelPair([1.0], [-1.0])
-    env = AgentEnvironment(Ru=np.eye(1), sigma_v2=np.full(N, 0.01))
+    env = AgentEnvironment(ru=np.ones(1), sigma_v2=np.full(N, 0.01))
     sys = build_mean_error_system(env, mu, models, f, 0, A)
 
     z = models.observed(f)[:, 0]
@@ -126,10 +126,10 @@ def test_mean_recursion_predicts_ensemble_average():
 
 
 def test_stepsize_stability_bounds():
-    Ru = np.diag([1.0, 4.0])
-    assert check_stepsize_stability(0.4, Ru)
-    assert not check_stepsize_stability(0.5, Ru)
-    assert not check_stepsize_stability(0.0, Ru)
+    ru = np.array([1.0, 4.0])
+    assert check_stepsize_stability(0.4, ru)
+    assert not check_stepsize_stability(0.5, ru)
+    assert not check_stepsize_stability(0.0, ru)
 
 
 def test_spectral_radius_matches_numpy():
@@ -155,11 +155,11 @@ def test_spectral_radius_non_normal_complex_pair():
 
 
 def test_rate_bound_tight_for_single_agent():
-    Ru = np.diag([0.5, 2.0])
-    env = AgentEnvironment(Ru=Ru, sigma_v2=[0.01])
+    ru = np.array([0.5, 2.0])
+    env = AgentEnvironment(ru, sigma_v2=[0.01])
     models = ModelPair([1.0, 0.0], [0.0, 1.0])
     sys = build_mean_error_system(env, 0.1, models, [0], 0, np.array([[1.0]]))
-    assert abs(convergence_rate(sys.B) - rate_lower_bound(0.1, Ru)) < 1e-12
+    assert abs(convergence_rate(sys.B) - rate_lower_bound(0.1, ru)) < 1e-12
 
 
 def test_divergence_guard_tests_rows_when_the_total_is_over():

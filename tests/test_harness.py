@@ -191,7 +191,7 @@ def test_step_matches_per_agent_reference(strategy):
     adj = tr.topology.adjacency
     A = uniform_weights(tr.topology.adjacency)
     z = ModelPair(cfg.w0, cfg.w1).observed(tr.f)
-    chol_t = tr.env.ru_chol.T
+    chol_t = np.linalg.cholesky(np.diag(tr.env.ru)).T
     sigma_v = np.sqrt(tr.env.sigma_v2)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[1])
 
@@ -522,9 +522,10 @@ def _per_iteration_static(cfg, adj, A, env, models, f, rng):
     rep = harness._Replica(cfg, models, f)
     z = models.observed(f)
     decides = cfg.strategy != "conventional" and cfg.forced_desired is None
+    chol_t = np.linalg.cholesky(np.diag(env.ru)).T
     for i in range(cfg.iterations):
         draw = rng.standard_normal(z.size + cfg.N)
-        u = draw[:z.size].reshape(z.shape) @ env.ru_chol.T
+        u = draw[:z.size].reshape(z.shape) @ chol_t
         d = (u * z).sum(axis=1) + env.sigma_v * draw[z.size:]
         rep.advance(i, adj, A, u.T[None], d[None],
                     rng.random((1, cfg.N)) if decides else None)
@@ -1157,8 +1158,19 @@ def test_cli_simulate_and_exit_codes(tmp_path):
     pytest.param("simulate", {"eta": 1e200}, id="simulate-eta-square"),
     pytest.param("fish", {"motion": {"kappa": 10 ** 400}}, id="fish-motion-kappa-past-float"),
     pytest.param("classify-bench", {"eta": 1e200}, id="classify-bench-eta-square"),
+    # the models must be finite for every kind that reads them
+    pytest.param("simulate", {"w0": [math.nan, 0.0]}, id="simulate-w0-nan"),
+    pytest.param("simulate", {"w1": [0.0, math.inf]}, id="simulate-w1-inf"),
+    pytest.param("simulate", dict(CONVENTIONAL, w0=[-math.inf, 0.0]),
+                 id="simulate-conventional-w0-inf"),
+    pytest.param("fish", {"w0": [math.nan, 10.0]}, id="fish-w0-nan"),
+    pytest.param("fish", {"w1": [-10.0, math.inf]}, id="fish-w1-inf"),
+    pytest.param("classify-bench", {"w0": [math.nan, -5.0, 5.0, 5.0]},
+                 id="classify-bench-w0-nan"),
+    pytest.param("classify-bench", {"w1": [5.0, 5.0, -math.inf, 5.0]},
+                 id="classify-bench-w1-inf"),
 ], ids=lambda v: "-".join(v) if isinstance(v, dict) else v)
-def test_cli_refuses_bad_config(tmp_path, command, overrides):
+def test_cli_refuses_bad_config(tmp_path, capsys, command, overrides):
     # overrides are config fields, "--" CLI flags, or the whole file as bytes;
     # every refusal comes before the run allocates or computes anything
     doc = {"simulate": dict(N=8, M=2, w0=[1.0, 0.0], w1=[0.0, 1.0], split=4,
@@ -1189,6 +1201,20 @@ def test_cli_refuses_bad_config(tmp_path, command, overrides):
     assert time.monotonic() - start < 1.0
     assert peak < 10 * 2 ** 20
     assert not out.exists()
+    if (command, overrides) == ("analyze-chain", {"strategy": "conventional"}):
+        # the scope is the kind alone where strategy is not read
+        assert "strategy does not apply to chain_sweep scenarios" in capsys.readouterr().err
+
+
+def test_nonfinite_models_are_refused_as_models():
+    # every kind that reads w0 and w1 refuses a NaN or infinite entry by
+    # naming them, before any run could blame the far field or diverge
+    for base in (ScenarioConfig(), preset("school"), ScenarioConfig(kind="classify_bench")):
+        for bad in (math.nan, math.inf, -math.inf):
+            for name in ("w0", "w1"):
+                model = [bad, *getattr(base, name)[1:]]
+                with pytest.raises(ConfigError, match="^w0 and w1 must be .* finite"):
+                    dataclasses.replace(base, **{name: model}).validate()
 
 
 def test_cli_classify_bench(tmp_path):
@@ -1268,18 +1294,6 @@ def test_cli_stability_refusal(tmp_path):
         mean_degree=4.0)))
     assert cli_main(["simulate", "--config", str(cfg_path),
                      "--out", str(tmp_path / "o")]) == 2
-
-
-def test_cli_nan_estimate_diverges(tmp_path):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(dict(
-        N=8, M=2, w0=[float("nan"), 0.0], w1=[0.0, 1.0], split=4, mu=0.02,
-        nu=0.2, alpha=0.9, eta=0.3, K=2, iterations=10, replicas=1, seed=5,
-        mean_degree=4.0)))
-    out = tmp_path / "o"
-    assert cli_main(["simulate", "--config", str(cfg_path),
-                     "--out", str(out)]) == 3
-    assert not (out / "msd.csv").exists()
 
 
 def test_cli_huge_finite_estimate_diverges_without_warnings(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Every top-level import of the package and of its tests is referenced,
 every public function of the package has a caller in the package or
-reproduces one of the paper's results, and every public method and property
-of a public class is read in the package."""
+reproduces one of the paper's results, every public method and property
+of a public class is read in the package, and every public function and
+constant of the reference code in tests/oracle.py is read by a test."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "diffnet"
 SOURCES = sorted([*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py")])
+ORACLE = ROOT / "tests" / "oracle.py"
 
 # Public functions that no code in the package calls, each with the result of
 # the paper it reproduces (the criteria are tests/test_acceptance.py's).
@@ -31,7 +33,6 @@ ANALYSIS_FUNCTIONS = {
                                      "P_e,1 and P_e,0",
     "classification.belief_error_oracle": "the belief's random geometric series, "
                                           "the Monte Carlo check of that bound",
-    "decision.run_decision_dynamics": "quorum decisions reach agreement (criterion 4)",
     "markov.build_exact_chain": "the exact 2^N absorbing chain of the decisions "
                                 "(criterion 4)",
     "markov.count_ratio": "the closed form of the mean-field chain's absorbing "
@@ -119,3 +120,28 @@ def unread_members() -> set[str]:
 def test_every_library_member_is_read_in_the_package():
     # a method or property only tests read belongs beside the tests
     assert sorted(unread_members()) == []
+
+
+def unread_oracle_names() -> set[str]:
+    """Each public top-level function and constant of tests/oracle.py that no
+    test module imports from it or reads as `oracle.<name>`."""
+    public = set()
+    for node in ast.parse(ORACLE.read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            public.add(node.name)
+        if isinstance(node, ast.Assign):
+            public.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    read = set()
+    for path in ORACLE.parent.glob("test_*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "oracle":
+                read.update(alias.name for alias in node.names)
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "oracle"):
+                read.add(node.attr)
+    return {name for name in public - read if not name.startswith("_")}
+
+
+def test_every_oracle_name_is_read_by_a_test():
+    # reference code no test reads is dead
+    assert sorted(unread_oracle_names()) == []

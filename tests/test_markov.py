@@ -5,7 +5,7 @@ from math import exp, lgamma, log
 import numpy as np
 import pytest
 
-from diffnet.decision import global_desires, quorum_prob, run_decision_dynamics
+from diffnet.decision import global_desires, quorum_prob
 from diffnet.diffusion import spectral_radius
 from diffnet.harness import ScenarioConfig, run_scenario
 from diffnet.markov import (
@@ -14,7 +14,8 @@ from diffnet.markov import (
     transient_spectral_radius, verify_K_monotonicity,
 )
 from diffnet.network import complete_topology, generate_topology
-from oracle import mc_absorption
+import oracle
+from oracle import mc_absorption, run_decision_dynamics
 
 
 def test_exact_chain_stochastic_and_absorbing():
@@ -140,6 +141,13 @@ def test_absorption_time_n2():
     assert stats["expected_steps"][0] == pytest.approx(2.0)     # from state 1
     assert abs(mc_absorption(chain, 1, 4000, np.random.default_rng(0)) - 2.0) < 0.12
     assert np.allclose(stats["absorb_prob"].sum(axis=1), 1.0)
+
+
+def test_mc_walk_stops_at_the_step_cap(monkeypatch):
+    # a walk that cannot absorb ends after MC_STEP_CAP steps
+    stuck = DecisionChain(P=np.eye(3), states=np.arange(3))
+    monkeypatch.setattr(oracle, "MC_STEP_CAP", 7)
+    assert mc_absorption(stuck, 1, 3, np.random.default_rng(0)) == oracle.MC_STEP_CAP
 
 
 def test_exact_chain_predicts_simulated_absorption():

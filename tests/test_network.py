@@ -121,19 +121,24 @@ def test_perron_rejects_non_primitive():
 
 
 def test_agent_environment_validation():
-    with pytest.raises(ValueError):
-        AgentEnvironment(Ru=np.array([[1.0, 2.0], [0.0, 1.0]]), sigma_v2=[0.1])
-    with pytest.raises(ValueError):
-        AgentEnvironment(Ru=np.diag([1.0, -1.0]), sigma_v2=[0.1])
-    with pytest.raises(ValueError):
-        AgentEnvironment(Ru=np.eye(2), sigma_v2=[0.1, -0.1])
-    env = AgentEnvironment(Ru=np.diag([1.0, 2.0]), sigma_v2=[0.1])
+    # each refusal names the field at fault
+    for ru, sigma_v2, field in [
+        ([1.0, -1.0], [0.1], "ru"),
+        ([1.0, 0.0], [0.1], "ru"),
+        ([1.0, np.nan], [0.1], "ru"),
+        (np.eye(2), [0.1], "ru"),                 # a covariance matrix, not its diagonal
+        ([1.0, 1.0], [0.1, -0.1], "sigma_v2"),
+        ([1.0, 1.0], [0.1, np.nan], "sigma_v2"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{field} "):
+            AgentEnvironment(ru, sigma_v2)
+    env = AgentEnvironment(ru=[1.0, 2.0], sigma_v2=[0.1])
     assert env.M == 2
-    assert np.allclose(env.ru_chol @ env.ru_chol.T, env.Ru)
+    assert np.array_equal(env.ru_sd, np.sqrt([1.0, 2.0]))
 
 
 def test_sample_data_statistics():
-    env = AgentEnvironment(Ru=np.diag([1.0, 2.0]), sigma_v2=[0.04])
+    env = AgentEnvironment(ru=[1.0, 2.0], sigma_v2=[0.04])
     z = np.tile([1.0, -1.0], (20000, 1))
     normals = np.random.default_rng(0).standard_normal((1, z.size + len(z)))
     (draws,), (u,) = sample_data(z, env, normals)
@@ -145,19 +150,21 @@ def test_sample_data_statistics():
 
 def test_sample_data_matches_per_agent_draws():
     # u is component-major, (n, M, N) and C-contiguous; agent k's regressor
-    # is its own M normals times chol^T and d is the left-to-right sum
-    # u^T z plus sigma v, bit for bit, for the diagonal Ru the engine builds
+    # is its own M normals times chol^T, with chol the Cholesky factor of
+    # Ru = diag(ru), and d is the left-to-right sum u^T z plus sigma v, bit
+    # for bit
     rng = np.random.default_rng(3)
     N, M, n = 40, 4, 16
-    env = AgentEnvironment(Ru=np.diag(rng.uniform(1.0, 2.0, M)),
+    env = AgentEnvironment(ru=rng.uniform(1.0, 2.0, M),
                            sigma_v2=10.0 ** rng.uniform(-3.5, -0.5, N))
     z = ModelPair([5.0, -5.0, 5.0, 5.0], [5.0, 5.0, -5.0, 5.0]).observed(np.arange(N) % 2)
     normals = rng.standard_normal((n, N * (M + 1)))
     d, u = sample_data(z, env, normals)
     assert d.shape == (n, N) and u.shape == (n, M, N) and u.flags.c_contiguous
+    chol = np.linalg.cholesky(np.diag(env.ru))
     for i in range(n):
         for k in range(N):
-            u_k = normals[i, k * M:(k + 1) * M] @ env.ru_chol.T
+            u_k = normals[i, k * M:(k + 1) * M] @ chol.T
             assert np.array_equal(u[i, :, k], u_k)
             assert d[i, k] == (u_k * z[k]).sum() + env.sigma_v[k] * normals[i, N * M + k]
 
