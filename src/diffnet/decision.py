@@ -17,7 +17,7 @@ def quorum_prob(n_g, n_k, K: int, beta: float = 1.0):
     n_g = np.asarray(n_g, dtype=float)
     n_k = np.asarray(n_k, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    if (beta <= 0).any():
+    if not (beta > 0).all():      # NaN fails the comparison, so it is refused as well
         raise ValueError("beta must be positive")
     stay = (beta * n_g) ** K
     total = stay + (n_k - n_g) ** K
@@ -57,11 +57,12 @@ def quorum_table(N: int, K: int, beta) -> np.ndarray:
 def keep_probabilities(adjacency: np.ndarray, g_local: np.ndarray, f_rel: np.ndarray,
                        table: np.ndarray, n_k: np.ndarray, plane) -> np.ndarray:
     """Agent k's probability of keeping its desire, table[plane[k], n_k[k],
-    n_g[k]], with n_g[k] the neighbours (k included) whose desire agrees."""
+    n_g[k]], with n_g[k] the neighbours (k included) whose desire agrees.
+    g_local may stack desires on leading axes, (..., N): one row each."""
     # k's translation of g(l) equals g(k) iff "g(l) differs from g(k)" is the
     # opposite of f_rel[k, l] (0/1 entries)
-    agree = ((g_local[None, :] ^ g_local[:, None]) != f_rel) & adjacency
-    return table[plane, n_k, np.add.reduce(agree, axis=1)]
+    agree = ((g_local[..., None, :] ^ g_local[..., :, None]) != f_rel) & adjacency
+    return table[plane, n_k, np.add.reduce(agree, axis=-1)]
 
 
 def decision_sweep(g_local: np.ndarray, q: np.ndarray, uniforms: np.ndarray):

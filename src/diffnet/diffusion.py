@@ -3,7 +3,6 @@ and the mean-error linear system used for stability/bias analysis."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,18 +44,11 @@ def split_matrices(A: np.ndarray, f_hat: np.ndarray, g: np.ndarray):
     return A1, A - A1
 
 
-@dataclass(frozen=True)
-class MeanErrorSystem:
-    """Mean recursion E w~_i = B E w~_{i-1} + y."""
-
-    B: np.ndarray
-    y: np.ndarray
-
-
 def build_mean_error_system(env: AgentEnvironment, mu, models: ModelPair, f,
                             q: int, A1: np.ndarray,
-                            A2: np.ndarray | None = None) -> MeanErrorSystem:
-    """Assemble the NM x NM mean-error system of the modified strategy,
+                            A2: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(B, y) of the NM x NM mean-error recursion E w~_i = B E w~_{i-1} + y
+    of the modified strategy,
 
         B = A1^T (I - M R) + A2^T,  y = A1^T M R z~,
 
@@ -75,7 +67,7 @@ def build_mean_error_system(env: AgentEnvironment, mu, models: ModelPair, f,
     B = A1cal_T @ (np.eye(N * M) - MR)
     if A2 is not None:
         B += np.kron(A2, eye).T
-    return MeanErrorSystem(B=B, y=A1cal_T @ (MR @ ztilde))
+    return B, A1cal_T @ (MR @ ztilde)
 
 
 def check_stepsize_stability(mu: float, ru: np.ndarray) -> bool:

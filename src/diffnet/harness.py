@@ -327,17 +327,18 @@ def _gram_rows(N: int) -> int:
     return min(BLOCK, max(1, GRAM_BATCH_BYTES // (8 * N * N)))
 
 
-def _fast_weight_matrix(adj: np.ndarray, informed_kl: np.ndarray) -> np.ndarray:
+def _fast_weight_matrix(adj: np.ndarray, links: np.ndarray,
+                        informed_kl: np.ndarray) -> np.ndarray:
     """The fast combination rule: uniform weight on informed neighbors where
     available, otherwise uniform on the other neighbors (zero self-weight).
 
-    informed_kl[k, l] says whether agent k treats neighbor l as informed.
-    Column k is uniform over k's informed neighbors, else over its other
-    neighbors, else (an isolated uninformed agent) on k itself.
+    informed_kl[k, l] says whether agent k treats neighbor l as informed;
+    links is the adjacency adj without its self-loops.  Column k is uniform
+    over k's informed neighbors, else over its other neighbors, else (an
+    isolated uninformed agent) on k itself.
     """
     informed = (informed_kl & adj).T           # [l, k]
-    fallback = adj & ~np.eye(adj.shape[0], dtype=bool)
-    fallback |= np.diag(~fallback.any(axis=0))
+    fallback = links | np.diag(~links.any(axis=0))
     support = np.where(informed.any(axis=0), informed, fallback)
     return support / support.sum(axis=0)
 
@@ -363,10 +364,9 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
     else:
         topology = generate_topology(cfg.N, cfg.mean_degree, env_rng)
         env = _build_environment(cfg, env_rng)
-        A = uniform_weights(topology.adjacency)
 
         def replica(rng):
-            return _replica_static(cfg, topology.adjacency, A, env, models, f, rng)
+            return _replica_static(cfg, topology.adjacency, env, models, f, rng)
     modified = cfg.strategy != "conventional"
     if modified:
         check_stepsize_separation(cfg.mu, cfg.nu)
@@ -434,7 +434,8 @@ class _Replica:
     scenarios.  The state is component-major: h_hat, the kernel's u rows and
     the metric block's rows are C-contiguous (M, N), so each per-agent sum
     over M adds M rows of length N in the order of a sum along M; w is the
-    (N, M) transpose of the block row the last iteration wrote."""
+    (N, M) transpose of the block row the last iteration wrote.  The kernel
+    derives A, the degrees n_k and the link mask from the adjacency alone."""
 
     def __init__(self, cfg: ScenarioConfig, models: ModelPair, f: np.ndarray):
         N, M, iters = cfg.N, cfg.M, cfg.iterations
@@ -449,8 +450,7 @@ class _Replica:
         self.fhat = self.oracle_rel if self.oracle_rel is not None else f_hat(self.b)
         forced = cfg.forced_desired
         self.g = np.ones(N, dtype=int) if forced is None else (f == forced).astype(int)
-        self.flip = global_desires(np.zeros(N, dtype=int), f)   # validates f once
-        self.glob = self.g ^ self.flip            # global_desires(g, f)
+        self.glob = global_desires(self.g, f)
         self.records = np.full((5, iters), np.nan)   # rows 2-4 stay NaN when conventional
         self.sq0, self.sq1, self.sqd, self.sqr, self.frac = self.records
         self.w_block = np.empty((BLOCK, M, N))
@@ -464,18 +464,19 @@ class _Replica:
         self.err = np.empty((iters, N, M)) if cfg.mean_error_vs is not None else None
         self.stream = np.empty((iters, N, N)) if cfg.record_beliefs else None
         self.streamed = 0                         # stream rows written
-        self.graph = self.trajectory = None       # graph: the adjacency self.links is for
+        self.graph = self.trajectory = None       # graph: the adjacency A, n_k and links come from
         self.reach = 1      # a pass's most rows; beliefs start at 0.5, where one event crosses
 
-    def advance(self, i: int, adj: np.ndarray, A: np.ndarray, u: np.ndarray,
-                d: np.ndarray, uniforms: np.ndarray | None) -> None:
+    def advance(self, i: int, adj: np.ndarray, u: np.ndarray, d: np.ndarray,
+                uniforms: np.ndarray | None) -> None:
         """Iterations i .. i + n - 1, within one BLOCK, on the graph `adj`
-        with combination matrix A, regressors u (n, M, N), measurements d
-        (n, N) and quorum uniforms (n, N), None when no decision runs.
+        with regressors u (n, M, N), measurements d (n, N) and quorum uniforms
+        (n, N), None when no decision runs.
 
-        Only active links (both ends in the far field) update their beliefs.
-        q, the fast weights and the A1/A2 split are dropped where a new adj
-        (the engines hand a new A only with it) arrives, fhat is replaced or
+        A new adj object brings its uniform combination matrix A, degrees
+        n_k and link mask links, derived here.  Only active links (both ends in
+        the far field) update their beliefs.  q, the fast weights and the
+        A1/A2 split are dropped where a new adj arrives, fhat is replaced or
         g flips, and rebuilt where next used.  Until a uniform reaches its q
         (never while q is all 1 or the desires are forced) or a belief
         crosses 0.5, w's recursion needs no sweep or classification: a pass
@@ -486,16 +487,15 @@ class _Replica:
         BLOCK after a row with no active link, else twice as many."""
         cfg, n, j = self.cfg, len(d), i % BLOCK
         self.base = i - j                          # the iteration of block row 0
-        if not self.conventional and adj is not self.graph:
-            # the school brings new adj and A when its graph changes
-            self.graph, self.n_k, self.far = adj, adj.sum(axis=1), None
-            self.links = adj & ~np.eye(cfg.N, dtype=bool)
+        if adj is not self.graph:      # the school brings a new adj when its graph changes
+            self.graph, self.A, self.n_k = adj, uniform_weights(adj), adj.sum(axis=1)
+            self.links, self.far = adj & ~np.eye(cfg.N, dtype=bool), None
             self.q = self.A1 = None
         t = 0
         while t < n:
-            stop, split = n, (A, None)
+            stop, split = n, (self.A, None)
             if not self.conventional:
-                self._decide(adj, A, None)
+                self._decide(None)
                 stop, split = min(n, t + self.reach), (self.A1, self.A2)
                 if uniforms is not None and stop > t + 1:   # to the first row that can flip
                     flips = self._can_flip(uniforms[t:stop])
@@ -507,7 +507,7 @@ class _Replica:
             if not self.conventional:
                 self.reach = (1 if self.A1 is None else BLOCK if not self.active.size
                               else min(2 * self.reach, BLOCK))
-                self._decide(adj, A, None if uniforms is None else uniforms[last])
+                self._decide(None if uniforms is None else uniforms[last])
                 if self.A1 is not split[0]:      # a crossing or a flip replaced the split
                     self._adapt(j + last, j + last + 1, self.w_block[j + last - 1] if last > t
                                 else w, u[last:last + 1], d[last:last + 1], (self.A1, self.A2))
@@ -605,15 +605,14 @@ class _Replica:
             r += 1
         return None
 
-    def _decide(self, adj: np.ndarray, A: np.ndarray, uniforms: np.ndarray | None) -> None:
+    def _decide(self, uniforms: np.ndarray | None) -> None:
         """A row's sweep where its uniforms can flip an agent, then the split where dropped."""
-        cfg = self.cfg
         if uniforms is not None and self._can_flip(uniforms):   # then an agent flips
             self.g = decision_sweep(self.g, self.q, uniforms)
-            self.glob, self.q, self.A1 = self.g ^ self.flip, None, None
+            self.glob, self.q, self.A1 = global_desires(self.g, self.f), None, None
         if self.A1 is None:
-            if cfg.rule == "fast":
-                A = _fast_weight_matrix(adj, self.fhat == self.g[:, None])
+            A = (_fast_weight_matrix(self.graph, self.links, self.fhat == self.g[:, None])
+                 if self.cfg.rule == "fast" else self.A)
             self.A1, self.A2 = split_matrices(A, self.fhat, self.g)
 
     def _can_flip(self, uniforms: np.ndarray) -> np.ndarray:   # per row, under q
@@ -643,7 +642,7 @@ class _Replica:
         self.frac[span] = np.maximum(share1, 1.0 - share1)
 
 
-def _replica_static(cfg, adj, A, env, models, f, rng):
+def _replica_static(cfg, adj, env, models, f, rng):
     """Fixed graph; Gaussian regressors u and measurement noise v per agent.
     Per iteration, N(M + 1) normals (u, then v) and, when decisions run, N
     quorum uniforms, drawn BLOCK iterations ahead in that order."""
@@ -660,12 +659,12 @@ def _replica_static(cfg, adj, A, env, models, f, rng):
             if decides:
                 uniform(out=uniforms_j)
         d, u = sample_data(z, env, normals[:n])
-        rep.advance(start, adj, A, u, d, uniforms[:n] if decides else None)
+        rep.advance(start, adj, u, d, uniforms[:n] if decides else None)
     return rep
 
 
 def _replica_fish(cfg, params, models, f, rng):
-    """Moving agents: radius graph (new objects only when it changes, so the
+    """Moving agents: radius graph (a new object only when it changes, so the
     step keeps its caches meanwhile), range/bearing sensing of each agent's
     own target, then motion toward the new estimate."""
     rep = _Replica(cfg, models, f)
@@ -678,13 +677,12 @@ def _replica_fish(cfg, params, models, f, rng):
     for i in range(cfg.iterations):
         diff, dist = pairwise_offsets(x)     # x moves only after cohesion_all
         graph = radius_adjacency(dist, cfg.comm_radius)
-        if not np.array_equal(graph, adj):   # same objects while the graph holds
-            adj, A = graph, uniform_weights(graph)
+        adj = adj if np.array_equal(graph, adj) else graph   # one object while it holds
         d, u = measure_target(x, u, z, params.kappa, params.sigma_angle, rng)
         uniforms = rng.random((1, cfg.N)) if cfg.forced_desired is None else None
-        rep.advance(i, adj, A, u.T[None], d[None], uniforms)
-        x, vel = update_motion(x, vel, rep.w, A,
-                               cohesion_all(diff, dist, adj, params.d_s), params)
+        rep.advance(i, adj, u.T[None], d[None], uniforms)
+        x, vel = update_motion(x, vel, rep.w, rep.A,
+                               cohesion_all(diff, dist, rep.links, params.d_s), params)
         trajectory[i, :, 0:2] = x
         trajectory[i, :, 2:4] = vel
         trajectory[i, :, 4] = rep.glob

@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .decision import quorum_prob
+from .decision import keep_probabilities, oracle_relative_f, quorum_prob, quorum_table
 from .diffusion import spectral_radius
 from .network import Topology
 
@@ -88,12 +88,11 @@ def build_exact_chain(topology: Topology, K: int) -> DecisionChain:
     S = 1 << N
     states = ((np.arange(S)[:, None] >> np.arange(N)[None, :]) & 1).astype(int)
 
+    # per-state keep probabilities, shape (S, N): all agents observe one
+    # model, so each local frame is the global one
     adj = topology.adjacency
-    n_k = adj.sum(axis=0)
-    # per-state keep probabilities, shape (S, N)
-    agree = (states[:, None, :] == states[:, :, None]) & adj[None, :, :]
-    n_g = agree.sum(axis=2)
-    q = quorum_prob(n_g, n_k[None, :], K)
+    q = keep_probabilities(adj, states, oracle_relative_f(np.zeros(N, dtype=int)),
+                           quorum_table(N, K, 1.0), adj.sum(axis=0), 0)
 
     P = np.ones((S, S))
     for k in range(N):

@@ -38,16 +38,14 @@ def pairwise_offsets(positions: np.ndarray):
     return diff, np.linalg.norm(diff, axis=2)
 
 
-def cohesion_all(diff: np.ndarray, dist: np.ndarray, adjacency: np.ndarray,
+def cohesion_all(diff: np.ndarray, dist: np.ndarray, links: np.ndarray,
                  d_s: float) -> np.ndarray:
     """Vectorized spacing terms for every agent, (N, 2), from the
-    pairwise_offsets table of the positions."""
-    adjacency = np.asarray(adjacency, dtype=bool)
-    mask = adjacency.copy()
-    np.fill_diagonal(mask, False)
-    weight = np.where(mask & (dist > 0), (dist - d_s) / np.where(dist > 0, dist, 1.0), 0.0)
+    pairwise_offsets table of the positions, over the link mask `links`
+    (the adjacency without its self-loops)."""
+    weight = np.where(links & (dist > 0), (dist - d_s) / np.where(dist > 0, dist, 1.0), 0.0)
     total = np.einsum("lk,lkm->km", weight, diff)
-    counts = np.maximum(mask.sum(axis=0), 1)
+    counts = np.maximum(links.sum(axis=0), 1)
     return total / counts[:, None]
 
 

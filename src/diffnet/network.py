@@ -6,8 +6,6 @@ from functools import cached_property
 
 import numpy as np
 
-PERRON_TOL = 1e-12            # perron_vector's power iteration stops at this change
-PERRON_MAX_ITERS = 100_000
 STOCHASTIC_TOL = 1e-12        # column sums of a left-stochastic matrix
 TOPOLOGY_ATTEMPTS = 200       # random graphs generate_topology draws before giving up
 
@@ -101,7 +99,7 @@ def generate_topology(N: int, mean_degree: float, rng: np.random.Generator) -> T
     """
     if N < 2:
         raise TopologyError("need at least two agents")
-    if mean_degree < 2:
+    if not mean_degree >= 2:     # NaN fails the comparison, so it is refused as well
         raise TopologyError("mean_degree must be >= 2")
     p = min(1.0, (mean_degree - 1.0) / (N - 1.0))
     for _ in range(TOPOLOGY_ATTEMPTS):
@@ -153,19 +151,15 @@ def is_primitive(A: np.ndarray) -> bool:
 
 def perron_vector(A: np.ndarray) -> np.ndarray:
     """Right eigenvector c of a primitive left-stochastic A with Ac = c,
-    entries positive and summing to one.  Power iteration."""
+    entries positive and summing to one: (A - I)c = 0 with its last
+    equation, redundant as A's columns sum to 1, replaced by 1^T c = 1 (the
+    others have rank n - 1, as the eigenvalue 1 of a primitive A is simple)."""
     A = np.asarray(A, dtype=float)
     if not is_primitive(A):
         raise PrimitivityError("combination matrix is not primitive")
-    n = A.shape[0]
-    c = np.full(n, 1.0 / n)
-    for _ in range(PERRON_MAX_ITERS):
-        nxt = A @ c
-        nxt /= nxt.sum()
-        if np.abs(nxt - c).max() < PERRON_TOL:
-            return nxt
-        c = nxt
-    raise RuntimeError("power iteration did not converge")
+    system = A - np.eye(len(A))
+    system[-1] = 1.0
+    return np.linalg.solve(system, np.eye(len(A))[-1])
 
 
 @dataclass(frozen=True)

@@ -95,9 +95,9 @@ def test_criterion_3_mean_convergence(bifurcation_env):
     A = uniform_weights(topology.adjacency)
     A1 = A * (f == 1)[:, None]
     models = ModelPair(np.array(cfg.w0), np.array(cfg.w1))
-    system = build_mean_error_system(env, cfg.mu, models, f, 1, A1, A - A1)
-    rho = spectral_radius(system.B)
-    unbiased = bool((system.y == 0.0).all())
+    B, y = build_mean_error_system(env, cfg.mu, models, f, 1, A1, A - A1)
+    rho = spectral_radius(B)
+    unbiased = bool((y == 0.0).all())
     ok = rho < 1.0 and unbiased and ratio <= 1e-2
     report("3 (mean convergence)", ok,
            f"rho(B)={rho:.5f}, y==0 {unbiased}, error ratio {ratio:.2e}")

@@ -33,8 +33,10 @@ def test_quorum_prob_values():
     q = quorum_prob(np.array([2, 2]), np.array([4, 4]), 1,
                     beta=np.array([1.0, 3.0]))
     assert np.allclose(q, [0.5, 0.75])
-    with pytest.raises(ValueError):
-        quorum_prob(2, 4, 1, beta=0.0)
+    # NaN fails every comparison, in one value or in a pair
+    for beta in (0.0, float("nan"), [1.0, float("nan")]):
+        with pytest.raises(ValueError, match="beta"):
+            quorum_prob(2, 4, 2, beta=beta)
 
 
 def test_quorum_prob_complementary():
@@ -134,6 +136,22 @@ def test_quorum_table_diagonal_is_one():
             for beta in (1.0, [0.5, 2.0], [1e-3, 1e3]):
                 n = np.arange(1, N + 1)
                 assert (quorum_table(N, K, beta)[:, n, n] == 1.0).all()
+
+
+def test_keep_probabilities_of_stacked_desires_match_one_row_calls():
+    # an (S, N) stack of desires gives the S rows of one-row calls, bit for
+    # bit, with one plane for all or a plane per agent
+    rng = np.random.default_rng(8)
+    topo = generate_topology(9, 4.0, rng)
+    f = rng.integers(0, 2, 9)
+    rel, n_k = oracle_relative_f(f), topo.adjacency.sum(axis=1)
+    table = quorum_table(9, 3, [1.0, 2.5])
+    stack = rng.integers(0, 2, (40, 9))
+    for plane in (0, f):
+        q = keep_probabilities(topo.adjacency, stack, rel, table, n_k, plane)
+        rows = [keep_probabilities(topo.adjacency, g, rel, table, n_k, plane)
+                for g in stack]
+        assert q.shape == stack.shape and q.tobytes() == np.array(rows).tobytes()
 
 
 def test_decision_sweep_without_flips_returns_its_input():

@@ -62,9 +62,9 @@ def _env(N, M, sig2=0.01):
 def test_mean_error_single_agent_reduces_to_lms():
     env = AgentEnvironment(ru=[1.0, 2.0], sigma_v2=[0.01])
     models = ModelPair([1.0, 0.0], [0.0, 1.0])
-    sys = build_mean_error_system(env, 0.05, models, [0], 0, np.array([[1.0]]))
-    assert np.allclose(sys.B, np.eye(2) - 0.05 * np.diag(env.ru))
-    assert np.allclose(sys.y, 0.0)  # observes the reference model
+    B, y = build_mean_error_system(env, 0.05, models, [0], 0, np.array([[1.0]]))
+    assert np.allclose(B, np.eye(2) - 0.05 * np.diag(env.ru))
+    assert np.allclose(y, 0.0)  # observes the reference model
 
 
 def test_modified_system_unbiased_under_oracle_agreement():
@@ -81,9 +81,9 @@ def test_modified_system_unbiased_under_oracle_agreement():
     A2 = A - A1
     env = _env(10, 3)
     models = ModelPair([1.0, 2.0, 3.0], [3.0, 2.0, 1.0])
-    sys = build_mean_error_system(env, np.full(10, 0.01), models, f, q, A1, A2)
-    assert np.all(sys.y == 0.0)
-    assert spectral_radius(sys.B) < 1.0
+    B, y = build_mean_error_system(env, np.full(10, 0.01), models, f, q, A1, A2)
+    assert np.all(y == 0.0)
+    assert spectral_radius(B) < 1.0
 
 
 def test_conventional_system_biased_under_two_models():
@@ -93,8 +93,8 @@ def test_conventional_system_biased_under_two_models():
     f = np.array([0, 0, 0, 1, 1, 1])
     env = _env(6, 2)
     models = ModelPair([1.0, 0.0], [0.0, 1.0])
-    sys = build_mean_error_system(env, 0.01, models, f, 1, A)
-    assert np.abs(sys.y).max() > 0.0
+    _, y = build_mean_error_system(env, 0.01, models, f, 1, A)
+    assert np.abs(y).max() > 0.0
 
 
 def test_mean_recursion_predicts_ensemble_average():
@@ -107,7 +107,7 @@ def test_mean_recursion_predicts_ensemble_average():
     f = np.array([0, 0, 1])
     models = ModelPair([1.0], [-1.0])
     env = AgentEnvironment(ru=np.ones(1), sigma_v2=np.full(N, 0.01))
-    sys = build_mean_error_system(env, mu, models, f, 0, A)
+    B, y = build_mean_error_system(env, mu, models, f, 0, A)
 
     z = models.observed(f)[:, 0]
     w = np.zeros((reps, N))
@@ -121,7 +121,7 @@ def test_mean_recursion_predicts_ensemble_average():
 
     err = np.full(N, models.w0[0])  # w starts at zero
     for _ in range(iters):
-        err = sys.B @ err + sys.y
+        err = B @ err + y
     assert np.abs(emp - err).max() < 0.01
 
 
@@ -158,8 +158,8 @@ def test_rate_bound_tight_for_single_agent():
     ru = np.array([0.5, 2.0])
     env = AgentEnvironment(ru, sigma_v2=[0.01])
     models = ModelPair([1.0, 0.0], [0.0, 1.0])
-    sys = build_mean_error_system(env, 0.1, models, [0], 0, np.array([[1.0]]))
-    assert abs(convergence_rate(sys.B) - rate_lower_bound(0.1, ru)) < 1e-12
+    B, _ = build_mean_error_system(env, 0.1, models, [0], 0, np.array([[1.0]]))
+    assert abs(convergence_rate(B) - rate_lower_bound(0.1, ru)) < 1e-12
 
 
 def test_divergence_guard_tests_rows_when_the_total_is_over():

@@ -120,7 +120,8 @@ def test_fast_weights_star_graph():
     np.fill_diagonal(adj, True)
     topo = Topology(adj)
     f = np.array([1, 0, 0, 0, 0])  # only the hub informed
-    A = _fast_weight_matrix(topo.adjacency, np.tile(f == 1, (n, 1)))
+    A = _fast_weight_matrix(topo.adjacency, topo.adjacency & ~np.eye(n, dtype=bool),
+                            np.tile(f == 1, (n, 1)))
     # leaves put all weight on the hub; hub keeps weight on itself
     for leaf in range(1, n):
         assert A[0, leaf] == 1.0
@@ -131,7 +132,8 @@ def test_fast_weights_star_graph():
 
 def test_fast_weights_all_informed_uniform():
     topo = complete_topology(4)
-    A = _fast_weight_matrix(topo.adjacency, np.ones((4, 4), dtype=bool))
+    A = _fast_weight_matrix(topo.adjacency, ~np.eye(4, dtype=bool),
+                            np.ones((4, 4), dtype=bool))
     assert np.allclose(A, 0.25)
 
 
@@ -237,21 +239,21 @@ def test_step_matches_per_agent_reference(strategy):
     assert np.abs(tr.final_beliefs[0] - b).max() < 1e-10
 
 
-def _one_at_a_time(advance, after=lambda rep, i, adj, A, uniforms: None):
+def _one_at_a_time(advance, after=lambda rep, i, adj, uniforms: None):
     """An _Replica.advance that advances its chunk one iteration at a time,
-    calling after(rep, i, adj, A, uniforms) after each, with that iteration's
+    calling after(rep, i, adj, uniforms) after each, with that iteration's
     (N,) uniforms or None (the chunked kernel writes the same rows bit for
     bit: test_engines_match_the_per_iteration_draw)."""
-    def advance_rows(rep, i, adj, A, u, d, uniforms):
+    def advance_rows(rep, i, adj, u, d, uniforms):
         for t in range(len(d)):
             row = None if uniforms is None else uniforms[t:t + 1]
-            advance(rep, i + t, adj, A, u[t:t + 1], d[t:t + 1], row)
-            after(rep, i + t, adj, A, None if row is None else row[0])
+            advance(rep, i + t, adj, u[t:t + 1], d[t:t + 1], row)
+            after(rep, i + t, adj, None if row is None else row[0])
     return advance_rows
 
 
-def _checked_runs(monkeypatch, cfg, check=lambda rep, i, adj, A, sweeps, uniforms: None):
-    """Run cfg one iteration at a time with check(rep, i, adj, A, sweeps,
+def _checked_runs(monkeypatch, cfg, check=lambda rep, i, adj, sweeps, uniforms: None):
+    """Run cfg one iteration at a time with check(rep, i, adj, sweeps,
     uniforms) after each, where sweeps lists the (g, q) of each quorum sweep
     of that iteration and uniforms are its quorum uniforms (None when no
     decision runs); returns, per replica, the replica and copies of its w
@@ -262,8 +264,8 @@ def _checked_runs(monkeypatch, cfg, check=lambda rep, i, adj, A, sweeps, uniform
         sweeps.append((g, q))
         return sweep(g, q, uniforms)
 
-    def checked(rep, i, adj, A, uniforms):
-        check(rep, i, adj, A, sweeps, uniforms)
+    def checked(rep, i, adj, uniforms):
+        check(rep, i, adj, sweeps, uniforms)
         sweeps.clear()
         ws, globs = runs.setdefault(id(rep), (rep, [], []))[1:]
         ws.append(rep.w.copy())
@@ -290,36 +292,49 @@ def _assert_records_match_steps(rep, ws, globs):
             assert record[i] == ((w - model) ** 2).sum(axis=1).mean()
 
 
+def _graph_facts(adj):
+    """The uniform combination matrix, the degrees and the link mask of the
+    adjacency adj, built here apart from the kernel."""
+    return uniform_weights(adj), adj.sum(axis=1), adj & ~np.eye(len(adj), dtype=bool)
+
+
+def _assert_kernel_graph(rep, adj):
+    # the kernel keeps the adjacency it was handed and the A, degrees and
+    # link mask it derived from it
+    assert rep.graph is adj
+    for cached, fresh in zip((rep.A, rep.n_k, rep.links), _graph_facts(adj)):
+        assert cached.dtype == fresh.dtype and np.array_equal(cached, fresh)
+
+
 def _step_checker(graphs):
-    """check(rep, i, adj, A, sweeps, uniforms) for after every step, and the
+    """check(rep, i, adj, sweeps, uniforms) for after every step, and the
     counts it keeps.
 
     It asserts that the desires match the library projection, diagonal
-    beliefs never move, the graph masks belong to the adjacency of that step
-    (the school's changes as it moves), b is the dense masked update of the
-    previous b on the far-field links, and the active links, fhat, the q
-    each sweep used, the cached q (unless a flip dropped it), and the A1/A2
-    split and the combination matrix it splits equal fresh ones.  A step
-    runs one sweep, or none when every uniform lies below the cached q it
-    would have used, and then g stays the same object.  counts[name, True]
-    counts the steps that kept the object of the step before and
-    counts[name, False] those that replaced it;
-    counts["skipped"] counts the steps that ran no sweep and counts["beliefs
-    at rest"] those after which the next step with the same events skips the
-    belief update."""
+    beliefs never move, the kernel's combination matrix, degrees and link
+    mask are those of the adjacency of that step (the school's changes as
+    it moves), b is the dense masked update of the previous b on the
+    far-field links, and the active links, fhat, the q each sweep used, the
+    cached q (unless a flip dropped it), and the A1/A2 split and the
+    combination matrix it splits equal fresh ones.  A step runs one sweep,
+    or none when every uniform lies below the cached q it would have used,
+    and then g stays the same object.  counts[name, True] counts the steps
+    that kept the object of the step before and counts[name, False] those
+    that replaced it; counts["skipped"] counts the steps that ran no sweep
+    and counts["beliefs at rest"] those after which the next step with the
+    same events skips the belief update."""
     counts, last = collections.Counter(), {}
 
-    def check(rep, i, adj, A, sweeps, uniforms):
+    def check(rep, i, adj, sweeps, uniforms):
         cfg, prev = rep.cfg, last.get(id(rep))
         assert np.array_equal(rep.glob, global_desires(rep.g, rep.f))
         assert (np.diag(rep.b) == 0.5).all()
-        assert rep.graph is adj
-        assert np.array_equal(rep.links, adj & ~np.eye(len(adj), dtype=bool))
-        assert np.array_equal(rep.n_k, adj.sum(axis=1))
+        _assert_kernel_graph(rep, adj)
+        A, _, links = _graph_facts(adj)
         # the belief update as a dense masked copyto of the previous beliefs
         prev_b = prev["b"] if prev else np.full_like(rep.b, 0.5)
         far = (rep.h_hat ** 2).sum(axis=0) > cfg.eta ** 2
-        active = far[:, None] & far[None, :] & rep.links
+        active = far[:, None] & far[None, :] & links
         expected = prev_b.copy()
         np.copyto(expected, cfg.alpha * prev_b + (1.0 - cfg.alpha)
                   * (rep.h_hat.T @ rep.h_hat > 0.0), where=active)
@@ -347,7 +362,7 @@ def _step_checker(graphs):
         elif cfg.forced_desired is None:   # the sweep flipped g; q is rebuilt when next used
             assert sweeps[0][0] is not rep.g
         if cfg.rule == "fast":
-            A = _fast_weight_matrix(adj, fresh == rep.g[:, None])
+            A = _fast_weight_matrix(adj, links, fresh == rep.g[:, None])
         assert np.array_equal(rep.A1 + rep.A2, A)
         for cached, expected in zip((rep.A1, rep.A2), split_matrices(A, fresh, rep.g)):
             assert np.array_equal(cached, expected)
@@ -427,7 +442,7 @@ def test_sweeps_stop_once_every_keep_probability_is_1(monkeypatch):
         swept.append(now[-1])
         return sweep(g, q, uniforms)
 
-    def tracked(rep, i, adj, A, uniforms):
+    def tracked(rep, i, adj, uniforms):
         now.append(i + 1)
 
     chunked = run_scenario(cfg)
@@ -462,13 +477,13 @@ def test_beliefs_at_rest_are_dropped_with_their_active_links():
     # events, all agreeing too, but a belief of 0.5 that must move
     cfg = small_config(N=4, split=2, replicas=1, iterations=1000, forced_desired=0)
     rep = harness._Replica(cfg, ModelPair(cfg.w0, cfg.w1), np.array([0, 0, 1, 1]))
-    adj, A = np.ones((4, 4), dtype=bool), np.full((4, 4), 0.25)
+    adj = np.ones((4, 4), dtype=bool)
     u, d = np.zeros((cfg.M, 4)), np.zeros(4)    # no update: h is only scaled
 
     def step(i, far):
         rep.h_hat[:] = 0.0
         rep.h_hat[:, far] = 10.0 / (1.0 - cfg.nu)
-        rep.advance(i, adj, A, u[None], d[None], None)
+        rep.advance(i, adj, u[None], d[None], None)
 
     for i in range(999):
         step(i, [0, 1])
@@ -486,8 +501,8 @@ def test_replica_state_is_component_major(monkeypatch, moving):
     cfg = small_school(iterations=70) if moving else small_config(replicas=1, iterations=70)
     advance, chunks = harness._Replica.advance, []
 
-    def checked(rep, i, adj, A, u, d, uniforms):
-        advance(rep, i, adj, A, u, d, uniforms)
+    def checked(rep, i, adj, u, d, uniforms):
+        advance(rep, i, adj, u, d, uniforms)
         n, shape = len(d), (rep.cfg.M, rep.cfg.N)
         assert u.shape == (n, *shape) and (moving or u.flags.c_contiguous)
         for state in (rep.h_hat, rep.w.T, rep.w_block[0]):
@@ -505,16 +520,18 @@ def test_replica_state_is_component_major(monkeypatch, moving):
 @pytest.mark.parametrize("iterations", [1, 63, 64, 65, 197])
 def test_metric_blocks_match_per_step_records(monkeypatch, iterations):
     # the records are computed a block of iterations at a time; at and around
-    # the block edges each one still equals the per-step reference
+    # the block edges each one still equals the per-step reference.  The
+    # kernel derives A, the degrees and the link mask for either strategy
     for extra in ({}, CONVENTIONAL):
         cfg = small_config(replicas=2, iterations=iterations, **extra)
-        runs = _checked_runs(monkeypatch, cfg)
+        runs = _checked_runs(monkeypatch, cfg, lambda rep, i, adj, sweeps, uniforms:
+                             _assert_kernel_graph(rep, adj))
         assert len(runs) == 2
         for run in runs:
             _assert_records_match_steps(*run)
 
 
-def _per_iteration_static(cfg, adj, A, env, models, f, rng):
+def _per_iteration_static(cfg, adj, env, models, f, rng):
     """The static engine as it drew before its draws were taken a block
     ahead: on every iteration N(M + 1) normals turned into u and d, then
     (when decisions run) N quorum uniforms, advanced one iteration at a
@@ -527,14 +544,15 @@ def _per_iteration_static(cfg, adj, A, env, models, f, rng):
         draw = rng.standard_normal(z.size + cfg.N)
         u = draw[:z.size].reshape(z.shape) @ chol_t
         d = (u * z).sum(axis=1) + env.sigma_v * draw[z.size:]
-        rep.advance(i, adj, A, u.T[None], d[None],
+        rep.advance(i, adj, u.T[None], d[None],
                     rng.random((1, cfg.N)) if decides else None)
     return rep
 
 
 def _per_step_fish(cfg, params, models, f, rng):
     """The fish engine as it drew before the step took its quorum uniforms
-    as an argument: the step drew them after the sensing draws."""
+    as an argument: the step drew them after the sensing draws.  It builds
+    the combination matrix and the link mask of each graph itself."""
     rep = harness._Replica(cfg, models, f)
     z = models.observed(f)
     x = rng.uniform(-cfg.arena / 2.0, cfg.arena / 2.0, (cfg.N, 2))
@@ -546,11 +564,12 @@ def _per_step_fish(cfg, params, models, f, rng):
         graph = radius_adjacency(dist, cfg.comm_radius)
         if not np.array_equal(graph, adj):
             adj, A = graph, graph / graph.sum(axis=0)[None, :]
+            links = adj & ~np.eye(cfg.N, dtype=bool)
         d, u = measure_target(x, u, z, params.kappa, params.sigma_angle, rng)
-        rep.advance(i, adj, A, u.T[None], d[None],
+        rep.advance(i, adj, u.T[None], d[None],
                     rng.random((1, cfg.N)) if cfg.forced_desired is None else None)
         x, vel = update_motion(x, vel, rep.w, A,
-                               cohesion_all(diff, dist, adj, params.d_s), params)
+                               cohesion_all(diff, dist, links, params.d_s), params)
         rep.trajectory[i] = np.column_stack(
             [x, vel, rep.glob, ((x - rep.stacked[rep.glob]) ** 2).sum(axis=1)])
     return rep
@@ -608,11 +627,11 @@ def test_divergence_mid_block_names_its_iteration(monkeypatch):
     # iteration 0 and never dropped
     advance, guard, poisoned_at = harness._Replica.advance, harness.check_divergence, 40
 
-    def poisoned(rep, i, adj, A, u, d, uniforms):
+    def poisoned(rep, i, adj, u, d, uniforms):
         if i <= poisoned_at < i + len(d):
             d = d.copy()
             d[poisoned_at - i] = np.nan
-        advance(rep, i, adj, A, u, d, uniforms)
+        advance(rep, i, adj, u, d, uniforms)
 
     def recorded(w, i):
         passes.append((i, len(w)))
@@ -646,7 +665,7 @@ def test_crossing_in_a_decided_chunk_matches_single_iterations(monkeypatch, cros
     # advanced a BLOCK at a time replays the crossing after running ahead
     # past it and equals one advanced an iteration at a time
     cfg = small_config(N=4, split=2, replicas=1, iterations=128, eta=1.0)
-    adj, A = np.ones((4, 4), dtype=bool), np.full((4, 4), 0.25)
+    adj = np.ones((4, 4), dtype=bool)
     rng = np.random.default_rng(5)
     u = 0.1 * rng.standard_normal((cfg.iterations, cfg.M, 4))
     d = 0.1 * rng.standard_normal((cfg.iterations, 4))
@@ -665,7 +684,7 @@ def test_crossing_in_a_decided_chunk_matches_single_iterations(monkeypatch, cros
         rep = harness._Replica(cfg, ModelPair(cfg.w0, cfg.w1), np.array([0, 0, 1, 1]))
         rep.b[0, 2] = rep.b[2, 0] = 0.52
         for i in range(0, cfg.iterations, chunk):
-            rep.advance(i, adj, A, u[i:i + chunk], d[i:i + chunk], uniforms[i:i + chunk])
+            rep.advance(i, adj, u[i:i + chunk], d[i:i + chunk], uniforms[i:i + chunk])
         reps.append(rep)
     ours, expected = reps
     # the replay that met the crossing ran ahead to the end of the block
@@ -702,7 +721,7 @@ def test_pass_rule_matches_single_iterations(monkeypatch, beliefs, far, uniform,
     # BLOCK at a time makes the passes `passes` (start, stop, last row kept)
     # and equals one advanced an iteration at a time
     cfg = small_config(N=4, split=2, replicas=1, iterations=128, eta=1.0)
-    adj, A = np.ones((4, 4), dtype=bool), np.full((4, 4), 0.25)
+    adj = np.ones((4, 4), dtype=bool)
     rng = np.random.default_rng(5)
     u = 0.1 * rng.standard_normal((cfg.iterations, cfg.M, 4))
     d = 0.1 * rng.standard_normal((cfg.iterations, 4))
@@ -724,7 +743,7 @@ def test_pass_rule_matches_single_iterations(monkeypatch, beliefs, far, uniform,
             rep.b[k, l] = rep.b[l, k] = belief
         rep.fhat = f_hat(rep.b)
         for i in range(0, cfg.iterations, chunk):
-            rep.advance(i, adj, A, u[i:i + chunk], d[i:i + chunk], uniforms[i:i + chunk])
+            rep.advance(i, adj, u[i:i + chunk], d[i:i + chunk], uniforms[i:i + chunk])
         reps.append(rep)
     ours, expected = reps
     assert replays[:len(passes)] == passes

@@ -1,8 +1,9 @@
 """Every top-level import of the package and of its tests is referenced,
 every public function of the package has a caller in the package or
 reproduces one of the paper's results, every public method and property
-of a public class is read in the package, and every public function and
-constant of the reference code in tests/oracle.py is read by a test."""
+of a public class and every public module-level constant is read in the
+package, and every public function and constant of the reference code in
+tests/oracle.py is read by a test."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -120,6 +121,30 @@ def unread_members() -> set[str]:
 def test_every_library_member_is_read_in_the_package():
     # a method or property only tests read belongs beside the tests
     assert sorted(unread_members()) == []
+
+
+def unread_constants() -> set[str]:
+    """`module.NAME` of each public module-level constant of the package that
+    its own module reads nowhere outside its assignment and no other module
+    of the package imports."""
+    assigned, read = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            assigned.update(f"{path.stem}.{n.id}" for t in targets for n in ast.walk(t)
+                            if isinstance(n, ast.Name) and not n.id.startswith("_"))
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                read.update(f"{node.module}.{alias.name}" for alias in node.names)
+        read.update(f"{path.stem}.{n.id}" for n in ast.walk(tree)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+    return assigned - read
+
+
+def test_every_library_constant_is_read_in_the_package():
+    # a tuning constant outlives its code when only its assignment names it
+    assert sorted(unread_constants()) == []
 
 
 def unread_oracle_names() -> set[str]:

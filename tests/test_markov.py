@@ -28,6 +28,25 @@ def test_exact_chain_stochastic_and_absorbing():
     assert (np.diag(chain.Q) < 1).all()
 
 
+def test_exact_chain_matches_the_per_state_count():
+    # P bit for bit against the count the chain used before it asked the
+    # decision layer: n_g agreeing neighbours (self included) per state and
+    # agent, and quorum_prob(n_g, n_k, K), on 108 chains
+    for N in range(2, 11):
+        S = 1 << N
+        states = (np.arange(S)[:, None] >> np.arange(N)) & 1
+        for topo in (complete_topology(N), generate_topology(N, 3.0, np.random.default_rng(N))):
+            adj = topo.adjacency
+            n_g = ((states[:, None, :] == states[:, :, None]) & adj).sum(axis=2)
+            for K in (1, 2, 3, 4, 7, 200):
+                q = quorum_prob(n_g, adj.sum(axis=0), K)
+                P = np.ones((S, S))
+                for k in range(N):
+                    same = states[:, None, k] == states[None, :, k]
+                    P *= np.where(same, q[:, None, k], 1.0 - q[:, None, k])
+                assert build_exact_chain(topo, K).P.tobytes() == P.tobytes()
+
+
 def test_exact_chain_size_cap():
     topo = complete_topology(15)
     with pytest.raises(ChainSizeError):

@@ -58,6 +58,9 @@ def test_generate_topology_rejects_tiny():
         generate_topology(1, 5.0, rng)
     with pytest.raises(TopologyError):
         generate_topology(10, 1.0, rng)
+    # NaN fails every comparison; it used to give the complete graph
+    with pytest.raises(TopologyError, match="mean_degree"):
+        generate_topology(6, float("nan"), rng)
 
 
 def test_uniform_weights_left_stochastic():
