@@ -14,6 +14,8 @@ def quorum_prob(n_g, n_k, K: int, beta: float = 1.0):
     (beta n_g)^K / ((beta n_g)^K + (n_k - n_g)^K), computed as
     1 / (1 + ((n_k - n_g) / (beta n_g))^K) where the powers overflow or
     both vanish."""
+    if not K >= 1:                # NaN fails the comparison, so it is refused as well
+        raise ValueError("K must be at least 1")
     n_g = np.asarray(n_g, dtype=float)
     n_k = np.asarray(n_k, dtype=float)
     beta = np.asarray(beta, dtype=float)

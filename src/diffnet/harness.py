@@ -27,7 +27,7 @@ from .markov import absorption_time_distribution, build_meanfield_chain, \
 from .mobility import MotionParams, cohesion_all, measure_target, pairwise_offsets, \
     radius_adjacency, update_motion
 from .network import AgentEnvironment, ModelPair, Topology, generate_topology, \
-    sample_data, uniform_weights
+    link_mask, sample_data, uniform_weights
 
 MSD_FLOOR_DB = -120.0
 NEVER = math.inf
@@ -339,8 +339,7 @@ def _fast_weight_matrix(adj: np.ndarray, links: np.ndarray,
     """
     informed = (informed_kl & adj).T           # [l, k]
     fallback = links | np.diag(~links.any(axis=0))
-    support = np.where(informed.any(axis=0), informed, fallback)
-    return support / support.sum(axis=0)
+    return uniform_weights(np.where(informed.any(axis=0), informed, fallback))
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +488,7 @@ class _Replica:
         self.base = i - j                          # the iteration of block row 0
         if adj is not self.graph:      # the school brings a new adj when its graph changes
             self.graph, self.A, self.n_k = adj, uniform_weights(adj), adj.sum(axis=1)
-            self.links, self.far = adj & ~np.eye(cfg.N, dtype=bool), None
+            self.links, self.far = link_mask(adj), None
             self.q = self.A1 = None
         t = 0
         while t < n:
@@ -772,8 +771,8 @@ def write_beliefs_csv(path: str, trace: TraceSet) -> None:
     if trace.belief_stream is None:
         raise ValueError("trace has no belief stream (record_beliefs off)")
     adj = trace.topology.adjacency
-    # (observer k, neighbour l != k) pairs, k major: the nonzeros of adj.T
-    observer, neighbor = np.nonzero(adj.T & ~np.eye(adj.shape[0], dtype=bool))
+    # (observer k, neighbour l != k) pairs, k major: the nonzeros of links.T
+    observer, neighbor = np.nonzero(link_mask(adj).T)
     pairs = [f"{k},{l}," for k, l in zip(observer.tolist(), neighbor.tolist())]
     _write_csv(path, "iteration,observer,neighbor,belief,f_hat",
                (f"{i},{pair}{v!r},{int(v >= 0.5)}\r\n"

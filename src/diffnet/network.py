@@ -31,6 +31,8 @@ class ModelPair:
         w1 = np.asarray(self.w1, dtype=float).reshape(-1)
         if w0.size < 1 or w0.size != w1.size:
             raise ValueError("models must be same-length vectors of length >= 1")
+        if not (np.isfinite(w0).all() and np.isfinite(w1).all()):
+            raise ValueError("model entries must be finite")
         if np.array_equal(w0, w1):
             raise ValueError("the two models must differ")
         object.__setattr__(self, "w0", w0)
@@ -47,10 +49,10 @@ class ModelPair:
 
 
 def check_assignment(f) -> np.ndarray:
-    f = np.asarray(f, dtype=int).reshape(-1)
-    if not np.isin(f, [0, 1]).all():
+    f = np.asarray(f).reshape(-1)
+    if not np.isin(f, [0, 1]).all():      # before the cast, which truncates 1.7 to 1
         raise ValueError("assignment entries must be 0 or 1")
-    return f
+    return np.asarray(f, dtype=int)
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,7 @@ class Topology:
     adjacency: np.ndarray
 
     def __post_init__(self):
-        adj = np.asarray(self.adjacency, dtype=bool)
+        adj = np.array(self.adjacency, dtype=bool)     # a copy: the caller's stays writable
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise TopologyError("adjacency must be square")
         if not np.array_equal(adj, adj.T):
@@ -123,6 +125,11 @@ def uniform_weights(adj: np.ndarray) -> np.ndarray:
     """Left-stochastic combination matrix with a_{l,k} = 1/n_k on the edges
     of the adjacency `adj` (self-loops included; it need not be connected)."""
     return adj / adj.sum(axis=0, keepdims=True)
+
+
+def link_mask(adj: np.ndarray) -> np.ndarray:
+    """The adjacency `adj` without its self-loops: l -> k for l != k."""
+    return adj & ~np.eye(len(adj), dtype=bool)
 
 
 def is_left_stochastic(A: np.ndarray, topology: Topology) -> bool:

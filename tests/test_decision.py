@@ -37,6 +37,13 @@ def test_quorum_prob_values():
     for beta in (0.0, float("nan"), [1.0, float("nan")]):
         with pytest.raises(ValueError, match="beta"):
             quorum_prob(2, 4, 2, beta=beta)
+    # a NaN K used to give 0.5 at n_g = n_k / 2 and NaN elsewhere, so a table
+    # that never flips
+    for K in (float("nan"), 0, 0.5):
+        with pytest.raises(ValueError, match="K"):
+            quorum_prob(2, 4, K)
+        with pytest.raises(ValueError, match="K"):
+            quorum_table(10, K, 1.0)
 
 
 def test_quorum_prob_complementary():

@@ -1,9 +1,10 @@
 """Every top-level import of the package and of its tests is referenced,
 every public function of the package has a caller in the package or
 reproduces one of the paper's results, every public method and property
-of a public class and every public module-level constant is read in the
-package, and every public function and constant of the reference code in
-tests/oracle.py is read by a test."""
+of a public class, every field of a public frozen dataclass and every
+public module-level constant is read in the package, and every public
+function and constant of the reference code in tests/oracle.py is read by
+a test."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -121,6 +122,31 @@ def unread_members() -> set[str]:
 def test_every_library_member_is_read_in_the_package():
     # a method or property only tests read belongs beside the tests
     assert sorted(unread_members()) == []
+
+
+def unread_fields() -> set[str]:
+    """`Class.field` of each field of a public frozen dataclass in the
+    package whose name the package reads as an attribute nowhere.  Reads in
+    the class's own methods count, except in __post_init__, which only
+    checks and stores the fields."""
+    trees = [ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")]
+    checks = {id(node) for tree in trees for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+              for node in ast.walk(fn)}
+    reads = {node.attr for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+             and id(node) not in checks}
+    return {f"{cls.name}.{field.target.id}" for tree in trees for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+            and "dataclass(frozen=True)" in map(ast.unparse, cls.decorator_list)
+            for field in cls.body
+            if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+            and field.target.id not in reads}
+
+
+def test_every_frozen_dataclass_field_is_read_in_the_package():
+    # a field that is only stored is state nobody uses
+    assert sorted(unread_fields()) == []
 
 
 def unread_constants() -> set[str]:

@@ -71,7 +71,7 @@ def test_meanfield_rows_beyond_float_binomials():
     N = 1030
     chain = build_meanfield_chain(N, 4)
     assert np.isfinite(chain.P).all() and (chain.P >= 0).all()
-    assert np.abs(chain.P.sum(axis=1) - 1.0).max() < 1e-11
+    assert np.abs(chain.P.sum(axis=1) - 1.0).max() <= 1e-15
     # the middle row is Binomial(N, 1/2): its peak is C(N, N/2) / 2^N
     log_peak = lgamma(N + 1) - 2 * lgamma(N / 2 + 1) - N * log(2.0)
     assert chain.P[N // 2, N // 2] == pytest.approx(exp(log_peak), rel=1e-10)
@@ -82,7 +82,7 @@ def test_meanfield_rows_where_q_rounds_to_1(N, K):
     # q_{N-1} rounds to 1 once (N-1)^K passes 2^53, and log1p(-1) is -inf
     P = build_meanfield_chain(N, K).P
     assert np.isfinite(P).all()
-    assert np.abs(P.sum(axis=1) - 1.0).max() < 1e-11
+    assert np.abs(P.sum(axis=1) - 1.0).max() <= 1e-15
     assert P[N - 1, N] == pytest.approx(1.0)
 
 
@@ -99,7 +99,7 @@ def test_exact_complete_graph_lumps_to_meanfield():
     N, K = 5, 3
     exact = build_exact_chain(complete_topology(N), K)
     mean = build_meanfield_chain(N, K)
-    counts = exact.states.sum(axis=1)
+    counts = ((np.arange(1 << N)[:, None] >> np.arange(N)) & 1).sum(axis=1)
     lumped = np.zeros((N + 1, N + 1))
     for n in range(N + 1):
         rows = np.flatnonzero(counts == n)
@@ -134,9 +134,10 @@ def test_spectral_radius_n2_value():
 
 
 def test_rate_identity():
-    for N, K in [(4, 1), (6, 2), (8, 4)]:
-        chain = build_meanfield_chain(N, K)
-        assert rate_identity_residual(chain) <= 1e-10
+    # measured at most 2.2e-16 on these chains
+    cells = [(4, 1), (6, 2), (8, 4), *((N, K) for N in (100, 200, 400) for K in range(1, 7))]
+    for N, K in cells:
+        assert rate_identity_residual(build_meanfield_chain(N, K)) <= 1e-13
 
 
 def test_k_monotonicity():
@@ -164,7 +165,7 @@ def test_absorption_time_n2():
 
 def test_mc_walk_stops_at_the_step_cap(monkeypatch):
     # a walk that cannot absorb ends after MC_STEP_CAP steps
-    stuck = DecisionChain(P=np.eye(3), states=np.arange(3))
+    stuck = DecisionChain(P=np.eye(3))
     monkeypatch.setattr(oracle, "MC_STEP_CAP", 7)
     assert mc_absorption(stuck, 1, 3, np.random.default_rng(0)) == oracle.MC_STEP_CAP
 
@@ -215,20 +216,6 @@ def test_engine_agreement_matches_the_exact_chain(K):
         < sem * on_model0.std(ddof=1)
 
 
-def _log_space_rows(N, K):
-    """Rows 1..N-1 of the count chain, each computed in log space from its
-    own q_n (the builder before rows were mirrored)."""
-    m = np.arange(N + 1)
-    log_binom = np.concatenate(([0.0], np.cumsum(np.log(N + 1 - m[1:]) - np.log(m[1:]))))
-    q = quorum_prob(m[1:N], N, K)[:, None]
-    shape = (N - 1, N + 1)
-    with np.errstate(divide="ignore"):
-        log_q, log_1mq = np.log(q), np.log1p(-q)
-    log_hits = np.multiply(m, log_q, out=np.zeros(shape), where=m > 0)
-    log_misses = np.multiply(N - m, log_1mq, out=np.zeros(shape), where=m < N)
-    return np.exp(log_binom + log_hits + log_misses)
-
-
 def _exact_row(N, K, n):
     """Row n in integer arithmetic, each entry correctly rounded:
     C(N, m) a^m b^(N-m) / (a + b)^N with a = n^K, b = (N-n)^K."""
@@ -245,20 +232,11 @@ def test_meanfield_chain_is_mirrored(N):
     for K in (1, 2, 3, 4, 200):
         P = build_meanfield_chain(N, K).P
         assert np.array_equal(P, P[::-1, ::-1])
-        assert np.abs(P.sum(axis=1) - 1.0).max() < 1e-12
-        oracle = _log_space_rows(N, K)
-        low = (N - 1) // 2                # rows 1..low are computed as before
-        assert np.array_equal(P[1:low + 1], oracle[:low])
-        if N < 10:
-            assert np.abs(P[low + 1:N] - oracle[low:]).max() <= 1e-15
-        # near n = N the log-space rows lose 1 - q to rounding (relative
-        # errors up to 9% on small entries at N = 100, K = 7); the mirrored
-        # rows are checked against exact rows instead.  Not at K = 200: there
-        # q's own rounding (relative K eps) grows m-fold in q^m, past 1e-12 at
-        # N = 1030, and the integer rows take seconds, so the log-space rows
-        # are the check
-        checked = range(low + 1, N) if N <= 100 else (N // 2, N // 2 + 1, N - 2, N - 1)
-        for n in checked if K <= 4 else ():
+        assert np.abs(P.sum(axis=1) - 1.0).max() <= 1e-15
+        # every computed and mirrored row against the exact one; at N = 1030
+        # the integer rows take seconds, so four of them at K <= 4
+        checked = range(1, N) if N <= 100 else (N // 2, N // 2 + 1, N - 2, N - 1)
+        for n in checked if N <= 100 or K <= 4 else ():
             exact = _exact_row(N, K, n)
             assert (np.abs(P[n] - exact) <= 1e-12 * exact + 1e-300).all()
 
@@ -297,7 +275,7 @@ def test_certificate_brackets_the_dense_radius():
                           generate_topology(N, 2.5, np.random.default_rng(N)))
              for K in (1, 2, 4)]
     for chain, certified in [*((c, True) for c in meanfield), *((c, False) for c in exact)]:
-        lo, hi = _perron_bounds(*chain._symmetric_fold)
+        lo, hi, _ = _perron_bounds(*chain._symmetric_fold)
         dense = spectral_radius(chain.Q)
         assert lo * (1 - 1e-14) <= dense <= hi * (1 + 1e-14)
         assert hi - lo <= 1e-13 * hi or not certified
@@ -323,8 +301,10 @@ def test_uncertified_radius_falls_back_without_warnings():
     sparse = build_exact_chain(generate_topology(7, 2.5, np.random.default_rng(7)), 4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        lo, hi = _perron_bounds(*sparse._symmetric_fold)
+        lo, hi, _ = _perron_bounds(*sparse._symmetric_fold)
         assert hi - lo > 1e-13 * hi
+        # the rate identity, read off the same bounds, is off by no more
+        assert rate_identity_residual(sparse) <= hi - lo
         for chain in (sparse, build_meanfield_chain(100, 200), build_meanfield_chain(5, 200)):
             dense = spectral_radius(chain.Q)
             assert abs(transient_spectral_radius(chain) - dense) <= 1e-12 * dense
@@ -335,14 +315,23 @@ def test_radius_refuses_asymmetric_chain():
     P[1, 1:3] += [1e-3, -1e-3]        # still stochastic, no longer mirrored
     for analysis in (transient_spectral_radius, absorption_time_distribution):
         with pytest.raises(ValueError, match="symmetric"):
-            analysis(DecisionChain(P, np.arange(6)))
+            analysis(DecisionChain(P))
 
 
 @pytest.mark.parametrize("N", [1000, 2001])
 def test_radius_k1_closed_form(N):
     # K = 1 is the neutral Wright-Fisher chain: rho(Q) = 1 - 1/N
     rho = transient_spectral_radius(build_meanfield_chain(N, 1))
-    assert abs(rho - (1.0 - 1.0 / N)) <= 1e-11
+    assert abs(rho - (1.0 - 1.0 / N)) <= 1e-14
+
+
+@pytest.mark.parametrize("N", [200, 400, 2001])
+def test_absorption_k1_closed_form(N):
+    # the neutral chain is a martingale: from n it absorbs at N with
+    # probability n / N (measured within 3.7e-13 at N = 2001)
+    absorb = absorption_time_distribution(build_meanfield_chain(N, 1))["absorb_prob"]
+    n = np.arange(1, N)
+    assert np.abs(absorb - np.column_stack([N - n, n]) / N).max() <= 1e-12
 
 
 def test_k1_transient_spectrum_closed_form():
@@ -377,15 +366,11 @@ def test_absorption_solve_matches_inverse():
         np.testing.assert_allclose(stats["expected_steps"], oracle[:, 0], rtol=1e-12)
         np.testing.assert_allclose(stats["absorb_prob"], oracle[:, 1:],
                                    rtol=1e-12, atol=1e-15)
-        # at K = 1 from N = 200 the built rows' sums (off 1 by up to 2e-14)
-        # grow about N-fold over the expected steps, to 7e-12 at N = 400, in
-        # the oracle as much as here
-        if cell not in ((200, 1), (400, 1)):
-            assert np.abs(stats["absorb_prob"].sum(axis=1) - 1.0).max() < 1e-12
+        assert np.abs(stats["absorb_prob"].sum(axis=1) - 1.0).max() < 1e-12
 
 
 def test_absorption_refuses_singular_chain():
     P = np.eye(4)                     # no transient state ever leaves
     for analysis in (transient_spectral_radius, absorption_time_distribution):
         with pytest.raises(RuntimeError, match="singular"):
-            analysis(DecisionChain(P, np.arange(4)))
+            analysis(DecisionChain(P))

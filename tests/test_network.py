@@ -24,11 +24,20 @@ def test_model_pair_rejects_equal_or_mismatched():
         ModelPair([1.0, 2.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         ModelPair([1.0], [1.0, 2.0])
+    # a NaN model used to pass and give a NaN bias_limit
+    for w0, w1 in (([np.nan, 1.0], [np.nan, 1.0]), ([0.0, 1.0], [np.inf, 1.0])):
+        with pytest.raises(ValueError, match="finite"):
+            ModelPair(w0, w1)
 
 
 def test_check_assignment_rejects_bad_entries():
     with pytest.raises(ValueError):
         check_assignment([0, 2, 1])
+    # entries are tested before the cast to int, which would truncate them
+    for f in ([0.5, 1.7], [0, np.nan]):
+        with pytest.raises(ValueError, match="0 or 1"):
+            check_assignment(f)
+    assert check_assignment([True, False, 1.0]).tolist() == [1, 0, 1]
 
 
 def test_topology_validation():
@@ -39,6 +48,10 @@ def test_topology_validation():
     adj = np.eye(4, dtype=bool)
     with pytest.raises(TopologyError):
         Topology(adj)  # disconnected
+    # the topology freezes its own copy, not the caller's array
+    adj = np.ones((3, 3), dtype=bool)
+    topo = Topology(adj)
+    assert adj.flags.writeable and not topo.adjacency.flags.writeable
 
 
 def test_generate_topology_properties():
