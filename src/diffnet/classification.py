@@ -12,6 +12,9 @@ from .network import AgentEnvironment, ModelPair
 
 # mu should be well below nu for the direction estimate to track; warn past this.
 STEPSIZE_RATIO_WARN = 5.0
+# the pair benchmark forms its update steps this many bytes at a time, so that a
+# stacked pair costs little more than its own directions
+STEP_SLICE_BYTES = 2 ** 16
 
 
 def check_stepsize_separation(mu: float, nu: float) -> bool:
@@ -96,29 +99,51 @@ def direction_pair_benchmark(z_k, z_l, w, env: AgentEnvironment, nu: float,
     directions run ceil(8 / nu) steps, to steady state, under the one noise
     variance of env; returns empirical far-field rates and event frequencies
     over independent trials.
+
+    z_k, z_l and w may stack pair geometries on leading axes, broadcast
+    together.  Each step draws agent k's regressors and noise, then agent
+    l's, once, and every pair advances its own directions from them (common
+    random numbers): each pair's rates are bit for bit those of its own
+    unstacked call from the same generator state.  Rates have the stack's
+    leading shape; an unstacked call returns floats.
     """
-    z_k = np.asarray(z_k, dtype=float)
-    z_l = np.asarray(z_l, dtype=float)
-    w = np.asarray(w, dtype=float)
+    z_k, z_l, w = (np.asarray(a, dtype=float) for a in (z_k, z_l, w))
+    shape = np.broadcast_shapes(z_k.shape, z_l.shape, w.shape)
+    if shape[-1:] != (env.M,):
+        raise ValueError(f"pair geometries must end in M = {env.M} entries, not {shape}")
+    gaps = [np.broadcast_to(z - w, shape).reshape(-1, env.M) for z in (z_k, z_l)]
     (sig,) = env.sigma_v
 
-    h = [np.zeros((trials, env.M)), np.zeros((trials, env.M))]
+    h = np.zeros((len(gaps[0]), 2, trials, env.M))    # per pair, agents k and l
+    u, noise, resid = np.empty((trials, env.M)), np.empty(trials), np.empty(trials)
+    rows = max(1, STEP_SLICE_BYTES // (8 * env.M))
+    step = np.empty((min(rows, trials), env.M))
     for _ in range(math.ceil(8.0 / nu)):
-        for idx, z in enumerate((z_k, z_l)):
-            u = rng.standard_normal((trials, env.M)) * env.ru_sd
-            resid = u @ (z - w) + sig * rng.standard_normal(trials)
-            u *= nu                   # (1 - nu) h + nu u resid, in place
-            u *= resid[:, None]
-            h[idx] *= 1.0 - nu
-            h[idx] += u
+        for idx, gap in enumerate(gaps):
+            rng.standard_normal(out=u)
+            u *= env.ru_sd
+            rng.standard_normal(out=noise)
+            noise *= sig
+            for h_p, e in zip(h[:, idx], gap):
+                np.matmul(u, e, out=resid)
+                resid += noise
+                for a in range(0, trials, rows):   # (1 - nu) h + nu u resid, in place
+                    s = np.multiply(u[a:a + rows], nu, out=step[:min(rows, trials - a)])
+                    s *= resid[a:a + rows, None]
+                    h_rows = h_p[a:a + rows]
+                    h_rows *= 1.0 - nu
+                    h_rows += s
 
-    far_k = (h[0] ** 2).sum(axis=1) > eta ** 2
-    far_l = (h[1] ** 2).sum(axis=1) > eta ** 2
-    inner = (h[0] * h[1]).sum(axis=1)
-    both = far_k & far_l
-    return {
-        "p_far_k": float(far_k.mean()),
-        "p_far_l": float(far_l.mean()),
-        "p_e1": float((both & (inner > 0)).mean()),
-        "p_e1c": float((both & (inner <= 0)).mean()),
-    }
+    rates = {key: np.empty(len(h)) for key in ("p_far_k", "p_far_l", "p_e1", "p_e1c")}
+    for p, (h_k, h_l) in enumerate(h):   # u, noise and resid hold the reductions
+        far_k = np.square(h_k, out=u).sum(axis=1, out=noise) > eta ** 2
+        far_l = np.square(h_l, out=u).sum(axis=1, out=noise) > eta ** 2
+        inner = np.multiply(h_k, h_l, out=u).sum(axis=1, out=resid)
+        both = far_k & far_l
+        rates["p_far_k"][p] = far_k.mean()
+        rates["p_far_l"][p] = far_l.mean()
+        rates["p_e1"][p] = (both & (inner > 0)).mean()
+        rates["p_e1c"][p] = (both & (inner <= 0)).mean()
+    if len(shape) == 1:
+        return {key: float(rate[0]) for key, rate in rates.items()}
+    return {key: rate.reshape(shape[:-1]) for key, rate in rates.items()}

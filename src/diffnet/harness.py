@@ -722,14 +722,14 @@ def run_classify_bench(cfg: ScenarioConfig) -> dict:
             pd_lo, pf_hi = pd_pf_bounds(cfg.nu, tau_hat)
             gap = models.w0 - models.w1
             w_far = models.w0 - cfg.bench_distance * (gap / np.linalg.norm(gap))
-            same = direction_pair_benchmark(models.w0, models.w0, w_far, env,
-                                            cfg.nu, cfg.eta, cfg.bench_trials, rng)
             mid = 0.5 * (models.w0 + models.w1)
-            different = direction_pair_benchmark(models.w0, models.w1, mid, env,
-                                                 cfg.nu, cfg.eta, cfg.bench_trials, rng)
+            # the P_d pair (w0, w0, w_far) and the P_f pair (w0, w1, mid), one set of draws
+            rates = direction_pair_benchmark(models.w0, np.stack([models.w0, models.w1]),
+                                             np.stack([w_far, mid]), env, cfg.nu, cfg.eta,
+                                             cfg.bench_trials, rng)
             # P_d and P_f are rates given that both agents are in the far field
-            for rate, pair in (("P_d", same), ("P_f", different)):
-                if pair["p_e1"] + pair["p_e1c"] == 0.0:
+            for pair, rate in enumerate(("P_d", "P_f")):
+                if rates["p_e1"][pair] + rates["p_e1c"][pair] == 0.0:
                     raise ConfigError(
                         f"no trial of the {rate} pair put both agents in the far field "
                         f"(eta = {cfg.eta:g}), so its empirical {rate} is undefined: the "
@@ -739,9 +739,9 @@ def run_classify_bench(cfg: ScenarioConfig) -> dict:
                 "tau_hat": tau_hat,
                 "pd_lower_bound": pd_lo,
                 "pf_upper_bound": pf_hi,
-                "empirical_pd": same["p_e1"],
-                "empirical_pf": different["p_e1"],
-                "empirical_far_rate": same["p_far_k"],
+                "empirical_pd": float(rates["p_e1"][0]),
+                "empirical_pf": float(rates["p_e1"][1]),
+                "empirical_far_rate": float(rates["p_far_k"][0]),
             }
     except FloatingPointError as exc:
         raise ConfigError(f"classify-bench arithmetic failed ({exc}): w0, w1, ru_range "

@@ -22,6 +22,9 @@ from .network import Topology
 # is 340 MB.  At 14, P and the np.where factor would take 2 x 2.1 GB.
 EXACT_STATE_CAP = 12
 
+# Collatz-Wielandt bounds on rho(Q) this close, relative, certify it
+CERTIFY_RTOL = 1e-13
+
 
 class ChainSizeError(ValueError):
     """Requested exact chain exceeds the configured state cap."""
@@ -169,13 +172,17 @@ def transient_spectral_radius(chain: DecisionChain) -> float:
     For a Perron vector x of the nonnegative Q so is Jx, so x + Jx is a
     symmetric one: rho(Q) is the radius of the half-size symmetric fold F+.
     Its left Perron vector, iterated through G = (I - F+)^{-1}, brackets
-    rho(F+); bounds that agree to 1e-13 relative give their midpoint, others
-    the dense eigensolver's radius of F+.  A Q that is not symmetric is
-    refused with ValueError, a singular I - Q with RuntimeError.
+    rho(F+); bounds that agree to CERTIFY_RTOL give their midpoint, others
+    the dense eigensolver's radius of F+.  Mean-field chains certify; on
+    sparse exact chains the dense radius is the common path at any rho, as
+    F+'s second eigenvalue sits close to rho (18 of 20 chains on
+    generate_topology(10, 4 or 5), K = 4, spreads up to 3.1e-4 at rho 0.51).
+    A Q that is not symmetric is refused with ValueError, a singular I - Q
+    with RuntimeError.
     """
     F, G = chain._symmetric_fold
     lo, hi, _ = _perron_bounds(F, G)
-    return (lo + hi) / 2 if hi - lo <= 1e-13 * hi else spectral_radius(F)
+    return (lo + hi) / 2 if hi - lo <= CERTIFY_RTOL * hi else spectral_radius(F)
 
 
 def rate_identity_residual(chain: DecisionChain) -> float:
@@ -183,10 +190,13 @@ def rate_identity_residual(chain: DecisionChain) -> float:
     with rho and the left Perron vector y (summing to 1) of Q from the
     Collatz-Wielandt iteration on its symmetric fold F+, rho the midpoint of
     the bounds.  F+'s left vector is y's leading half with each mirrored
-    entry counted twice.  Where the bounds do not certify rho (sparse exact
-    chains with rho near 1) the residual stays within their spread: 4.3e-11
-    against 1.7e-10 at N = 7, K = 4."""
+    entry counted twice.  Where the bounds do not certify rho (most sparse
+    exact chains) ValueError names their spread: the uncertified midpoint
+    would read up to 1.4e-4 for an identity that is exact."""
     lo, hi, a = _perron_bounds(*chain._symmetric_fold)
+    if not hi - lo <= CERTIFY_RTOL * hi:
+        raise ValueError(f"the Collatz-Wielandt bounds on rho(Q) spread {hi - lo:.3g}, over "
+                         f"{CERTIFY_RTOL:g} relative: rho and y are not certified")
     f = len(chain.Q) // 2
     y = np.concatenate([a[:f] / 2, a[f:], a[:f][::-1] / 2])
     bc = chain.absorption_columns.sum(axis=1)

@@ -50,7 +50,7 @@ class ModelPair:
 
 def check_assignment(f) -> np.ndarray:
     f = np.asarray(f).reshape(-1)
-    if not np.isin(f, [0, 1]).all():      # before the cast, which truncates 1.7 to 1
+    if not ((f == 0) | (f == 1)).all():   # before the cast, which truncates 1.7 to 1
         raise ValueError("assignment entries must be 0 or 1")
     return np.asarray(f, dtype=int)
 

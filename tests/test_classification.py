@@ -167,3 +167,31 @@ def test_direction_benchmark_in_place_update_is_bit_identical():
     assert 0.0 < got["p_e1"] < got["p_far_k"] < 1.0     # rates away from 0 and 1
     for key in ("p_far_k", "p_far_l", "p_e1", "p_e1c"):
         assert np.array_equal(got[key], want[key])
+
+
+def test_stacked_pairs_match_their_own_runs_from_one_set_of_draws():
+    env = AgentEnvironment(ru=[1.0, 1.5, 2.0], sigma_v2=[0.05])
+    z_k = np.array([1.0, -0.5, 0.3])
+    z_l = np.array([[-0.2, 0.4, 0.1], [1.0, -0.5, 0.3], [-1.0, 0.5, -0.3]])
+    w = np.array([[0.3, 0.1, -0.2], [0.6, -0.3, 0.2], [0.0, 0.0, 0.0]])
+    args = (env, 0.07, 0.9, 3000)
+    stacked_rng = np.random.default_rng(11)
+    stacked = direction_pair_benchmark(z_k, z_l, w, *args, rng=stacked_rng)
+    # rates away from 0 and 1, also for the near-field pair (w beside its model)
+    assert 0.0 < stacked["p_e1"][0] < stacked["p_far_k"][0] < 1.0
+    assert 0.0 < stacked["p_far_k"][1] < 0.1 and 0.0 < stacked["p_far_l"][1] < 0.1
+    for pair in range(3):
+        one_rng = np.random.default_rng(11)
+        one = direction_pair_benchmark(z_k, z_l[pair], w[pair], *args, rng=one_rng)
+        for key, rate in stacked.items():
+            assert rate.shape == (3,)
+            assert type(one[key]) is float and rate[pair] == one[key]
+        # the draws are made once for the whole stack
+        assert stacked_rng.bit_generator.state == one_rng.bit_generator.state
+    # leading axes broadcast together, and a geometry must end in M entries
+    grid = direction_pair_benchmark(z_k, z_l[:, None], w[None, :2], *args,
+                                    rng=np.random.default_rng(11))
+    assert grid["p_e1"].shape == (3, 2)
+    assert grid["p_e1"][1, 1] == stacked["p_e1"][1]
+    with pytest.raises(ValueError, match="M = 3"):
+        direction_pair_benchmark(z_k[:2], z_k[:2], z_k[:2], *args, rng=np.random.default_rng(0))

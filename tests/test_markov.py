@@ -303,8 +303,9 @@ def test_uncertified_radius_falls_back_without_warnings():
         warnings.simplefilter("error")
         lo, hi, _ = _perron_bounds(*sparse._symmetric_fold)
         assert hi - lo > 1e-13 * hi
-        # the rate identity, read off the same bounds, is off by no more
-        assert rate_identity_residual(sparse) <= hi - lo
+        # the rate identity, read off the same bounds, is refused, naming the spread
+        with pytest.raises(ValueError, match=f"spread {hi - lo:.3g}, over 1e-13"):
+            rate_identity_residual(sparse)
         for chain in (sparse, build_meanfield_chain(100, 200), build_meanfield_chain(5, 200)):
             dense = spectral_radius(chain.Q)
             assert abs(transient_spectral_radius(chain) - dense) <= 1e-12 * dense
