@@ -40,17 +40,17 @@ RULES = ("uniform", "fast")
 # split combination); a conventional run refuses non-default values of them.
 DECISION_FIELDS = {"rule", "nu", "alpha", "eta", "K", "beta", "oracle_classification",
                    "forced_desired", "record_beliefs"}
-_SIMULATION = ("N", "M", "w0", "w1", "split", "rule", "mu", "nu", "alpha", "eta", "K",
-               "beta", "iterations", "replicas", "oracle_classification",
-               "forced_desired", "mean_error_vs")
+_SIMULATION = ("N", "w0", "w1", "split", "rule", "mu", "nu", "alpha", "eta", "K", "beta",
+               "iterations", "replicas", "oracle_classification", "forced_desired",
+               "mean_error_vs")
 # The fields each kind reads besides kind and seed; a kind refuses
 # non-default values of all the others (fish runs the modified strategy only).
 KIND_FIELDS = {"static_two_model": _SIMULATION + ("strategy", "mean_degree", "ru_range",
                                                   "noise_db_range", "record_beliefs"),
                "fish": _SIMULATION + ("motion", "comm_radius", "arena"),
                "chain_sweep": ("sweep_N", "sweep_K"),
-               "classify_bench": ("M", "w0", "w1", "nu", "eta", "ru_range",
-                                  "bench_trials", "bench_distance")}
+               "classify_bench": ("w0", "w1", "nu", "eta", "ru_range", "bench_trials",
+                                  "bench_distance")}
 KINDS = tuple(KIND_FIELDS)
 # validate() refuses, before anything is allocated, a config whose float64
 # arrays would pass 2 GiB, or whose replicas x iterations, or classify-bench
@@ -68,7 +68,6 @@ class ConfigError(ValueError):
 class ScenarioConfig:
     kind: str = "static_two_model"
     N: int = 40
-    M: int = 4
     w0: list = field(default_factory=lambda: [5.0, -5.0, 5.0, 5.0])
     w1: list = field(default_factory=lambda: [5.0, 5.0, -5.0, 5.0])
     split: int = 20                  # first `split` agents observe w0
@@ -98,6 +97,11 @@ class ScenarioConfig:
     bench_trials: int = 100_000
     bench_distance: float = 10.0
 
+    @property
+    def M(self) -> int:
+        """The models' dimension: w0 and w1 are M x 1 vectors."""
+        return len(self.w0)
+
     def validate(self) -> "ScenarioConfig":
         if self.kind not in KINDS:
             raise ConfigError(f"unknown scenario kind {self.kind!r}")
@@ -122,10 +126,10 @@ class ScenarioConfig:
                     np.asarray(getattr(default, f.name), dtype=object)):
                 raise ConfigError(f"{f.name} does not apply to {scope} scenarios")
         if "w0" in reads:
-            if not (self.M >= 1 and _is_vector(self.w0, self.M)
-                    and _is_vector(self.w1, self.M)
+            M = self.M if isinstance(self.w0, (list, tuple)) else 0
+            if not (M >= 1 and _is_vector(self.w0, M) and _is_vector(self.w1, M)
                     and all(map(math.isfinite, [*self.w0, *self.w1]))):
-                raise ConfigError("w0 and w1 must be lists of M >= 1 finite numbers")
+                raise ConfigError("w0 and w1 must be lists of one length M >= 1, all finite")
             if list(self.w0) == list(self.w1):
                 raise ConfigError("the two models must differ")
             if not (self.mu > 0 and 0 < self.nu < 1 and self.eta > 0
@@ -212,7 +216,7 @@ class ScenarioConfig:
         """The fish engine runs the shared modified step on a moving radius
         graph; its graph and sensing come from comm_radius and motion."""
         if self.M != 2:
-            raise ConfigError("fish scenario is planar (M = 2)")
+            raise ConfigError("fish scenario is planar: w0 and w1 have 2 entries")
         if not (0 <= self.arena and math.isfinite(2.0 * self.arena * self.arena)):
             raise ConfigError("arena must be non-negative, with the largest squared "
                               "distance in the start square, 2 arena ** 2, finite")
@@ -268,7 +272,7 @@ PRESETS = {
     "beliefs": dict(_PAPER, iterations=1200, replicas=1, record_beliefs=True),
     "quorum_k1": dict(_PAPER, K=1, iterations=1500),
     "fast_weights": dict(_PAPER, rule="fast"),
-    "school": dict(kind="fish", M=2, w0=[10.0, 10.0], w1=[-10.0, 10.0],
+    "school": dict(kind="fish", w0=[10.0, 10.0], w1=[-10.0, 10.0],
                    mu=0.02, nu=0.2, iterations=2500, replicas=1, comm_radius=8.0,
                    motion=dict(dt=0.1, lam=0.3, beta=0.7, gamma=1.0,
                                d_s=3.0, kappa=0.01)),
@@ -356,16 +360,11 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
     f = np.array([0] * cfg.split + [1] * (cfg.N - cfg.split))
     if cfg.kind == "fish":
         topology = env = None     # the school's graph and sensing change every step
-        params = MotionParams(**cfg.motion)
-
-        def replica(rng):
-            return _replica_fish(cfg, params, models, f, rng)
+        engine, setting = _replica_fish, (MotionParams(**cfg.motion),)
     else:
         topology = generate_topology(cfg.N, cfg.mean_degree, env_rng)
         env = _build_environment(cfg, env_rng)
-
-        def replica(rng):
-            return _replica_static(cfg, topology.adjacency, env, models, f, rng)
+        engine, setting = _replica_static, (topology.adjacency, env)
     modified = cfg.strategy != "conventional"
     if modified:
         check_stepsize_separation(cfg.mu, cfg.nu)
@@ -381,7 +380,7 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
         rep = None      # the last replica's arrays go before the next one's come
         try:    # a huge but finite estimate overflows before the guard names it
             with np.errstate(over="ignore", invalid="ignore"):
-                rep = replica(np.random.default_rng(ss))
+                rep = engine(cfg, *setting, models, f, np.random.default_rng(ss), r == 0)
         except DivergenceError as exc:
             raise DivergenceError(f"replica {r}: {exc}") from exc
         sums += rep.records
@@ -392,7 +391,7 @@ def run_scenario(cfg: ScenarioConfig) -> TraceSet:
             finals_b.append(rep.b)
         if err_sum is not None:
             err_sum += rep.err
-        if r == 0:
+        if r == 0:      # the one replica that records its belief stream and trajectory
             belief_stream, trajectory = rep.stream, rep.trajectory
 
     return TraceSet(
@@ -436,7 +435,8 @@ class _Replica:
     (N, M) transpose of the block row the last iteration wrote.  The kernel
     derives A, the degrees n_k and the link mask from the adjacency alone."""
 
-    def __init__(self, cfg: ScenarioConfig, models: ModelPair, f: np.ndarray):
+    def __init__(self, cfg: ScenarioConfig, models: ModelPair, f: np.ndarray,
+                 streams: bool):
         N, M, iters = cfg.N, cfg.M, cfg.iterations
         self.cfg, self.f = cfg, f
         self.stacked = models.stacked()
@@ -461,7 +461,7 @@ class _Replica:
         self.error, self.psi, self.tmp = np.empty(N), np.empty((M, N)), np.empty((M, N))
         self.grams = np.empty((_gram_rows(N), N, N))
         self.err = np.empty((iters, N, M)) if cfg.mean_error_vs is not None else None
-        self.stream = np.empty((iters, N, N)) if cfg.record_beliefs else None
+        self.stream = np.empty((iters, N, N)) if streams and cfg.record_beliefs else None
         self.streamed = 0                         # stream rows written
         self.graph = self.trajectory = None       # graph: the adjacency A, n_k and links come from
         self.reach = 1      # a pass's most rows; beliefs start at 0.5, where one event crosses
@@ -641,11 +641,11 @@ class _Replica:
         self.frac[span] = np.maximum(share1, 1.0 - share1)
 
 
-def _replica_static(cfg, adj, env, models, f, rng):
+def _replica_static(cfg, adj, env, models, f, rng, streams):
     """Fixed graph; Gaussian regressors u and measurement noise v per agent.
     Per iteration, N(M + 1) normals (u, then v) and, when decisions run, N
     quorum uniforms, drawn BLOCK iterations ahead in that order."""
-    rep = _Replica(cfg, models, f)
+    rep = _Replica(cfg, models, f, streams)
     z = models.observed(f)
     decides = cfg.strategy != "conventional" and cfg.forced_desired is None
     normals = np.empty((BLOCK, z.size + cfg.N))
@@ -662,16 +662,16 @@ def _replica_static(cfg, adj, env, models, f, rng):
     return rep
 
 
-def _replica_fish(cfg, params, models, f, rng):
+def _replica_fish(cfg, params, models, f, rng, streams):
     """Moving agents: radius graph (a new object only when it changes, so the
     step keeps its caches meanwhile), range/bearing sensing of each agent's
     own target, then motion toward the new estimate."""
-    rep = _Replica(cfg, models, f)
+    rep = _Replica(cfg, models, f, streams)
     z = models.observed(f)
     x = rng.uniform(-cfg.arena / 2.0, cfg.arena / 2.0, (cfg.N, 2))
     vel, adj = np.zeros((cfg.N, 2)), None
     u = np.tile(np.array([1.0, 0.0]), (cfg.N, 1))
-    rep.trajectory = trajectory = np.empty((cfg.iterations, cfg.N, 6))
+    rep.trajectory = np.empty((cfg.iterations, cfg.N, 6)) if streams else None
 
     for i in range(cfg.iterations):
         diff, dist = pairwise_offsets(x)     # x moves only after cohesion_all
@@ -682,10 +682,9 @@ def _replica_fish(cfg, params, models, f, rng):
         rep.advance(i, adj, u.T[None], d[None], uniforms)
         x, vel = update_motion(x, vel, rep.w, rep.A,
                                cohesion_all(diff, dist, rep.links, params.d_s), params)
-        trajectory[i, :, 0:2] = x
-        trajectory[i, :, 2:4] = vel
-        trajectory[i, :, 4] = rep.glob
-        trajectory[i, :, 5] = ((x - rep.stacked[rep.glob]) ** 2).sum(axis=1)
+        if rep.trajectory is not None:
+            rep.trajectory[i] = np.column_stack(
+                (x, vel, rep.glob, ((x - rep.stacked[rep.glob]) ** 2).sum(axis=1)))
     return rep
 
 
@@ -803,7 +802,7 @@ def write_chain_sweep_csv(path: str, rows: list[dict]) -> None:
 
 
 def write_meta(path: str, cfg: ScenarioConfig) -> None:
-    meta = {"config": cfg.to_dict(), "version": __version__,
+    meta = {"config": dict(cfg.to_dict(), M=cfg.M), "version": __version__,
             "git": _git_stamp()}
     with open(path, "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

@@ -26,10 +26,10 @@ from diffnet.cli import main as cli_main
 from diffnet.harness import KIND_FIELDS, ScenarioConfig
 
 BASES = {
-    "simulate": dict(N=8, M=2, w0=[1.0, 0.0], w1=[0.0, 1.0], split=4, mu=0.02,
+    "simulate": dict(N=8, w0=[1.0, 0.0], w1=[0.0, 1.0], split=4, mu=0.02,
                      nu=0.2, alpha=0.9, eta=0.3, K=2, iterations=10, replicas=1,
                      seed=5, mean_degree=4.0),
-    "fish": dict(kind="fish", N=8, M=2, w0=[10.0, 10.0], w1=[-10.0, 10.0],
+    "fish": dict(kind="fish", N=8, w0=[10.0, 10.0], w1=[-10.0, 10.0],
                  split=4, mu=0.02, nu=0.2, eta=1.0, iterations=20, replicas=1,
                  comm_radius=8.0, motion=dict(dt=0.1, kappa=0.01)),
     "analyze-chain": dict(kind="chain_sweep", sweep_N=[4, 6], sweep_K=[1, 2]),
@@ -41,7 +41,6 @@ GENERIC = [None, True, False, "x", "3", [], [1.0], [1.0, "a"], {}, 0, 1, 2, -1,
 SPECIFIC = {
     "kind": ["fish", "chain_sweep", "classify_bench", "static_two_model", "bogus"],
     "N": [2, 3, 5, 12, 3849, 10 ** 400],
-    "M": [1, 3, 4],
     "w0": [[1.0, 1.0], [0.0, 1.0], [1.0, 0.0, 0.0], [5.0, -5.0, 5.0, 5.0], [None, 1.0],
            [1e200, 0.0]],
     "w1": [[1.0, 0.0], [1e3, -1e3], [5.0, 5.0, -5.0, 5.0], ["a", "b"]],

@@ -37,7 +37,7 @@ CONVENTIONAL = dict(strategy="conventional", nu=0.05, alpha=0.95, eta=1.0, K=4)
 
 
 def small_config(**overrides):
-    base = dict(N=8, M=2, w0=[1.0, 0.0], w1=[0.0, 1.0], split=4,
+    base = dict(N=8, w0=[1.0, 0.0], w1=[0.0, 1.0], split=4,
                 mu=0.02, nu=0.2, alpha=0.9, eta=0.3, K=2,
                 iterations=60, replicas=2, seed=123, mean_degree=4.0)
     base.update(overrides)
@@ -476,7 +476,8 @@ def test_beliefs_at_rest_are_dropped_with_their_active_links():
     # then the far set moves to agents 2 and 3, whose link has as many
     # events, all agreeing too, but a belief of 0.5 that must move
     cfg = small_config(N=4, split=2, replicas=1, iterations=1000, forced_desired=0)
-    rep = harness._Replica(cfg, ModelPair(cfg.w0, cfg.w1), np.array([0, 0, 1, 1]))
+    rep = harness._Replica(cfg, ModelPair(cfg.w0, cfg.w1), np.array([0, 0, 1, 1]),
+                           streams=False)
     adj = np.ones((4, 4), dtype=bool)
     u, d = np.zeros((cfg.M, 4)), np.zeros(4)    # no update: h is only scaled
 
@@ -531,12 +532,12 @@ def test_metric_blocks_match_per_step_records(monkeypatch, iterations):
             _assert_records_match_steps(*run)
 
 
-def _per_iteration_static(cfg, adj, env, models, f, rng):
+def _per_iteration_static(cfg, adj, env, models, f, rng, streams):
     """The static engine as it drew before its draws were taken a block
     ahead: on every iteration N(M + 1) normals turned into u and d, then
     (when decisions run) N quorum uniforms, advanced one iteration at a
     time."""
-    rep = harness._Replica(cfg, models, f)
+    rep = harness._Replica(cfg, models, f, streams)
     z = models.observed(f)
     decides = cfg.strategy != "conventional" and cfg.forced_desired is None
     chol_t = np.linalg.cholesky(np.diag(env.ru)).T
@@ -549,16 +550,16 @@ def _per_iteration_static(cfg, adj, env, models, f, rng):
     return rep
 
 
-def _per_step_fish(cfg, params, models, f, rng):
+def _per_step_fish(cfg, params, models, f, rng, streams):
     """The fish engine as it drew before the step took its quorum uniforms
     as an argument: the step drew them after the sensing draws.  It builds
     the combination matrix and the link mask of each graph itself."""
-    rep = harness._Replica(cfg, models, f)
+    rep = harness._Replica(cfg, models, f, streams)
     z = models.observed(f)
     x = rng.uniform(-cfg.arena / 2.0, cfg.arena / 2.0, (cfg.N, 2))
     vel, adj = np.zeros((cfg.N, 2)), None
     u = np.tile(np.array([1.0, 0.0]), (cfg.N, 1))
-    rep.trajectory = np.empty((cfg.iterations, cfg.N, 6))
+    rep.trajectory = np.empty((cfg.iterations, cfg.N, 6)) if streams else None
     for i in range(cfg.iterations):
         diff, dist = pairwise_offsets(x)
         graph = radius_adjacency(dist, cfg.comm_radius)
@@ -570,8 +571,9 @@ def _per_step_fish(cfg, params, models, f, rng):
                     rng.random((1, cfg.N)) if cfg.forced_desired is None else None)
         x, vel = update_motion(x, vel, rep.w, A,
                                cohesion_all(diff, dist, links, params.d_s), params)
-        rep.trajectory[i] = np.column_stack(
-            [x, vel, rep.glob, ((x - rep.stacked[rep.glob]) ** 2).sum(axis=1)])
+        if streams:
+            rep.trajectory[i] = np.column_stack(
+                [x, vel, rep.glob, ((x - rep.stacked[rep.glob]) ** 2).sum(axis=1)])
     return rep
 
 
@@ -681,7 +683,8 @@ def test_crossing_in_a_decided_chunk_matches_single_iterations(monkeypatch, cros
 
     monkeypatch.setattr(harness._Replica, "_classify", replay)
     for chunk in (harness.BLOCK, 1):
-        rep = harness._Replica(cfg, ModelPair(cfg.w0, cfg.w1), np.array([0, 0, 1, 1]))
+        rep = harness._Replica(cfg, ModelPair(cfg.w0, cfg.w1), np.array([0, 0, 1, 1]),
+                               streams=False)
         rep.b[0, 2] = rep.b[2, 0] = 0.52
         for i in range(0, cfg.iterations, chunk):
             rep.advance(i, adj, u[i:i + chunk], d[i:i + chunk], uniforms[i:i + chunk])
@@ -738,7 +741,8 @@ def test_pass_rule_matches_single_iterations(monkeypatch, beliefs, far, uniform,
 
     monkeypatch.setattr(harness._Replica, "_classify", replay)
     for chunk in (harness.BLOCK, 1):
-        rep = harness._Replica(cfg, ModelPair(cfg.w0, cfg.w1), np.array([0, 0, 1, 1]))
+        rep = harness._Replica(cfg, ModelPair(cfg.w0, cfg.w1), np.array([0, 0, 1, 1]),
+                               streams=False)
         for (k, l), belief in beliefs.items():
             rep.b[k, l] = rep.b[l, k] = belief
         rep.fhat = f_hat(rep.b)
@@ -780,7 +784,7 @@ def test_adapt_rows_match_the_matmul_formula(M, N):
     # row's update and estimate equal the per-row formula's bit for bit, for
     # the A1/A2 split and the conventional A alone.  numpy hands a one-row
     # (M = 1) operand to BLAS as a vector, which must give the same bits too
-    cfg = small_config(N=N, M=M, w0=[1.0] * M, w1=[-1.0] * M, split=N // 2)
+    cfg = small_config(N=N, w0=[1.0] * M, w1=[-1.0] * M, split=N // 2)
     rng = np.random.default_rng(100 * M + N)
     A = rng.random((N, N)) + np.eye(N)
     A /= A.sum(axis=0)
@@ -788,7 +792,8 @@ def test_adapt_rows_match_the_matmul_formula(M, N):
     start, n = 5, 40
     u, d = rng.standard_normal((n, M, N)), rng.standard_normal((n, N))
     for split in (split_matrices(A, fhat, g), (A, None)):
-        rep = harness._Replica(cfg, ModelPair(cfg.w0, cfg.w1), np.arange(N) >= N // 2)
+        rep = harness._Replica(cfg, ModelPair(cfg.w0, cfg.w1), np.arange(N) >= N // 2,
+                               streams=False)
         w = w0 = rng.standard_normal((M, N))
         rep._adapt(start, start + n, w0, u, d, split)
         A1, A2 = split
@@ -890,7 +895,7 @@ def test_fish_tracks_mean_error():
     ("mean_degree", 3.0),
     ("ru_range", [0.5, 1.0]),
     ("noise_db_range", [-20.0, -10.0]),
-    ("M", 3),
+    pytest.param("w0", [1.0, 0.0, 0.0], id="planar"),   # w1 has 3 entries too
     ("motion", {"dt": -0.1}),
     ("motion", {"speed": 1.0}),
     ("w0", ["a", 10.0]),
@@ -898,8 +903,8 @@ def test_fish_tracks_mean_error():
 ])
 def test_fish_rejects_options_it_cannot_honour(tmp_path, field, value):
     doc = dict(preset("school").to_dict(), **{field: value})
-    if field == "M":
-        doc.update(w0=[1.0, 0.0, 0.0], w1=[0.0, 1.0, 0.0])
+    if len(doc["w0"]) == 3:
+        doc["w1"] = [0.0, 1.0, 0.0]
     with pytest.raises(ConfigError):
         ScenarioConfig.from_dict(doc)
     path = tmp_path / "fish.json"
@@ -919,7 +924,7 @@ def test_cli_conventional_simulate_prints_no_desired_figure(tmp_path, capsys):
     # is NaN, so the summary names models 0 and 1 only.  No modified replica
     # agrees within 50 iterations, and no mean settle iteration is printed
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(dict(N=8, M=2, w0=[1.0, 0.0], w1=[0.0, 1.0], split=4,
+    cfg_path.write_text(json.dumps(dict(N=8, w0=[1.0, 0.0], w1=[0.0, 1.0], split=4,
                                         mu=0.005, iterations=50, replicas=1, seed=5,
                                         mean_degree=4.0)))
     for strategy, desired in (("conventional", False), ("modified", True)):
@@ -952,6 +957,50 @@ def test_cli_names_every_file_it_writes(tmp_path, capsys, command, source, files
     last = capsys.readouterr().out.splitlines()[-1]
     assert last == f"wrote {', '.join(files)} and meta.json to {out}"
     assert sorted(p.name for p in out.iterdir()) == sorted(files + ["meta.json"])
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("simulate", dict(N=8, w0=[1.0, 0.0, 0.0], w1=[0.0, 1.0, 0.0], split=4, mean_degree=4.0,
+                      iterations=20, replicas=1)),
+    ("fish", dict(preset("school").to_dict(), iterations=20)),
+    ("classify-bench", dict(kind="classify_bench", bench_trials=200)),
+], ids=["simulate", "fish", "classify-bench"])
+def test_meta_records_the_models_dimension(tmp_path, capsys, command, doc):
+    # M is the models' length, not a config field: meta.json records it, and
+    # a config that names it is refused, even at the models' length
+    config, out = tmp_path / "config.json", tmp_path / "run"
+    config.write_text(json.dumps(doc))
+    assert cli_main([command, "--config", str(config), "--out", str(out)]) == 0
+    M = len(ScenarioConfig.from_dict(doc).w0)
+    assert json.loads((out / "meta.json").read_text())["config"]["M"] == M
+    config.write_text(json.dumps(dict(doc, M=M)))
+    assert cli_main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "configuration error: unknown config fields: ['M']\n"
+
+
+def test_only_replica_0_records_the_stream_and_trajectory(monkeypatch):
+    # only replica 0's belief stream and trajectory are written, so no other
+    # replica allocates one: at R = 3 a beliefs run stays within the estimate
+    # validate() holds to the memory budget, which counts one stream
+    run_scenario(dataclasses.replace(preset("beliefs"), iterations=2))  # first-use imports
+    cfg = dataclasses.replace(preset("beliefs"), replicas=3).validate()
+    tracemalloc.start()
+    try:
+        trace = run_scenario(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.belief_stream.shape == (1200, 40, 40)
+    assert peak <= cfg._estimated_bytes()
+    made, replica = [], harness._Replica
+
+    def recorded(*args):
+        made.append(replica(*args))
+        return made[-1]
+
+    monkeypatch.setattr(harness, "_Replica", recorded)
+    run_scenario(small_school(replicas=2))
+    assert [rep.trajectory is not None for rep in made] == [True, False]
 
 
 def test_chain_sweep_report():
@@ -1051,7 +1100,7 @@ def test_trajectory_writer(tmp_path):
 def test_cli_simulate_and_exit_codes(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(dict(
-        N=8, M=2, w0=[1.0, 0.0], w1=[0.0, 1.0], split=4, mu=0.02, nu=0.2,
+        N=8, w0=[1.0, 0.0], w1=[0.0, 1.0], split=4, mu=0.02, nu=0.2,
         alpha=0.9, eta=0.3, K=2, iterations=40, replicas=1, seed=5,
         mean_degree=4.0)))
     out = tmp_path / "run"
@@ -1192,10 +1241,10 @@ def test_cli_simulate_and_exit_codes(tmp_path):
 def test_cli_refuses_bad_config(tmp_path, capsys, command, overrides):
     # overrides are config fields, "--" CLI flags, or the whole file as bytes;
     # every refusal comes before the run allocates or computes anything
-    doc = {"simulate": dict(N=8, M=2, w0=[1.0, 0.0], w1=[0.0, 1.0], split=4,
+    doc = {"simulate": dict(N=8, w0=[1.0, 0.0], w1=[0.0, 1.0], split=4,
                             mu=0.02, nu=0.2, alpha=0.9, eta=0.3, K=2, iterations=10,
                             replicas=1, seed=5, mean_degree=4.0),
-           "fish": dict(kind="fish", N=8, M=2, w0=[10.0, 10.0], w1=[-10.0, 10.0],
+           "fish": dict(kind="fish", N=8, w0=[10.0, 10.0], w1=[-10.0, 10.0],
                         split=4, mu=0.02, nu=0.2, eta=1.0, iterations=20, replicas=1,
                         comm_radius=8.0, motion=dict(dt=0.1, kappa=0.01)),
            "analyze-chain": dict(kind="chain_sweep", sweep_N=[4], sweep_K=[1]),
@@ -1308,7 +1357,7 @@ def test_static_accepts_other_kinds_fields_at_their_defaults():
 def test_cli_stability_refusal(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(dict(
-        N=8, M=2, w0=[1.0, 0.0], w1=[0.0, 1.0], split=4, mu=1.5, nu=0.2,
+        N=8, w0=[1.0, 0.0], w1=[0.0, 1.0], split=4, mu=1.5, nu=0.2,
         alpha=0.9, eta=0.3, K=2, iterations=10, replicas=1, seed=5,
         mean_degree=4.0)))
     assert cli_main(["simulate", "--config", str(cfg_path),
@@ -1321,7 +1370,7 @@ def test_cli_huge_finite_estimate_diverges_without_warnings(tmp_path, capsys):
     # in this suite) is printed or raised
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(dict(
-        N=8, M=2, w0=[1e200, 0.0], w1=[0.0, 1.0], split=4, mu=0.02,
+        N=8, w0=[1e200, 0.0], w1=[0.0, 1.0], split=4, mu=0.02,
         nu=0.2, alpha=0.9, eta=0.3, K=2, iterations=10, replicas=1, seed=5,
         mean_degree=4.0)))
     out = tmp_path / "o"
@@ -1388,7 +1437,7 @@ def test_cli_determinism(tmp_path):
 # settle alike within 40 steps.  Classify-bench saturates (P_d = 1, P_f = 0) at
 # the default distance, so its base brings the two agents' estimates closer.
 DEAD_KNOB_BASES = {
-    "static_two_model": dict(N=8, M=2, w0=[1.0, 0.0], w1=[0.0, 1.0], split=4,
+    "static_two_model": dict(N=8, w0=[1.0, 0.0], w1=[0.0, 1.0], split=4,
                              iterations=60, replicas=2, seed=123, mean_degree=4.0),
     "fish": dict(preset("school").to_dict(), N=8, split=4, iterations=40, K=1,
                  eta=5.0, seed=3),
@@ -1453,6 +1502,5 @@ def test_every_accepted_field_moves_the_result(kind):
                 a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
                 for a, b in zip(outputs, reference)):
             dead.append(f.name)
-    # M must equal the models' length, so it never changes alone
-    assert set(tested) >= set(KIND_FIELDS[kind]) - {"M"}
+    assert set(tested) >= set(KIND_FIELDS[kind])
     assert not dead, f"{kind} ignores {dead}"
