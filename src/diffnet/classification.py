@@ -12,9 +12,9 @@ from .network import AgentEnvironment, ModelPair
 
 # mu should be well below nu for the direction estimate to track; warn past this.
 STEPSIZE_RATIO_WARN = 5.0
-# the pair benchmark forms its update steps this many bytes at a time, so that a
-# stacked pair costs little more than its own directions
-STEP_SLICE_BYTES = 2 ** 16
+# the pair benchmark updates its directions in slices of trials whose M components
+# take this many bytes (10,000 trials at M = 4 fit in one slice)
+STEP_SLICE_BYTES = 2 ** 19
 
 
 def check_stepsize_separation(mu: float, nu: float) -> bool:
@@ -106,6 +106,10 @@ def direction_pair_benchmark(z_k, z_l, w, env: AgentEnvironment, nu: float,
     random numbers): each pair's rates are bit for bit those of its own
     unstacked call from the same generator state.  Rates have the stack's
     leading shape; an unstacked call returns floats.
+
+    The directions are held component-major, (pairs, agent, M, trials), and
+    advanced one slice of STEP_SLICE_BYTES at a time: beyond them, one step's
+    draws and a residual row per pair, the buffers grow with the slice.
     """
     z_k, z_l, w = (np.asarray(a, dtype=float) for a in (z_k, z_l, w))
     shape = np.broadcast_shapes(z_k.shape, z_l.shape, w.shape)
@@ -114,31 +118,37 @@ def direction_pair_benchmark(z_k, z_l, w, env: AgentEnvironment, nu: float,
     gaps = [np.broadcast_to(z - w, shape).reshape(-1, env.M) for z in (z_k, z_l)]
     (sig,) = env.sigma_v
 
-    h = np.zeros((len(gaps[0]), 2, trials, env.M))    # per pair, agents k and l
-    u, noise, resid = np.empty((trials, env.M)), np.empty(trials), np.empty(trials)
-    rows = max(1, STEP_SLICE_BYTES // (8 * env.M))
-    step = np.empty((min(rows, trials), env.M))
+    h = np.zeros((len(gaps[0]), 2, env.M, trials))    # per pair, agents k and l
+    u, noise = np.empty((trials, env.M)), np.empty(trials)
+    resid = np.empty((len(gaps[0]), trials))
+    rows = min(trials, max(1, STEP_SLICE_BYTES // (8 * env.M)))
+    ru_tile, nu_u = np.tile(env.ru_sd, (rows, 1)), np.empty((env.M, rows))
     for _ in range(math.ceil(8.0 / nu)):
         for idx, gap in enumerate(gaps):
             rng.standard_normal(out=u)
-            u *= env.ru_sd
+            for a in range(0, trials, rows):   # a tile: one flat loop, not M-long ones
+                u[a:a + rows] *= ru_tile[:trials - a]
             rng.standard_normal(out=noise)
             noise *= sig
-            for h_p, e in zip(h[:, idx], gap):
-                np.matmul(u, e, out=resid)
-                resid += noise
-                for a in range(0, trials, rows):   # (1 - nu) h + nu u resid, in place
-                    s = np.multiply(u[a:a + rows], nu, out=step[:min(rows, trials - a)])
-                    s *= resid[a:a + rows, None]
-                    h_rows = h_p[a:a + rows]
+            for r, e in zip(resid, gap):
+                np.matmul(u, e, out=r)
+                r += noise
+            for a in range(0, trials, rows):   # (1 - nu) h + nu u resid, in place
+                b = min(a + rows, trials)
+                nu_ut = np.multiply(u[a:b].T, nu, out=nu_u[:, :b - a])
+                step = u[a:b].reshape(env.M, b - a)   # read: it holds each pair's step
+                for h_p, r in zip(h[:, idx], resid):
+                    np.multiply(nu_ut, r[a:b], out=step)
+                    h_rows = h_p[:, a:b]
                     h_rows *= 1.0 - nu
-                    h_rows += s
+                    h_rows += step
 
     rates = {key: np.empty(len(h)) for key in ("p_far_k", "p_far_l", "p_e1", "p_e1c")}
-    for p, (h_k, h_l) in enumerate(h):   # u, noise and resid hold the reductions
+    # (trials, M) views keep each sum's order over M; u, noise and resid hold the sums
+    for p, (h_k, h_l) in enumerate(h.transpose(0, 1, 3, 2)):
         far_k = np.square(h_k, out=u).sum(axis=1, out=noise) > eta ** 2
         far_l = np.square(h_l, out=u).sum(axis=1, out=noise) > eta ** 2
-        inner = np.multiply(h_k, h_l, out=u).sum(axis=1, out=resid)
+        inner = np.multiply(h_k, h_l, out=u).sum(axis=1, out=resid[0])
         both = far_k & far_l
         rates["p_far_k"][p] = far_k.mean()
         rates["p_far_l"][p] = far_l.mean()

@@ -121,9 +121,11 @@ def _run_bench(args: argparse.Namespace) -> int:
     write_meta(os.path.join(args.out, "meta.json"), cfg)
     print(f"tau_hat={report['tau_hat']:.3f}  "
           f"P_d >= {report['pd_lower_bound']:.3f} "
-          f"(empirical {report['empirical_pd']:.3f})  "
+          f"(empirical {report['empirical_pd']:.3f}, given both far "
+          f"{report['conditional_pd']:.3f} of {report['far_pairs_pd']})  "
           f"P_f <= {report['pf_upper_bound']:.3f} "
-          f"(empirical {report['empirical_pf']:.4f})"
+          f"(empirical {report['empirical_pf']:.4f}, given both far "
+          f"{report['conditional_pf']:.4f} of {report['far_pairs_pf']})"
           + ("  (vacuous: 16 nu tau_hat >= pi^2)" if report["pf_upper_bound"] >= 1 else ""))
     print(f"wrote {path}")
     return EXIT_OK

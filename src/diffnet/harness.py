@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .classification import check_stepsize_separation, direction_pair_benchmark, \
-    estimate_tau, f_hat, pd_pf_bounds
+from .classification import STEP_SLICE_BYTES, check_stepsize_separation, \
+    direction_pair_benchmark, estimate_tau, f_hat, pd_pf_bounds
 from .decision import decision_sweep, global_desires, keep_probabilities, \
     oracle_relative_f, quorum_table, \
     quorum_prob  # noqa: F401  (perfbench's tracer checks the name is wrapped here too)
@@ -201,8 +201,13 @@ class ScenarioConfig:
         if self.kind == "chain_sweep":     # P; F+, I - F+, G, LAPACK's 2 copies: P/4 each
             rows = max(self.sweep_N) + 1.0   # squared by multiplying: inf, not OverflowError
             return 8.0 * 2.25 * rows * rows
-        if self.kind == "classify_bench":  # regressor draws and both directions
-            return 8.0 * 8 * self.M * max(self.bench_trials, 10_000.0)
+        if self.kind == "classify_bench":
+            # two pairs' directions, u, noise, a resid row per pair and the masks, two
+            # slice buffers, and estimate_tau's draws and products (freed before them)
+            trials, M = float(self.bench_trials), self.M
+            rows = min(trials, max(1, STEP_SLICE_BYTES // (8 * M)))
+            return 8.0 * ((5 * M + 4) * trials + 2 * M * rows
+                          + (4 * M + 2) * max(trials // 2, 10_000.0))
         N, iters = float(self.N), float(self.iterations)
         return 8.0 * (16 * iters  # records; blocks, updates and the kernel's row buffers
                       + (BLOCK * (7 * self.M + 6) + 2 * self.M + 1) * N
@@ -726,15 +731,7 @@ def run_classify_bench(cfg: ScenarioConfig) -> dict:
             rates = direction_pair_benchmark(models.w0, np.stack([models.w0, models.w1]),
                                              np.stack([w_far, mid]), env, cfg.nu, cfg.eta,
                                              cfg.bench_trials, rng)
-            # P_d and P_f are rates given that both agents are in the far field
-            for pair, rate in enumerate(("P_d", "P_f")):
-                if rates["p_e1"][pair] + rates["p_e1c"][pair] == 0.0:
-                    raise ConfigError(
-                        f"no trial of the {rate} pair put both agents in the far field "
-                        f"(eta = {cfg.eta:g}), so its empirical {rate} is undefined: the "
-                        f"P_d pair's estimate sits bench_distance = {cfg.bench_distance:g} "
-                        "from its model, the P_f pair's midway between w0 and w1")
-            return {
+            report = {
                 "tau_hat": tau_hat,
                 "pd_lower_bound": pd_lo,
                 "pf_upper_bound": pf_hi,
@@ -742,9 +739,34 @@ def run_classify_bench(cfg: ScenarioConfig) -> dict:
                 "empirical_pf": float(rates["p_e1"][1]),
                 "empirical_far_rate": float(rates["p_far_k"][0]),
             }
+            # P_d and P_f are rates given that both agents are in the far field: the
+            # same-sign share of those trials, with a 3-sigma Wilson interval
+            for pair, (rate, key) in enumerate((("P_d", "pd"), ("P_f", "pf"))):
+                hits, misses = (round(rates[event][pair] * cfg.bench_trials)
+                                for event in ("p_e1", "p_e1c"))
+                if hits + misses == 0:
+                    raise ConfigError(
+                        f"no trial of the {rate} pair put both agents in the far field "
+                        f"(eta = {cfg.eta:g}), so its empirical {rate} is undefined: the "
+                        f"P_d pair's estimate sits bench_distance = {cfg.bench_distance:g} "
+                        "from its model, the P_f pair's midway between w0 and w1")
+                report[f"far_pairs_{key}"] = hits + misses
+                report[f"conditional_{key}"] = hits / (hits + misses)
+                (report[f"conditional_{key}_low"],
+                 report[f"conditional_{key}_high"]) = _wilson_interval(hits, hits + misses)
+            return report
     except FloatingPointError as exc:
         raise ConfigError(f"classify-bench arithmetic failed ({exc}): w0, w1, ru_range "
                           "and bench_distance are out of a float's range together") from exc
+
+
+def _wilson_interval(hits: int, n: int) -> tuple[float, float]:
+    """3-sigma Wilson score interval of the rate hits / n.  Unlike the Wald
+    interval it keeps its width at rates of 0 and 1, and it ends there exactly."""
+    z = 3.0
+    half = z * math.sqrt(z * z + 4 * hits * (n - hits) / n)
+    return (2 * hits + z * z - half) / (2 * (n + z * z)), \
+        (2 * hits + z * z + half) / (2 * (n + z * z))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from diffnet import classification
 from diffnet.classification import (
     belief_error_oracle, check_stepsize_separation, direction_pair_benchmark,
     error_bound_Pu, estimate_tau, f_hat, markov_tail_bound, pd_pf_bounds,
@@ -195,3 +196,23 @@ def test_stacked_pairs_match_their_own_runs_from_one_set_of_draws():
     assert grid["p_e1"][1, 1] == stacked["p_e1"][1]
     with pytest.raises(ValueError, match="M = 3"):
         direction_pair_benchmark(z_k[:2], z_k[:2], z_k[:2], *args, rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("M", [1, 3])
+def test_direction_benchmark_slices_are_bit_identical(monkeypatch, M):
+    # 3,000 trials fit in one default slice; slices of 1,100 trials make three,
+    # the last one short
+    monkeypatch.setattr(classification, "STEP_SLICE_BYTES", 8 * M * 1100)
+    env = AgentEnvironment(ru=[1.0, 1.5, 2.0][:M], sigma_v2=[0.05])
+    z_k, w = np.array([1.0, -0.5, 0.3])[:M], np.array([0.3, 0.1, -0.2])[:M]
+    z_l = np.array([[-0.2, 0.4, 0.1], [1.0, -0.5, 0.3], [-1.0, 0.5, -0.3]])[:, :M]
+    args = (env, 0.07, 0.9, 3000)
+    stacked = direction_pair_benchmark(z_k, z_l, w, *args, rng=np.random.default_rng(11))
+    assert 0.0 < stacked["p_e1"][1] < stacked["p_far_k"][1] < 1.0   # agents share a model
+    for pair in range(3):
+        one = direction_pair_benchmark(z_k, z_l[pair], w, *args,
+                                       rng=np.random.default_rng(11))
+        want = _out_of_place_benchmark(z_k, z_l[pair], w, *args,
+                                       rng=np.random.default_rng(11))
+        for key, rate in stacked.items():
+            assert rate[pair] == one[key] == want[key]

@@ -178,7 +178,11 @@ def test_golden_school_and_analyses():
     assert report == pytest.approx({
         "tau_hat": 6.252912543572984, "pd_lower_bound": 0.4931579998985314,
         "pf_upper_bound": 0.5068420001014686, "empirical_pd": 1.0,
-        "empirical_pf": 0.0, "empirical_far_rate": 1.0}, abs=1e-12)
+        "empirical_pf": 0.0, "empirical_far_rate": 1.0,
+        # given both agents far: 300 of 300 trials, 3-sigma Wilson ends 300/309, 9/309
+        "far_pairs_pd": 300, "conditional_pd": 1.0, "conditional_pd_low": 0.970873786407767,
+        "conditional_pd_high": 1.0, "far_pairs_pf": 300, "conditional_pf": 0.0,
+        "conditional_pf_low": 0.0, "conditional_pf_high": 0.02912621359223301}, abs=1e-12)
 
 
 @pytest.mark.parametrize("strategy", ["modified", "conventional"])
@@ -814,15 +818,21 @@ def test_adapt_rows_match_the_matmul_formula(M, N):
     pytest.param(lambda: small_school(iterations=130), id="school"),
     pytest.param(lambda: ScenarioConfig(kind="chain_sweep", sweep_N=[150, 300],
                                         sweep_K=[1, 2]).validate(), id="chain_sweep"),
+    # the per-trial vectors do not scale with M, so M = 1 is the tight case
+    *(pytest.param(lambda M=M: ScenarioConfig(kind="classify_bench", w0=[5.0] * M,
+                                              w1=[-5.0] * M, nu=0.5,
+                                              bench_trials=10_000).validate(),
+                   id=f"classify_bench-M{M}") for M in (1, 4)),
 ])
 def test_memory_estimate_bounds_the_traced_peak(cfg):
     # the size refusal rests on _estimated_bytes; it counts the kernel's
-    # chunk buffers and Gram batch, the chain and its folded halves, and
-    # bounds what a run allocates
+    # chunk buffers and Gram batch, the chain and its folded halves, the
+    # pair benchmark's directions and slices, and bounds what a run allocates
     cfg = cfg()
+    run = {"chain_sweep": run_chain_sweep, "classify_bench": run_classify_bench}
     tracemalloc.start()
     try:
-        (run_chain_sweep if cfg.kind == "chain_sweep" else run_scenario)(cfg)
+        run.get(cfg.kind, run_scenario)(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
