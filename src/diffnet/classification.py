@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 
-from .network import AgentEnvironment, ModelPair
+from .network import AgentEnvironment
 
 # mu should be well below nu for the direction estimate to track; warn past this.
 STEPSIZE_RATIO_WARN = 5.0
@@ -34,33 +34,26 @@ def f_hat(b: np.ndarray) -> np.ndarray:
     return (np.asarray(b) >= 0.5).astype(int)
 
 
-def estimate_tau(env: AgentEnvironment, models: ModelPair, sample_count: int,
-                 rng: np.random.Generator) -> float:
-    """Monte Carlo bound estimate for the fourth-moment randomness ratio
-    E||u^T u e - Ru e||^2 / ||Ru e||^2, maximized over probe directions:
-    the model difference and the unit vectors, which are the eigenvectors of
-    the diagonal Ru = diag(ru).  The regressors u are standard normals
-    scaled by ru_sd."""
-    if sample_count < 10_000:
-        raise ValueError("sample_count must be at least 1e4")
-    u = rng.standard_normal((sample_count, env.M)) * env.ru_sd
-    tau = 0.0
-    for e in [models.w0 - models.w1, *np.eye(env.M)]:
-        e = e / np.linalg.norm(e)
-        ref = env.ru * e
-        samples = u * (u @ e)[:, None] - ref
-        tau = max(tau, float((samples ** 2).sum(axis=1).mean() / (ref @ ref)))
-    return tau
+def gaussian_tau(ru: np.ndarray) -> float:
+    """The fourth-moment randomness ratio tau, the largest over unit vectors e
+    of E||u u^T e - Ru e||^2 / ||Ru e||^2, for Gaussian regressors
+    u ~ N(0, Ru) with Ru = diag(ru).  Isserlis' theorem gives the numerator as
+    tr(Ru) e^T Ru e + ||Ru e||^2, so the ratio is 1 + tr(Ru) e^T Ru e / ||Ru e||^2;
+    e^T Ru e / ||Ru e||^2 <= 1 / min(ru), with equality at the unit vector of
+    the smallest variance, so tau = 1 + sum(ru) / min(ru) exactly."""
+    return float(1.0 + ru.sum() / ru.min())
 
 
 def pd_pf_bounds(nu: float, tau_hat: float):
-    """Lower detection / upper false-alarm probability bounds (they sum to 1)."""
+    """Lower detection / upper false-alarm probability bounds (they sum to 1),
+    1 - 16 nu tau / pi^2 and 16 nu tau / pi^2, at the exact tau of gaussian_tau."""
     x = 16.0 * nu * tau_hat / math.pi ** 2
     return 1.0 - x, x
 
 
 def error_bound_Pu(alpha: float, nu: float, tau_hat: float) -> float:
-    """Upper bound on the misclassification probabilities P_{e,1}, P_{e,0}."""
+    """Upper bound on the misclassification probabilities P_{e,1}, P_{e,0},
+    at the exact tau of gaussian_tau."""
     x = pd_pf_bounds(nu, tau_hat)[1]
     if x >= 0.5:
         raise ValueError(

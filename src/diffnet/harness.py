@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .classification import STEP_SLICE_BYTES, check_stepsize_separation, \
-    direction_pair_benchmark, estimate_tau, f_hat, pd_pf_bounds
+    direction_pair_benchmark, f_hat, gaussian_tau, pd_pf_bounds
 from .decision import decision_sweep, global_desires, keep_probabilities, \
     oracle_relative_f, quorum_table, \
     quorum_prob  # noqa: F401  (perfbench's tracer checks the name is wrapped here too)
@@ -203,11 +203,11 @@ class ScenarioConfig:
             return 8.0 * 2.25 * rows * rows
         if self.kind == "classify_bench":
             # two pairs' directions, u, noise, a resid row per pair and the masks, two
-            # slice buffers, and estimate_tau's draws and products (freed before them)
+            # slice buffers, and numpy's ufunc buffers (getbufsize() doubles for each
+            # of a binary ufunc's three operands) of the strided final reductions
             trials, M = float(self.bench_trials), self.M
             rows = min(trials, max(1, STEP_SLICE_BYTES // (8 * M)))
-            return 8.0 * ((5 * M + 4) * trials + 2 * M * rows
-                          + (4 * M + 2) * max(trials // 2, 10_000.0))
+            return 8.0 * ((5 * M + 4) * trials + 2 * M * rows + 3 * np.getbufsize())
         N, iters = float(self.N), float(self.iterations)
         return 8.0 * (16 * iters  # records; blocks, updates and the kernel's row buffers
                       + (BLOCK * (7 * self.M + 6) + 2 * self.M + 1) * N
@@ -722,7 +722,7 @@ def run_classify_bench(cfg: ScenarioConfig) -> dict:
             models = ModelPair(np.array(cfg.w0), np.array(cfg.w1))
             ru_diag = rng.uniform(cfg.ru_range[0], cfg.ru_range[1], cfg.M)
             env = AgentEnvironment(ru_diag, sigma_v2=np.array([1e-2]))
-            tau_hat = estimate_tau(env, models, max(10_000, cfg.bench_trials // 2), rng)
+            tau_hat = gaussian_tau(env.ru)
             pd_lo, pf_hi = pd_pf_bounds(cfg.nu, tau_hat)
             gap = models.w0 - models.w1
             w_far = models.w0 - cfg.bench_distance * (gap / np.linalg.norm(gap))

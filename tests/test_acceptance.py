@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from diffnet.classification import (
-    direction_pair_benchmark, estimate_tau, pd_pf_bounds,
+    direction_pair_benchmark, gaussian_tau, pd_pf_bounds,
 )
 from diffnet.decision import global_desires, oracle_relative_f
 from diffnet.diffusion import build_mean_error_system, spectral_radius
@@ -193,7 +193,7 @@ def test_criterion_8_classification(bifurcation_trace, bifurcation_env):
     models = ModelPair(np.array([5.0, -5.0, 5.0, 5.0]),
                        np.array([5.0, 5.0, -5.0, 5.0]))
     rng = np.random.default_rng(0)
-    tau_hat = estimate_tau(env, models, 200_000, rng)
+    tau_hat = gaussian_tau(env.ru)
     pd_lo, pf_hi = pd_pf_bounds(0.05, tau_hat)
     bench_env = AgentEnvironment(env.ru, sigma_v2=np.array([0.01]))
     w_far = models.w0 - 10.0 * (models.w0 - models.w1) \
@@ -216,7 +216,7 @@ def test_criterion_9_field_bounds(bifurcation_env):
                        np.array([5.0, 5.0, -5.0, 5.0]))
     rng = np.random.default_rng(1)
     nu, eta, trials = 0.05, 1.0, 100_000
-    tau_hat = estimate_tau(env, models, 200_000, rng)
+    tau_hat = gaussian_tau(env.ru)
     bench_env = AgentEnvironment(env.ru, sigma_v2=np.array([0.01]))
 
     gap = (models.w0 - models.w1) / np.linalg.norm(models.w0 - models.w1)

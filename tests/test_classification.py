@@ -6,7 +6,7 @@ import pytest
 from diffnet import classification
 from diffnet.classification import (
     belief_error_oracle, check_stepsize_separation, direction_pair_benchmark,
-    error_bound_Pu, estimate_tau, f_hat, markov_tail_bound, pd_pf_bounds,
+    error_bound_Pu, f_hat, gaussian_tau, markov_tail_bound, pd_pf_bounds,
 )
 from diffnet.network import AgentEnvironment, ModelPair
 from oracle import E1, E1C, NO_UPDATE, classify_event, update_belief, update_direction
@@ -48,49 +48,41 @@ def test_update_belief_and_decision():
 
 
 def test_estimate_tau_gaussian_values():
-    rng = np.random.default_rng(0)
     # scalar Gaussian: E(u^2 - 1)^2 = 2
-    env1 = AgentEnvironment(ru=np.ones(1), sigma_v2=[0.01])
-    m1 = ModelPair([1.0], [-1.0])
-    assert abs(estimate_tau(env1, m1, 200_000, rng) - 2.0) < 0.15
+    assert gaussian_tau(np.ones(1)) == 2.0
     # M-dimensional identity Ru: tau = M + 1
-    env4 = AgentEnvironment(ru=np.ones(4), sigma_v2=[0.01])
-    m4 = ModelPair([5.0, -5.0, 5.0, 5.0], [5.0, 5.0, -5.0, 5.0])
-    assert abs(estimate_tau(env4, m4, 200_000, rng) - 5.0) < 0.3
+    for M in (2, 4, 8):
+        assert gaussian_tau(np.ones(M)) == M + 1
+    # the smallest variance sets it: 1 + (1 + 2 + 4) / 1
+    assert gaussian_tau(np.array([2.0, 1.0, 4.0])) == 8.0
 
 
 def _estimate_tau_from_the_covariance(Ru, models, sample_count, rng):
-    """estimate_tau's former formula on the full covariance Ru: probes from
-    eigh, regressors from the Cholesky factor, references Ru @ e."""
+    """The Monte Carlo ratio on the full covariance Ru: probes from eigh,
+    regressors from the Cholesky factor, references Ru @ e.  Returns the
+    largest probe mean and the standard error of that probe's samples."""
     probes = [models.w0 - models.w1, *np.linalg.eigh(Ru)[1].T]
     u = rng.standard_normal((sample_count, len(Ru))) @ np.linalg.cholesky(Ru).T
-    tau = 0.0
+    tau, se = 0.0, 0.0
     for e in probes:
         e = e / np.linalg.norm(e)
         ref = Ru @ e
-        samples = u * (u @ e)[:, None] - ref
-        tau = max(tau, float((samples ** 2).sum(axis=1).mean() / (ref @ ref)))
-    return tau
+        ratios = ((u * (u @ e)[:, None] - ref) ** 2).sum(axis=1) / (ref @ ref)
+        if ratios.mean() > tau:
+            tau, se = float(ratios.mean()), float(ratios.std() / np.sqrt(sample_count))
+    return tau, se
 
 
-def test_estimate_tau_matches_the_covariance_formula():
-    # on a diagonal Ru the unit-vector probes, the ru_sd scaling and ru * e
-    # give the dense formula's bits
+def test_gaussian_tau_matches_the_monte_carlo_ratio():
+    # Isserlis' closed form against 200,000 draws of the ratio itself, within
+    # a few standard errors of the sample (the max over probes only adds a
+    # fraction of one when two variances nearly tie)
     rng = np.random.default_rng(4)
-    for M in (2, 4, 5):
-        env = AgentEnvironment(rng.uniform(0.5, 3.0, M), sigma_v2=[0.01])
+    for M in (1, 2, 3, 5, 8, 8):
+        ru = rng.uniform(0.2, 3.0, M)
         models = ModelPair(rng.standard_normal(M), rng.standard_normal(M))
-        got = estimate_tau(env, models, 10_000, np.random.default_rng(M))
-        want = _estimate_tau_from_the_covariance(np.diag(env.ru), models, 10_000,
-                                                 np.random.default_rng(M))
-        assert got == want
-
-
-def test_estimate_tau_rejects_small_sample():
-    env = AgentEnvironment(ru=np.ones(1), sigma_v2=[0.01])
-    with pytest.raises(ValueError):
-        estimate_tau(env, ModelPair([1.0], [-1.0]), 100,
-                     np.random.default_rng(0))
+        tau, se = _estimate_tau_from_the_covariance(np.diag(ru), models, 200_000, rng)
+        assert abs(tau - gaussian_tau(ru)) < 4.0 * se
 
 
 def test_pd_pf_bounds_values():

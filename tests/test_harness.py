@@ -175,9 +175,12 @@ def test_golden_school_and_analyses():
 
     report = run_classify_bench(ScenarioConfig(kind="classify_bench", bench_trials=300,
                                                seed=3))
+    # tau is exact: 1 + sum(ru) / min(ru) of the seed's first draw, ru ~ U(1, 2)^4
+    ru = np.random.default_rng(3).uniform(1.0, 2.0, 4)
+    assert report["tau_hat"] == 1.0 + ru.sum() / ru.min()
     assert report == pytest.approx({
-        "tau_hat": 6.252912543572984, "pd_lower_bound": 0.4931579998985314,
-        "pf_upper_bound": 0.5068420001014686, "empirical_pd": 1.0,
+        "tau_hat": 6.255745914698091, "pd_lower_bound": 0.4929283354856563,
+        "pf_upper_bound": 0.5070716645143437, "empirical_pd": 1.0,
         "empirical_pf": 0.0, "empirical_far_rate": 1.0,
         # given both agents far: 300 of 300 trials, 3-sigma Wilson ends 300/309, 9/309
         "far_pairs_pd": 300, "conditional_pd": 1.0, "conditional_pd_low": 0.970873786407767,
@@ -823,6 +826,10 @@ def test_adapt_rows_match_the_matmul_formula(M, N):
                                               w1=[-5.0] * M, nu=0.5,
                                               bench_trials=10_000).validate(),
                    id=f"classify_bench-M{M}") for M in (1, 4)),
+    # few trials at a large M: numpy's ufunc buffers, not the per-trial arrays
+    pytest.param(lambda: ScenarioConfig(kind="classify_bench", w0=[5.0] * 8, w1=[-5.0] * 8,
+                                        bench_trials=300).validate(),
+                 id="classify_bench-M8-300"),
 ])
 def test_memory_estimate_bounds_the_traced_peak(cfg):
     # the size refusal rests on _estimated_bytes; it counts the kernel's
@@ -1324,6 +1331,8 @@ def test_cli_classify_bench_says_when_its_bounds_are_vacuous(tmp_path, capsys, n
     pytest.param("P_d", dict(bench_distance=0.3), id="P_d-bench_distance"),
     # the models 0.2 apart: the different-model pair's midpoint is near both
     pytest.param("P_f", dict(w1=[5.0, -5.0, 5.0, 5.2]), id="P_f-close-models"),
+    # variances of 1e-300: the directions stay near 0 (tau is exactly 5)
+    pytest.param("P_d", dict(ru_range=[1e-300, 1e-300]), id="P_d-ru_range-tiny"),
 ])
 def test_cli_classify_bench_refuses_an_undefined_rate(tmp_path, capsys, rate, overrides):
     # P_d and P_f are rates given that both agents are in the far field; with
@@ -1341,8 +1350,7 @@ def test_cli_classify_bench_refuses_an_undefined_rate(tmp_path, capsys, rate, ov
 
 
 @pytest.mark.parametrize("overrides", [
-    pytest.param(dict(ru_range=[1, 1e160]), id="ru_range-huge"),      # u @ e overflows
-    pytest.param(dict(ru_range=[1e-300, 1e-300]), id="ru_range-tiny"),  # tau is 0 / 0
+    pytest.param(dict(ru_range=[1, 1e160]), id="ru_range-huge"),      # h ** 2 overflows
     pytest.param(dict(bench_distance=1e300), id="bench_distance"),   # h ** 2 overflows
 ])
 def test_cli_classify_bench_refuses_float_overflow(tmp_path, capsys, overrides):
